@@ -454,10 +454,10 @@ def summarize_rows(rows: Sequence[SweepRow]) -> list[dict]:
     confidence bounds once a cell has at least 10 successful replications."""
     cells: dict[tuple, list[SweepRow]] = {}
     for row in rows:
-        cells.setdefault(tuple(sorted(row.factors.items(), key=lambda kv: kv[0])), []).append(row)
+        cells.setdefault(row.key()[0], []).append(row)
     summaries = []
-    for cell_key, cell_rows in cells.items():
-        factors = dict(cell_key)
+    for cell_rows in cells.values():
+        factors = cell_rows[0].factors
         for metric in SUMMARY_METRICS:
             values = [v for v in (_metric(r, metric) for r in cell_rows) if v is not None]
             if not values:
