@@ -25,7 +25,6 @@ from .agent import (
     extract_assignment,
     handle_message,
     handle_start,
-    merge_config,
 )
 from .topology import Overlay, complete, ring, small_world
 from .simnet import (

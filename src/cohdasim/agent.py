@@ -51,7 +51,6 @@ __all__ = [
     "AgentState",
     "handle_start",
     "handle_message",
-    "merge_config",
     "choose_schedule",
     "extract_assignment",
 ]
@@ -218,14 +217,6 @@ def _merge(
     if merged is None:
         return local, False
     return merged, True
-
-
-def merge_config(
-    local: SystemConfiguration, remote: SystemConfiguration
-) -> SystemConfiguration:
-    """Belief merge of two system configurations (see ``_merge``)."""
-    merged, _ = _merge(local, remote)
-    return merged
 
 
 def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:

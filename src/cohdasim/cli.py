@@ -1,10 +1,10 @@
-"""Command line entry point and scenario / design file handling.
+"""Command line entry point.
 
-Scenario and design files are YAML key trees with strict schema validation:
-unknown keys are rejected with their line and column. All outputs are
-written atomically (temp file + rename) so interrupted sweeps never leave a
-corrupt table behind. Wall-clock timing goes to a separate file so that
-every other output is byte-reproducible for a given (scenario, seed).
+Scenario and design files are read and written by ``cohdasim.schema``. All
+outputs are written atomically (temp file + rename) so interrupted sweeps
+never leave a corrupt table behind. Wall-clock timing goes to a separate
+file so that every other output is byte-reproducible for a given (scenario,
+seed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,10 +21,9 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .core import PlanningHorizon, TargetProfile, aggregate, coverage
+from .core import Schedule, SelectionRecord, aggregate, coverage
 from .evaluation import (
     CapExceededError,
-    ExperimentDesign,
     RunResult,
     SweepRow,
     brute_force_optimum,
@@ -37,409 +35,12 @@ from .evaluation import (
     uncontrolled_schedules,
     worst_case_bound,
 )
-from .flexibility import DeviceModel, simulate_tank
-from .scenario import (
-    BUILTIN_SCENARIOS,
-    DeviceGroup,
-    SamplingSpec,
-    Scenario,
-    SeedBlock,
-    TopologySpec,
-    materialize,
-)
-from .simnet import NetworkModel, RunLimits, delay_from_mapping, delay_to_mapping
+from .flexibility import simulate_tank
+from .scenario import Materialized, Scenario, materialize
+from .schema import ScenarioError, load_design, load_scenario, scenario_to_mapping
+from .simnet import snapshot_best
 
-__all__ = [
-    "ScenarioError",
-    "load_scenario",
-    "load_design",
-    "parse_scenario_mapping",
-    "scenario_to_mapping",
-    "main",
-]
-
-
-class ScenarioError(ValueError):
-    """Scenario or design file problem, with location when available."""
-
-    def __init__(self, message: str, location: str | None = None):
-        super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
-
-
-class _MarkedDict(dict):
-    """Mapping that remembers the source line/column of every key."""
-
-    def __init__(self):
-        super().__init__()
-        self.key_marks: dict[str, tuple[int, int]] = {}
-        self.mark: tuple[int, int] | None = None
-
-
-class _Loader(yaml.SafeLoader):
-    pass
-
-
-def _construct_mapping(loader: _Loader, node):
-    loader.flatten_mapping(node)
-    out = _MarkedDict()
-    out.mark = (node.start_mark.line + 1, node.start_mark.column + 1)
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=True)
-        if key in out:
-            raise ScenarioError(
-                f"duplicate key {key!r}",
-                f"line {key_node.start_mark.line + 1}, column {key_node.start_mark.column + 1}",
-            )
-        out[key] = loader.construct_object(value_node, deep=True)
-        out.key_marks[key] = (key_node.start_mark.line + 1, key_node.start_mark.column + 1)
-    return out
-
-
-_Loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
-
-
-def _loc(source: str, mapping, key=None) -> str:
-    mark = None
-    if isinstance(mapping, _MarkedDict):
-        mark = mapping.key_marks.get(key) if key is not None else mapping.mark
-    if mark is None:
-        return source
-    return f"{source}:{mark[0]}:{mark[1]}"
-
-
-def _load_yaml(path: Path):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc.strerror}")
-    try:
-        data = yaml.load(text, Loader=_Loader)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
-        raise ScenarioError(f"YAML parse error: {exc.problem}", where)
-    if not isinstance(data, Mapping):
-        raise ScenarioError("top level must be a mapping", str(path))
-    return data
-
-
-def _check_keys(mapping, allowed: set[str], required: set[str], ctx: str, source: str):
-    if not isinstance(mapping, Mapping):
-        raise ScenarioError(f"{ctx} must be a mapping", source)
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r} in {ctx}", _loc(source, mapping, key))
-    for key in required:
-        if key not in mapping:
-            raise ScenarioError(f"missing key {key!r} in {ctx}", _loc(source, mapping))
-
-
-def _number(mapping, key, ctx, source, kind=float):
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{ctx}.{key} must be a number", _loc(source, mapping, key))
-    return kind(value)
-
-
-def _per_interval(value, T: int, ctx: str, source: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * T
-    if isinstance(value, list):
-        if len(value) != T:
-            raise ScenarioError(f"{ctx} needs {T} values, got {len(value)}", source)
-        return tuple(float(v) for v in value)
-    raise ScenarioError(f"{ctx} must be a number or a list of numbers", source)
-
-
-def _parse_horizon(block, source: str) -> PlanningHorizon:
-    _check_keys(
-        block,
-        {"intervals", "interval_hours", "window_hours", "window_intervals"},
-        {"intervals", "interval_hours"},
-        "horizon",
-        source,
-    )
-    T = _number(block, "intervals", "horizon", source, int)
-    dt = _number(block, "interval_hours", "horizon", source)
-    if "window_intervals" in block:
-        window = tuple(int(v) for v in block["window_intervals"])
-    elif "window_hours" in block:
-        hours = block["window_hours"]
-        if not (isinstance(hours, list) and len(hours) == 2):
-            raise ScenarioError(
-                "horizon.window_hours must be [start, end)", _loc(source, block, "window_hours")
-            )
-        start, end = float(hours[0]), float(hours[1])
-        window = tuple(range(int(round(start / dt)), int(round(end / dt))))
-    else:
-        raise ScenarioError(
-            "horizon needs window_hours or window_intervals", _loc(source, block)
-        )
-    try:
-        return PlanningHorizon(T, dt, window)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), _loc(source, block))
-
-
-def _parse_target(block, horizon: PlanningHorizon, source: str) -> TargetProfile:
-    _check_keys(block, {"value_kw", "power_kw"}, set(), "target", source)
-    T = horizon.interval_count
-    if "power_kw" in block:
-        return TargetProfile(_per_interval(block["power_kw"], T, "target.power_kw", source))
-    if "value_kw" in block:
-        value = _number(block, "value_kw", "target", source)
-        values = [0.0] * T
-        for t in horizon.product_window:
-            values[t] = value
-        return TargetProfile(tuple(values))
-    raise ScenarioError("target needs value_kw or power_kw", _loc(source, block))
-
-
-_DEVICE_KEYS = {
-    "prefix",
-    "count",
-    "kind",
-    "p_el_on_kw",
-    "thermal_on_kw",
-    "tank_kwh_per_k",
-    "loss_kw_per_k",
-    "ambient_c",
-    "demand_kw",
-    "temp_min_c",
-    "temp_max_c",
-    "temp_initial_c",
-}
-
-
-def _parse_device_group(block, horizon: PlanningHorizon, source: str) -> DeviceGroup:
-    _check_keys(block, _DEVICE_KEYS, _DEVICE_KEYS - {"count"}, "devices[]", source)
-    T = horizon.interval_count
-    try:
-        model = DeviceModel(
-            kind=str(block["kind"]),
-            p_el_on=_number(block, "p_el_on_kw", "devices[]", source),
-            thermal_on=_number(block, "thermal_on_kw", "devices[]", source),
-            tank_capacity=_number(block, "tank_kwh_per_k", "devices[]", source),
-            loss_rate=_number(block, "loss_kw_per_k", "devices[]", source),
-            ambient=_number(block, "ambient_c", "devices[]", source),
-            demand=_per_interval(block["demand_kw"], T, "devices[].demand_kw", source),
-            temp_min=_number(block, "temp_min_c", "devices[]", source),
-            temp_max=_number(block, "temp_max_c", "devices[]", source),
-            temp_initial=_number(block, "temp_initial_c", "devices[]", source),
-        )
-        return DeviceGroup(
-            prefix=str(block["prefix"]),
-            count=int(block.get("count", 1)),
-            model=model,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc), _loc(source, block))
-
-
-def _parse_network(block, source: str) -> NetworkModel:
-    if block is None:
-        return NetworkModel()
-    _check_keys(
-        block,
-        {"delay", "drop_probability", "duplicate_probability", "reorder", "max_delay_s"},
-        {"delay"},
-        "network",
-        source,
-    )
-    try:
-        return NetworkModel(
-            delay=delay_from_mapping(block["delay"]),
-            drop_probability=float(block.get("drop_probability", 0.0)),
-            duplicate_probability=float(block.get("duplicate_probability", 0.0)),
-            reorder=bool(block.get("reorder", True)),
-            max_delay_bound=(
-                float(block["max_delay_s"]) if block.get("max_delay_s") is not None else None
-            ),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ScenarioError(f"invalid network block: {exc}", _loc(source, block))
-
-
-def parse_scenario_mapping(data: Mapping, source: str = "<scenario>") -> Scenario:
-    _check_keys(
-        data,
-        {"name", "horizon", "target", "devices", "topology", "network", "sampling", "seeds", "limits"},
-        {"horizon", "target", "devices"},
-        "scenario",
-        source,
-    )
-    horizon = _parse_horizon(data["horizon"], source)
-    target = _parse_target(data["target"], horizon, source)
-    device_blocks = data["devices"]
-    if not isinstance(device_blocks, list) or not device_blocks:
-        raise ScenarioError("devices must be a non-empty list", _loc(source, data, "devices"))
-    groups = tuple(_parse_device_group(b, horizon, source) for b in device_blocks)
-
-    topo_block = data.get("topology")
-    if topo_block is None:
-        topo = TopologySpec()
-    else:
-        _check_keys(topo_block, {"family", "k", "p"}, {"family"}, "topology", source)
-        try:
-            topo = TopologySpec(
-                family=str(topo_block["family"]),
-                k=int(topo_block.get("k", 4)),
-                p=float(topo_block.get("p", 0.1)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc), _loc(source, topo_block))
-
-    network = _parse_network(data.get("network"), source)
-
-    sampling_block = data.get("sampling")
-    if sampling_block is None:
-        sampling = SamplingSpec()
-    else:
-        _check_keys(sampling_block, {"count", "attempt_factor"}, {"count"}, "sampling", source)
-        sampling = SamplingSpec(
-            count=int(sampling_block["count"]),
-            attempt_factor=int(sampling_block.get("attempt_factor", 50)),
-        )
-
-    seeds_block = data.get("seeds")
-    if seeds_block is None:
-        seeds = SeedBlock()
-    else:
-        _check_keys(seeds_block, {"sampling", "topology", "network"}, set(), "seeds", source)
-        seeds = SeedBlock(
-            sampling=int(seeds_block.get("sampling", 0)),
-            topology=int(seeds_block.get("topology", 1)),
-            network=int(seeds_block.get("network", 2)),
-        )
-
-    limits_block = data.get("limits")
-    if limits_block is None:
-        limits = RunLimits()
-    else:
-        _check_keys(limits_block, {"max_sim_time_s", "max_messages"}, set(), "limits", source)
-        limits = RunLimits(
-            max_sim_time=float(limits_block.get("max_sim_time_s", 1.0e6)),
-            max_messages=int(limits_block.get("max_messages", 10_000_000)),
-        )
-
-    try:
-        return Scenario(
-            name=str(data.get("name", Path(source).stem)),
-            horizon=horizon,
-            target=target,
-            devices=groups,
-            topology=topo,
-            network=network,
-            sampling=sampling,
-            seeds=seeds,
-            limits=limits,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source)
-
-
-def scenario_to_mapping(scenario: Scenario) -> dict:
-    """Plain mapping that re-parses to an equal scenario."""
-    return {
-        "name": scenario.name,
-        "horizon": {
-            "intervals": scenario.horizon.interval_count,
-            "interval_hours": scenario.horizon.interval_duration,
-            "window_intervals": list(scenario.horizon.product_window),
-        },
-        "target": {"power_kw": list(scenario.target.power)},
-        "devices": [
-            {
-                "prefix": g.prefix,
-                "count": g.count,
-                "kind": g.model.kind,
-                "p_el_on_kw": g.model.p_el_on,
-                "thermal_on_kw": g.model.thermal_on,
-                "tank_kwh_per_k": g.model.tank_capacity,
-                "loss_kw_per_k": g.model.loss_rate,
-                "ambient_c": g.model.ambient,
-                "demand_kw": list(g.model.demand),
-                "temp_min_c": g.model.temp_min,
-                "temp_max_c": g.model.temp_max,
-                "temp_initial_c": g.model.temp_initial,
-            }
-            for g in scenario.devices
-        ],
-        "topology": {
-            "family": scenario.topology.family,
-            "k": scenario.topology.k,
-            "p": scenario.topology.p,
-        },
-        "network": {
-            "delay": delay_to_mapping(scenario.network.delay),
-            "drop_probability": scenario.network.drop_probability,
-            "duplicate_probability": scenario.network.duplicate_probability,
-            "reorder": scenario.network.reorder,
-            "max_delay_s": scenario.network.max_delay_bound,
-        },
-        "sampling": {
-            "count": scenario.sampling.count,
-            "attempt_factor": scenario.sampling.attempt_factor,
-        },
-        "seeds": {
-            "sampling": scenario.seeds.sampling,
-            "topology": scenario.seeds.topology,
-            "network": scenario.seeds.network,
-        },
-        "limits": {
-            "max_sim_time_s": scenario.limits.max_sim_time,
-            "max_messages": scenario.limits.max_messages,
-        },
-    }
-
-
-def load_scenario(ref: str, relative_to: Path | None = None) -> Scenario:
-    """Load a scenario from a builtin name or a YAML file path."""
-    if ref in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[ref]()
-    path = Path(ref)
-    if relative_to is not None and not path.is_absolute() and not path.exists():
-        candidate = relative_to / path
-        if candidate.exists():
-            path = candidate
-    if not path.exists():
-        raise ScenarioError(f"no such scenario file or builtin name: {ref!r}")
-    data = _load_yaml(path)
-    return parse_scenario_mapping(data, str(path))
-
-
-def load_design(path_str: str) -> ExperimentDesign:
-    path = Path(path_str)
-    data = _load_yaml(path)
-    source = str(path)
-    _check_keys(
-        data,
-        {"base_scenario", "factors", "replications", "base_seed"},
-        {"base_scenario", "replications"},
-        "design",
-        source,
-    )
-    base = load_scenario(str(data["base_scenario"]), relative_to=path.parent)
-    factor_blocks = data.get("factors") or []
-    factors = []
-    for block in factor_blocks:
-        _check_keys(block, {"path", "values"}, {"path", "values"}, "factors[]", source)
-        values = block["values"]
-        if not isinstance(values, list) or not values:
-            raise ScenarioError("factor values must be a non-empty list", _loc(source, block, "values"))
-        factors.append((str(block["path"]), tuple(values)))
-    try:
-        return ExperimentDesign(
-            base_scenario=base,
-            factors=tuple(factors),
-            replications=int(data["replications"]),
-            base_seed=int(data.get("base_seed", 0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source)
+__all__ = ["main"]
 
 
 # --- output writers ---------------------------------------------------------
@@ -484,6 +85,30 @@ def result_record(result: RunResult) -> dict:
     return record
 
 
+def _write_series(path: Path, scenario: Scenario, **columns: Schedule) -> None:
+    """Per-interval plot table: the target, then each named power profile."""
+    horizon = scenario.horizon
+    window = set(horizon.product_window)
+    _write_csv(
+        path,
+        ["interval", "hour_start", "in_window", "target_kw", *columns],
+        (
+            [t, t * horizon.interval_duration, int(t in window), scenario.target.power[t]]
+            + [profile.power[t] for profile in columns.values()]
+            for t in range(horizon.interval_count)
+        ),
+    )
+
+
+def _uncontrolled_aggregate(mat: Materialized) -> Schedule:
+    """Sum of the devices' uncontrolled schedules, in ``core.aggregate`` order."""
+    config = {
+        aid: SelectionRecord(aid, 0, schedule)
+        for aid, schedule in zip(mat.device_ids, uncontrolled_schedules(mat))
+    }
+    return aggregate(config, mat.scenario.horizon)
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -499,20 +124,9 @@ def cmd_run(args) -> int:
     record["scenario"] = scenario.name
     record["seed"] = seed
 
-    states = run_out.states
-    from .simnet import snapshot_best  # local import to keep module edges thin
-
-    best = snapshot_best(states.values())
-    controlled = aggregate(best.configuration, scenario.horizon)
-    uncontrolled = uncontrolled_schedules(mat)
-    unc_total = [0.0] * scenario.horizon.interval_count
-    for s in uncontrolled:
-        for t, v in enumerate(s.power):
-            unc_total[t] += v
-    from .core import Schedule
-
-    unc_schedule = Schedule(tuple(unc_total))
-    record["uncontrolled_coverage_l1"] = coverage(unc_schedule, scenario.target, scenario.horizon)
+    best = snapshot_best(run_out.states.values())
+    uncontrolled = _uncontrolled_aggregate(mat)
+    record["uncontrolled_coverage_l1"] = coverage(uncontrolled, scenario.target, scenario.horizon)
 
     _write_json(out / "result.json", record)
     _write_json(out / "timing.json", {"wall_time_s": result.wall_time})
@@ -520,21 +134,11 @@ def cmd_run(args) -> int:
         out / "curve.jsonl",
         ({"t": t, "fitness": f, "size": s} for t, f, s in result.best_improvement_curve),
     )
-    window = set(scenario.horizon.product_window)
-    _write_csv(
+    _write_series(
         out / "series.csv",
-        ["interval", "hour_start", "in_window", "target_kw", "controlled_kw", "uncontrolled_kw"],
-        (
-            [
-                t,
-                t * scenario.horizon.interval_duration,
-                int(t in window),
-                scenario.target.power[t],
-                controlled.power[t],
-                unc_schedule.power[t],
-            ]
-            for t in range(scenario.horizon.interval_count)
-        ),
+        scenario,
+        controlled_kw=aggregate(best.configuration, scenario.horizon),
+        uncontrolled_kw=uncontrolled,
     )
 
     assignment = {aid: best.configuration[aid].schedule_index for aid in mat.device_ids}
@@ -598,89 +202,63 @@ def _sweep_row_values(row: SweepRow) -> list:
     ]
 
 
+def _row_from_values(point: tuple, values: list[str]) -> SweepRow:
+    """Inverse of ``_sweep_row_values`` for an ``ok`` row of results.csv. Only
+    the tabulated metrics survive: no wall time, curve or per-agent calls."""
+    fitness, cov, ratio, terminated, consistent, sim_time, messages, nbytes, calls = values[1:10]
+    result = RunResult(
+        float(fitness), float(cov), float(ratio), terminated == "1", consistent == "1",
+        float(sim_time), 0.0, int(messages), int(nbytes), {"total": int(calls)}, (),
+    )
+    return SweepRow(*point, result)
+
+
 def cmd_sweep(args) -> int:
     design = load_design(args.design)
     out = Path(args.out)
     results_path = out / "results.csv"
     factor_paths = [p for p, _ in design.factors]
     header = factor_paths + ["replication", "seed"] + _RESULT_COLUMNS
+    points = design_points(design)
+    # Leading results.csv cells of each design point; they identify its row.
+    leads = [[_factor_cell(v) for v in f.values()] + [rep, seed] for f, rep, seed in points]
+    rows: list[SweepRow | None] = [None] * len(points)
 
-    existing: dict[tuple, list] = {}
     if args.resume and results_path.exists():
+        index = {tuple(map(str, lead)): i for i, lead in enumerate(leads)}
+        width = len(factor_paths) + 2
         with results_path.open() as fh:
             reader = csv.reader(fh)
-            old_header = next(reader, None)
-            if old_header != header:
+            if next(reader, None) != header:
                 raise ScenarioError("existing results.csv does not match this design")
             for line in reader:
-                factors = tuple(line[: len(factor_paths)])
-                rep = int(line[len(factor_paths)])
-                if line[len(factor_paths) + 2] == "ok":
-                    existing[(factors, rep)] = line
+                i = index.get(tuple(line[:width]))
+                if i is not None and line[width] == "ok":
+                    rows[i] = _row_from_values(points[i], line[width:])
 
-    points = design_points(design)
-    point_keys = []
-    for factors, rep, _ in points:
-        point_keys.append((tuple(_factor_cell(v) for v in factors.values()), rep))
-    missing = {
-        (tuple(repr(v) for v in factors.values()), rep)
-        for (factors, rep, _), key in zip(points, point_keys)
-        if key not in existing
-    }
+    missing = [i for i, row in enumerate(rows) if row is None]
+    for i, row in zip(missing, run_sweep(design, jobs=args.jobs, only=set(missing))):
+        rows[i] = row
+    _write_csv(results_path, header, [lead + _sweep_row_values(r) for lead, r in zip(leads, rows)])
 
-    executed = run_sweep(design, jobs=args.jobs, only=missing if args.resume else None)
-    by_key = {}
-    for row in executed:
-        by_key[(tuple(_factor_cell(v) for v in row.factors.values()), row.replication)] = row
-
-    lines = []
-    parsed_rows: list[SweepRow] = []
-    for (factors, rep, seed), key in zip(points, point_keys):
-        if key in by_key:
-            row = by_key[key]
-            parsed_rows.append(row)
-            lines.append(list(key[0]) + [rep, seed] + _sweep_row_values(row))
-        elif key in existing:
-            lines.append(existing[key])
-        else:  # pragma: no cover - resume bookkeeping mismatch
-            raise ScenarioError(f"missing sweep row for {key}")
-
-    _write_csv(results_path, header, lines)
-
-    summary_rows = []
-    for entry in summarize_rows(parsed_rows) if parsed_rows else []:
-        summary_rows.append(
-            [_factor_cell(entry["factors"].get(p, "")) for p in factor_paths]
-            + [
-                entry["metric"],
-                entry["n"],
-                repr(entry["mean"]),
-                repr(entry["sd"]),
-                repr(entry["min"]),
-                repr(entry["max"]),
-                "" if entry["ci_low"] is None else repr(entry["ci_low"]),
-                "" if entry["ci_high"] is None else repr(entry["ci_high"]),
-            ]
-        )
+    stats = ("mean", "sd", "min", "max", "ci_low", "ci_high")
+    summary_rows = [
+        [_factor_cell(entry["factors"].get(p, "")) for p in factor_paths]
+        + [entry["metric"], entry["n"]]
+        + ["" if entry[k] is None else repr(entry[k]) for k in stats]
+        for entry in summarize_rows(rows)
+    ]
     _write_csv(
         out / "summary.csv",
-        factor_paths + ["metric", "n", "mean", "sd", "min", "max", "ci_low", "ci_high"],
+        factor_paths + ["metric", "n", *stats],
         summary_rows,
     )
-    print(f"sweep complete: {len(executed)} rows executed, {len(lines)} rows total")
+    print(f"sweep complete: {len(missing)} rows executed, {len(rows)} rows total")
     return 0
 
 
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    combos = float(scenario.sampling.count) ** scenario.device_count()
-    if combos > args.cap:
-        print(
-            f"enumeration refused: about 10^{scenario.device_count() * math.log10(scenario.sampling.count):.1f} "
-            f"combinations exceed the cap {args.cap}",
-            file=sys.stderr,
-        )
-        return 1
     try:
         optimum, opt_assignment = brute_force_optimum(scenario, args.seed, cap=args.cap)
         worst = worst_case_bound(scenario, args.seed, cap=args.cap, method="exhaustive")
@@ -704,34 +282,13 @@ def cmd_oracle(args) -> int:
 def cmd_uncontrolled(args) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
-    mat = materialize(scenario, args.seed)
-    from .core import Schedule
-
-    total = [0.0] * scenario.horizon.interval_count
-    for s in uncontrolled_schedules(mat):
-        for t, v in enumerate(s.power):
-            total[t] += v
-    unc_schedule = Schedule(tuple(total))
-    cov = coverage(unc_schedule, scenario.target, scenario.horizon)
+    uncontrolled = _uncontrolled_aggregate(materialize(scenario, args.seed))
+    cov = coverage(uncontrolled, scenario.target, scenario.horizon)
     _write_json(
         out / "uncontrolled.json",
         {"scenario": scenario.name, "seed": args.seed, "coverage_l1": cov},
     )
-    window = set(scenario.horizon.product_window)
-    _write_csv(
-        out / "uncontrolled_series.csv",
-        ["interval", "hour_start", "in_window", "target_kw", "uncontrolled_kw"],
-        (
-            [
-                t,
-                t * scenario.horizon.interval_duration,
-                int(t in window),
-                scenario.target.power[t],
-                unc_schedule.power[t],
-            ]
-            for t in range(scenario.horizon.interval_count)
-        ),
-    )
+    _write_series(out / "uncontrolled_series.csv", scenario, uncontrolled_kw=uncontrolled)
     print(f"{scenario.name} seed={args.seed}: uncontrolled coverage={cov:.4f}")
     return 0
 

@@ -3,8 +3,7 @@
 Power convention: load is negative, generation positive (all values kW).
 A schedule assignment is judged by the L1 distance between the aggregate
 power profile and the target profile, restricted to the product delivery
-window. The distance function is a pluggable slot (``window_l1`` by
-default) so that e.g. a Euclidean variant can be substituted.
+window.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import struct
 from dataclasses import dataclass
 from hashlib import blake2b
 from math import isfinite
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "Candidate",
     "aggregate",
     "objective",
-    "window_l1",
-    "window_l2",
     "coverage",
     "selection_items",
     "configuration_key",
@@ -249,24 +246,13 @@ def aggregate(config: Mapping[str, SelectionRecord], horizon: PlanningHorizon) -
     return Schedule(tuple(total.tolist()))
 
 
-def window_l1(delivered: np.ndarray, target: np.ndarray) -> float:
-    """Sum of absolute deviations over the window (default distance)."""
-    return float(np.abs(delivered - target).sum())
-
-
-def window_l2(delivered: np.ndarray, target: np.ndarray) -> float:
-    """Euclidean deviation over the window (alternative distance)."""
-    return float(np.sqrt(np.square(delivered - target).sum()))
-
-
 def objective(
     config: Mapping[str, SelectionRecord],
     target: TargetProfile,
     horizon: PlanningHorizon,
-    distance: Callable[[np.ndarray, np.ndarray], float] = window_l1,
 ) -> float:
-    """Distance between the aggregate of ``config`` and the target profile,
-    restricted to the product window. Zero exactly on window-exact matches.
+    """L1 distance between the aggregate of ``config`` and the target profile
+    on the product window. Zero exactly on window-exact matches.
     """
     if len(target) != horizon.interval_count:
         raise StructuralError(
@@ -275,7 +261,7 @@ def objective(
         )
     agg = aggregate(config, horizon)
     w = horizon.window_index
-    return distance(agg.arr[w], target.arr[w])
+    return float(np.abs(agg.arr[w] - target.arr[w]).sum())
 
 
 def coverage(

@@ -15,7 +15,7 @@ import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "run_scenario_full",
     "uncontrolled_schedules",
     "EnumerationOracle",
-    "enumerate_product",
     "brute_force_optimum",
     "worst_case_bound",
     "greedy_baseline",
@@ -50,7 +49,7 @@ _BLOCK = 1 << 16
 class CapExceededError(RuntimeError):
     """The schedule product is too large to enumerate."""
 
-    def __init__(self, combinations: float, cap: int):
+    def __init__(self, combinations: int, cap: int):
         super().__init__(
             f"search space of about 10^{math.log10(combinations):.1f} "
             f"combinations exceeds the enumeration cap {cap}"
@@ -196,7 +195,7 @@ class EnumerationOracle:
             raise StructuralError("empty schedule set")
         total = math.prod(sizes) if sizes else 1
         if total > cap:
-            raise CapExceededError(float(total), cap)
+            raise CapExceededError(total, cap)
         self.sizes = sizes
         # Vectorize a suffix block of at most _BLOCK combinations.
         split = len(sizes)
@@ -263,18 +262,8 @@ class EnumerationOracle:
         return float(values[0])
 
 
-def enumerate_product(
-    agent_ids: Sequence[str],
-    schedule_sets: Sequence[Sequence[Schedule]],
-    target: TargetProfile,
-    horizon: PlanningHorizon,
-    cap: int = DEFAULT_CAP,
-) -> EnumerationOracle:
-    return EnumerationOracle(agent_ids, schedule_sets, target, horizon, cap)
-
-
-def _oracle_for(scenario: Scenario, seed: int, cap: int) -> EnumerationOracle:
-    mat = materialize(scenario, seed)
+def _oracle_for(mat: Materialized, cap: int) -> EnumerationOracle:
+    scenario = mat.scenario
     return EnumerationOracle(
         mat.device_ids,
         [flex.schedules for flex in mat.flexibility],
@@ -289,7 +278,7 @@ def brute_force_optimum(
 ) -> tuple[float, dict[str, int]]:
     """Exhaustive minimum of the objective and one lexicographically lowest
     minimizer. Raises ``CapExceededError`` when the product exceeds ``cap``."""
-    oracle = _oracle_for(scenario, seed, cap)
+    oracle = _oracle_for(materialize(scenario, seed), cap)
     return oracle.optimum, oracle.optimum_assignment
 
 
@@ -304,13 +293,13 @@ def worst_case_bound(
     """
     if method not in ("auto", "exhaustive", "analytic"):
         raise ValueError(f"unknown method {method!r}")
+    mat = materialize(scenario, seed)
     if method in ("auto", "exhaustive"):
         try:
-            return _oracle_for(scenario, seed, cap).worst
+            return _oracle_for(mat, cap).worst
         except CapExceededError:
             if method == "exhaustive":
                 raise
-    mat = materialize(scenario, seed)
     w = scenario.horizon.window_index
     target_w = scenario.target.arr[w]
     lo = np.zeros(len(w), dtype=np.float64)
@@ -404,31 +393,20 @@ def _run_point(args) -> SweepRow:
 
 
 def run_sweep(
-    design: ExperimentDesign,
-    jobs: int = 1,
-    only: set | None = None,
-    progress: Callable[[SweepRow], None] | None = None,
+    design: ExperimentDesign, jobs: int = 1, only: set[int] | None = None
 ) -> list[SweepRow]:
-    """Run a design (optionally restricted to the ``only`` row keys) and
-    return rows in design order. Individual failures become error rows."""
-    points = design_points(design)
-    tasks = []
-    for factors, rep, seed in points:
-        key = (tuple(repr(v) for v in factors.values()), rep)
-        if only is not None and key not in only:
-            continue
-        tasks.append((design.base_scenario, factors, rep, seed))
+    """Run a design (optionally restricted to the ``only`` indices into
+    ``design_points``) and return rows in design order. Individual
+    failures become error rows."""
+    tasks = [
+        (design.base_scenario, factors, rep, seed)
+        for index, (factors, rep, seed) in enumerate(design_points(design))
+        if only is None or index in only
+    ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_point, tasks))
-    else:
-        rows = []
-        for task in tasks:
-            row = _run_point(task)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-    return rows
+            return list(pool.map(_run_point, tasks))
+    return [_run_point(task) for task in tasks]
 
 
 SUMMARY_METRICS = (

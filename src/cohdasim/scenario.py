@@ -203,9 +203,10 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
 
 
 def _set_path(obj, parts: list[str], value):
-    """Rebuild an immutable dataclass/tuple tree with one leaf replaced."""
+    """Rebuild an immutable dataclass/tuple tree with one leaf replaced,
+    the value coerced to the type of the leaf it replaces."""
     if not parts:
-        return value
+        return _coerce_leaf(obj, value)
     head, rest = parts[0], parts[1:]
     if isinstance(obj, tuple):
         index = int(head)
@@ -227,12 +228,8 @@ def _coerce_leaf(current, value):
         if current is None or hasattr(current, "sample"):
             return delay_from_mapping(value)
         raise StructuralError("mapping values are only supported for delay models")
-    if isinstance(current, bool):
-        return bool(value)
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
+    if isinstance(current, (bool, int, float)):
+        return type(current)(value)
     return value
 
 
@@ -243,20 +240,7 @@ def with_param(scenario: Scenario, path: str, value) -> Scenario:
     ``network.duplicate_probability``, ``topology.k``, ``sampling.count``,
     ``devices.0.count`` or ``network.delay`` (with a delay mapping value).
     """
-    parts = path.split(".")
-    # Walk to the current leaf first so the value can be coerced to its type.
-    node = scenario
-    for part in parts:
-        if isinstance(node, tuple):
-            index = int(part)
-            if not 0 <= index < len(node):
-                raise StructuralError(f"index {index} out of range in path {path!r}")
-            node = node[index]
-        elif dataclasses.is_dataclass(node) and hasattr(node, part):
-            node = getattr(node, part)
-        else:
-            raise StructuralError(f"unknown parameter path {path!r}")
-    return _set_path(scenario, parts, _coerce_leaf(node, value))
+    return _set_path(scenario, path.split("."), value)
 
 
 def build_epex_scenario(seed: int = 0) -> Scenario:

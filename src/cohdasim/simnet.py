@@ -18,7 +18,8 @@ import heapq
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from math import isfinite
 from typing import Iterable, Mapping, Sequence, Union
 
 from .agent import AgentState, NotStartedError, handle_message, handle_start
@@ -31,6 +32,7 @@ __all__ = [
     "UniformDelay",
     "ExponentialDelay",
     "DelayModel",
+    "DELAY_KINDS",
     "delay_from_mapping",
     "delay_to_mapping",
     "NetworkModel",
@@ -44,9 +46,18 @@ __all__ = [
 ]
 
 
+def _check_delay(name: str, value: float, positive: bool = False) -> None:
+    if not isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise StructuralError(f"delay {name} must be finite and {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantDelay:
     seconds: float
+
+    def __post_init__(self) -> None:
+        _check_delay("seconds", self.seconds)
 
     def sample(self, rng: random.Random) -> float:
         return self.seconds
@@ -58,6 +69,8 @@ class UniformDelay:
     high: float
 
     def __post_init__(self) -> None:
+        _check_delay("low", self.low)
+        _check_delay("high", self.high)
         if self.low > self.high:
             raise StructuralError("uniform delay requires low <= high")
 
@@ -69,31 +82,36 @@ class UniformDelay:
 class ExponentialDelay:
     mean: float
 
+    def __post_init__(self) -> None:
+        _check_delay("mean", self.mean, positive=True)
+
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean)
 
 
 DelayModel = Union[ConstantDelay, UniformDelay, ExponentialDelay]
 
+# Scenario-file kind of each delay model and its parameter keys, in the
+# order of the model's fields.
+DELAY_KINDS = {
+    "constant": (ConstantDelay, ("seconds",)),
+    "uniform": (UniformDelay, ("low_s", "high_s")),
+    "exponential": (ExponentialDelay, ("mean_s",)),
+}
+
 
 def delay_from_mapping(m: Mapping) -> DelayModel:
     """Build a delay model from a plain mapping (scenario files, sweeps)."""
     kind = m.get("kind")
-    if kind == "constant":
-        return ConstantDelay(float(m["seconds"]))
-    if kind == "uniform":
-        return UniformDelay(float(m["low_s"]), float(m["high_s"]))
-    if kind == "exponential":
-        return ExponentialDelay(float(m["mean_s"]))
-    raise StructuralError(f"unknown delay kind {kind!r}")
+    if kind not in DELAY_KINDS:
+        raise StructuralError(f"unknown delay kind {kind!r}")
+    cls, keys = DELAY_KINDS[kind]
+    return cls(*(float(m[key]) for key in keys))
 
 
 def delay_to_mapping(d: DelayModel) -> dict:
-    if isinstance(d, ConstantDelay):
-        return {"kind": "constant", "seconds": d.seconds}
-    if isinstance(d, UniformDelay):
-        return {"kind": "uniform", "low_s": d.low, "high_s": d.high}
-    return {"kind": "exponential", "mean_s": d.mean}
+    kind, keys = next((k, keys) for k, (cls, keys) in DELAY_KINDS.items() if isinstance(d, cls))
+    return {"kind": kind, **dict(zip(keys, astuple(d)))}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from cohdasim.cli import load_design, result_record, trace_records
 from cohdasim.core import PlanningHorizon, Schedule, TargetProfile, coverage
 from cohdasim.evaluation import (
     ExperimentDesign,
-    enumerate_product,
+    EnumerationOracle,
     run_scenario_full,
     run_sweep,
     uncontrolled_schedules,
@@ -280,7 +280,7 @@ def test_criterion_4_oracle_sandwich():
         full = run_scenario_full(scenario, seed)
         assert full.result.terminated and full.result.consistent
         mat = full.materialized
-        oracle = enumerate_product(
+        oracle = EnumerationOracle(
             mat.device_ids,
             [flex.schedules for flex in mat.flexibility],
             scenario.target,

@@ -12,7 +12,7 @@ from cohdasim.agent import (
     extract_assignment,
     handle_message,
     handle_start,
-    merge_config,
+    _merge,
     KnowledgeMessage,
 )
 from cohdasim.core import (
@@ -78,16 +78,16 @@ def test_start_target_length_mismatch(horizon1):
 
 def test_merge_union_with_empty():
     remote = {"A": record("A", 0, [1.0], version=3)}
-    assert merge_config({}, remote) == remote
+    assert _merge({}, remote)[0] == remote
 
 
 def test_merge_larger_version_wins_keep_local_on_tie():
     local = {"A": record("A", 1, [1.0], version=5)}
     remote = {"A": record("A", 0, [0.0], version=3)}
-    assert merge_config(local, remote)["A"].schedule_index == 1
+    assert _merge(local, remote)[0]["A"].schedule_index == 1
 
     tie_local = {"A": record("A", 1, [1.0], version=3)}
-    merged = merge_config(tie_local, remote)
+    merged = _merge(tie_local, remote)[0]
     assert merged["A"] is tie_local["A"]
 
 
@@ -97,7 +97,7 @@ def test_merge_mixed_example():
         "A": record("A", 1, [1.0], version=2),
         "B": record("B", 2, [2.0], version=0),
     }
-    merged = merge_config(local, remote)
+    merged = _merge(local, remote)[0]
     assert merged["A"].version == 2 and merged["A"].schedule_index == 1
     assert merged["B"].schedule_index == 2
 
@@ -114,13 +114,13 @@ def configs(draw):
 
 @given(configs())
 def test_merge_idempotent(config):
-    assert merge_config(config, config) == config
+    assert _merge(config, config)[0] == config
 
 
 @given(configs(), configs())
 def test_merge_commutative_up_to_equal_version_ties(a, b):
-    ab = merge_config(a, b)
-    ba = merge_config(b, a)
+    ab = _merge(a, b)[0]
+    ba = _merge(b, a)[0]
     assert set(ab) == set(ba)
     for aid in ab:
         if ab[aid] != ba[aid]:
@@ -137,8 +137,8 @@ def test_merge_associative_on_conflict_free_inputs(a, b, c):
             bump = seen.get(aid, 0)
             m[aid] = dataclasses.replace(m[aid], version=bump)
             seen[aid] = bump + 1
-    left = merge_config(merge_config(a, b), c)
-    right = merge_config(a, merge_config(b, c))
+    left = _merge(_merge(a, b)[0], c)[0]
+    right = _merge(a, _merge(b, c)[0])[0]
     assert left == right
 
 

@@ -1,21 +1,27 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from cohdasim.cli import (
+from cohdasim.cli import main
+from cohdasim.schema import (
     ScenarioError,
     load_design,
     load_scenario,
-    main,
     parse_scenario_mapping,
     scenario_to_mapping,
 )
-from cohdasim.scenario import build_small_demo_scenario, build_toy2_scenario
+from cohdasim.core import StructuralError
+from cohdasim.scenario import BUILTIN_SCENARIOS, build_small_demo_scenario, build_toy2_scenario
+from cohdasim.simnet import DELAY_KINDS
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "cohdasim" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "cohdasim" / "data"
+# Every shipped scenario or design file; perfbench/fleet.yaml is only read.
+SHIPPED_YAML = sorted(DATA.glob("*.yaml")) + [ROOT / "perfbench" / "fleet.yaml"]
 
 
 def _write_scenario(tmp_path, name="sc.yaml", **edits):
@@ -32,12 +38,17 @@ def test_missing_file_nonzero_exit(capsys):
     assert "no such scenario" in capsys.readouterr().err
 
 
+def _assert_round_trip(scenario):
+    mapping = scenario_to_mapping(scenario)
+    assert parse_scenario_mapping(mapping, "<round-trip>") == scenario
+    text = yaml.safe_dump(mapping, sort_keys=False)
+    assert parse_scenario_mapping(yaml.safe_load(text), "<round-trip>") == scenario
+
+
 def test_scenario_round_trip():
-    for builder in (build_toy2_scenario, build_small_demo_scenario):
-        scenario = builder()
-        mapping = scenario_to_mapping(scenario)
-        reparsed = parse_scenario_mapping(mapping, "<round-trip>")
-        assert reparsed == scenario
+    assert set(BUILTIN_SCENARIOS) >= {"epex-peakload", "toy-2", "small-demo"}
+    for builder in BUILTIN_SCENARIOS.values():
+        _assert_round_trip(builder())
 
 
 def test_unknown_key_reports_location(tmp_path):
@@ -67,6 +78,10 @@ def test_yaml_syntax_error_location(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     assert "broken.yaml" in str(err.value)
+    path.write_text("name: a\nname: b\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert f"{path}:2:1: " in str(err.value) and "duplicate key 'name'" in str(err.value)
 
 
 def test_validate_builtin(capsys):
@@ -182,6 +197,7 @@ def test_sweep_and_resume(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", str(design_path), "--out", str(out)]) == 0
     results = (out / "results.csv").read_bytes()
+    summary = (out / "summary.csv").read_bytes()
     with (out / "results.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
@@ -190,10 +206,16 @@ def test_sweep_and_resume(tmp_path):
 
     # Drop the last two rows, then resume: only the missing rows rerun and
     # the final table is byte-identical to the full one.
+    # The summary covers the final table, not only the rows rerun.
     lines = results.decode().strip().splitlines()
     (out / "results.csv").write_text("\n".join(lines[:-2]) + "\n")
     assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 0
     assert (out / "results.csv").read_bytes() == results
+    assert (out / "summary.csv").read_bytes() == summary
+    # A resume with nothing left to run rewrites both tables unchanged.
+    assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 0
+    assert (out / "results.csv").read_bytes() == results
+    assert (out / "summary.csv").read_bytes() == summary
 
 
 def test_sweep_tables_byte_identical(tmp_path):
@@ -228,9 +250,17 @@ def test_empty_factor_list_single_cell(tmp_path):
 
 
 def test_shipped_design_files_parse():
-    for name in ("robustness_design.yaml", "scalability_design.yaml"):
-        design = load_design(str(DATA / name))
-        assert design.replications >= 3
+    designs = 0
+    for path in SHIPPED_YAML:
+        if "base_scenario" in yaml.safe_load(path.read_text()):
+            design = load_design(str(path))
+            assert design.replications >= 3
+            scenario = design.base_scenario
+            designs += 1
+        else:
+            scenario = load_scenario(str(path))
+        _assert_round_trip(scenario)
+    assert designs == 2 and len(SHIPPED_YAML) == 4
     toy = load_scenario(str(DATA / "toy2_scenario.yaml"))
     assert toy.device_count() == 2
 
@@ -260,3 +290,77 @@ def test_sweep_jobs_parallel_matches_serial(tmp_path):
     assert main(["sweep", str(design_path), "--out", str(out1)]) == 0
     assert main(["sweep", str(design_path), "--out", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_oracle_refuses_huge_product(tmp_path, capsys):
+    # 200^200 combinations: far beyond a float, refused from the exact count.
+    mapping = scenario_to_mapping(build_small_demo_scenario())
+    mapping["devices"][0]["count"] = 200
+    mapping["sampling"]["count"] = 200
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    assert main(["oracle", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "enumeration refused" in err
+    assert "10^460.2" in err
+
+
+# (section, key, bad value, message, text on the reported line)
+BAD_VALUES = [
+    ("horizon", "intervals", 12.9, "horizon.intervals must be an integer", "intervals:"),
+    ("sampling", "count", "many", "sampling.count must be an integer", "count:"),
+    ("network", "reorder", "yes", "network.reorder must be true or false", "reorder:"),
+    ("network", "drop_probability", float("nan"), "drop_probability must be finite", "drop_"),
+    ("limits", "max_sim_time_s", float("inf"), "max_sim_time_s must be finite", "max_sim"),
+    ("network", "delay", {"kind": "constant", "seconds": 1.0, "extra": 2},
+     "unknown key 'extra' in network.delay", "extra:"),
+    ("network", "delay", {"kind": "uniform", "low_s": 0.1},
+     "missing key 'high_s' in network.delay", "kind: uniform"),
+]
+
+
+def _located_error(path: Path) -> tuple[str, str]:
+    """Message of the ScenarioError that loading ``path`` raises, and the
+    file line its location points at."""
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    match = re.match(rf"{re.escape(str(path))}:(\d+):\d+: (.*)", str(err.value))
+    assert match, str(err.value)
+    return match.group(2), path.read_text().splitlines()[int(match.group(1)) - 1]
+
+
+@pytest.mark.parametrize("section, key, value, message, line_text", BAD_VALUES)
+def test_bad_values_rejected_with_location(tmp_path, section, key, value, message, line_text):
+    path = _write_scenario(tmp_path)
+    mapping = yaml.safe_load(path.read_text())
+    mapping[section][key] = value
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    reported, line = _located_error(path)
+    assert message in reported
+    assert line_text in line
+
+
+@pytest.mark.parametrize(
+    "delay",
+    [
+        {"kind": "constant", "seconds": -1.0},
+        {"kind": "constant", "seconds": float("nan")},
+        {"kind": "uniform", "low_s": -0.5, "high_s": 0.1},
+        {"kind": "uniform", "low_s": 0.0, "high_s": float("inf")},
+        {"kind": "exponential", "mean_s": 0.0},
+        {"kind": "exponential", "mean_s": -2.0},
+    ],
+)
+def test_bad_delay_parameters_rejected(tmp_path, capsys, delay):
+    cls, keys = DELAY_KINDS[delay["kind"]]
+    with pytest.raises(StructuralError):
+        cls(*(delay[key] for key in keys))
+    path = _write_scenario(tmp_path)
+    mapping = yaml.safe_load(path.read_text())
+    mapping["network"]["delay"] = delay
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    reported, line = _located_error(path)
+    assert reported.startswith("network.delay")
+    assert line.split(":")[0].strip() in {"delay", *keys}
+    assert main(["validate", str(path)]) == 2
+    assert "network.delay" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from cohdasim.core import (
     objective,
     prefer,
     selection_items,
-    window_l2,
 )
 
 from conftest import record
@@ -110,7 +109,6 @@ def test_objective_pluggable_distance():
     config = {"A": record("A", 0, [3.0, 0.0])}
     target = TargetProfile((0.0, 4.0))
     assert objective(config, target, horizon) == 7.0
-    assert objective(config, target, horizon, distance=window_l2) == 5.0
 
 
 def _cand(items, fitness, creator="x"):

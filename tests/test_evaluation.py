@@ -9,7 +9,7 @@ from cohdasim.evaluation import (
     ExperimentDesign,
     brute_force_optimum,
     design_points,
-    enumerate_product,
+    EnumerationOracle,
     greedy_baseline,
     run_scenario,
     run_scenario_full,
@@ -47,7 +47,7 @@ def test_brute_force_toy_instance(toy_instance):
     )
     assert (best[0], best[1], best[2]) == (0, 1, 0.0)
 
-    oracle = enumerate_product(ids, sets, target, horizon)
+    oracle = EnumerationOracle(ids, sets, target, horizon)
     assert oracle.optimum == 0.0
     assert oracle.optimum_assignment == {"A": 0, "B": 1}
     assert oracle.worst == 2.0
@@ -57,7 +57,7 @@ def test_brute_force_toy_instance(toy_instance):
 def test_brute_force_single_agent():
     horizon = PlanningHorizon(1, 1.0, (0,))
     target = TargetProfile((2.5,))
-    oracle = enumerate_product(["A"], [_rows([1.0], [2.0], [4.0])], target, horizon)
+    oracle = EnumerationOracle(["A"], [_rows([1.0], [2.0], [4.0])], target, horizon)
     assert oracle.optimum == 0.5
     assert oracle.optimum_assignment == {"A": 1}
 
@@ -66,7 +66,7 @@ def test_brute_force_all_zero():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((0.0, 0.0))
     sets = [_rows([0.0, 0.0], [0.0, 0.0]) for _ in range(3)]
-    oracle = enumerate_product(["a", "b", "c"], sets, target, horizon)
+    oracle = EnumerationOracle(["a", "b", "c"], sets, target, horizon)
     assert oracle.optimum == 0.0
     assert oracle.optimum_assignment == {"a": 0, "b": 0, "c": 0}
 
@@ -76,7 +76,7 @@ def test_brute_force_cap():
     target = TargetProfile((1.0,))
     sets = [_rows(*[[float(i)] for i in range(10)]) for _ in range(4)]
     with pytest.raises(CapExceededError):
-        enumerate_product(list("abcd"), sets, target, horizon, cap=100)
+        EnumerationOracle(list("abcd"), sets, target, horizon, cap=100)
 
 
 def test_brute_force_matches_naive_on_random_instances():
@@ -91,7 +91,7 @@ def test_brute_force_matches_naive_on_random_instances():
             for _ in range(n)
         ]
         target = TargetProfile(tuple(rng.uniform(-3, 3) for _ in range(T)))
-        oracle = enumerate_product([f"a{i}" for i in range(n)], sets, target, horizon)
+        oracle = EnumerationOracle([f"a{i}" for i in range(n)], sets, target, horizon)
 
         def value(combo):
             return sum(
@@ -108,7 +108,7 @@ def test_brute_force_matches_naive_on_random_instances():
 
 def test_value_of_uses_identical_float_path(toy_instance):
     ids, sets, target, horizon = toy_instance
-    oracle = enumerate_product(ids, sets, target, horizon)
+    oracle = EnumerationOracle(ids, sets, target, horizon)
     for ia in range(2):
         for ib in range(2):
             v = oracle.value_of({"A": ia, "B": ib})
@@ -126,6 +126,24 @@ def test_worst_case_analytic_dominates_exhaustive():
     assert worst_case_bound(small, 1, method="analytic") >= worst_case_bound(
         small, 1, method="exhaustive"
     )
+
+
+def _huge_small_demo():
+    # 200 devices x 200 schedules: 200^200 combinations, beyond any float.
+    sc = with_param(build_small_demo_scenario(), "devices.0.count", 200)
+    return with_param(sc, "sampling.count", 200)
+
+
+def test_worst_case_auto_falls_back_to_analytic_on_huge_products():
+    sc = _huge_small_demo()
+    assert worst_case_bound(sc, 0, method="auto") == worst_case_bound(sc, 0, method="analytic")
+
+
+def test_brute_force_refuses_huge_products():
+    with pytest.raises(CapExceededError) as err:
+        brute_force_optimum(_huge_small_demo(), 0)
+    assert err.value.combinations == 200**200
+    assert "10^460.2" in str(err.value)
 
 
 def test_worst_case_singleton_sets_equal_everything():
