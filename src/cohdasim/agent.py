@@ -21,11 +21,19 @@ re-broadcast.
 
 An agent is a pure state transition function ``(state, event) -> (state,
 messages)``; all state types are immutable values.
+
+Working memory carries data derived from its configuration (``Derived``):
+the other agents' window rows, the records' key bytes and the wire length.
+A merge updates only the entries of changed records, so the Python work of
+a delivery grows with the number of changed records, not with the fleet.
+The decide step still sums the rows left to right in sorted-id order, so
+its result is bitwise the one a from-scratch loop gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +47,11 @@ from .core import (
     SystemConfiguration,
     TargetProfile,
     compare,
+    key_of_parts,
     make_candidate,
+    record_key_bytes,
 )
+from .wire import carry_config_length, config_length, record_length
 
 __all__ = [
     "ConfigurationError",
@@ -105,13 +116,45 @@ class ScheduleSet(Sequence[Schedule]):
         return f"ScheduleSet({len(self.schedules)} schedules, T={self.horizon.interval_count})"
 
 
+class Derived:
+    """Data derived from one configuration for one agent.
+
+    ``ids`` are the configuration's agent ids, sorted. ``rows`` is a
+    read-only matrix: a zero row, then the window row of each record in
+    ``ids`` order, with the owner's own row zero, so that
+    ``np.add.accumulate(rows, axis=0)[-1]`` is bitwise the left-to-right
+    sorted-id sum of the other agents' window rows. ``parts`` are the
+    records' key bytes in ``ids`` order and ``length`` is the configuration's
+    wire length. ``config``, ``owner`` and ``horizon`` say what it was
+    derived from; it is valid only for exactly those objects.
+    """
+
+    __slots__ = ("config", "owner", "horizon", "ids", "rows", "parts", "length")
+
+    def __init__(self, config, owner, horizon, ids, rows, parts, length):
+        self.config = config
+        self.owner = owner
+        self.horizon = horizon
+        self.ids = ids
+        self.rows = rows
+        self.parts = parts
+        self.length = length
+
+
 @dataclass(frozen=True)
 class WorkingMemory:
-    """An agent's local knowledge: target, believed selections, best found."""
+    """An agent's local knowledge: target, believed selections, best found.
+
+    ``derived`` carries data derived from ``config`` so that a delivery costs
+    Python work in the number of changed records only. It is never
+    authoritative: when it is missing or was derived from another config
+    (e.g. after ``dataclasses.replace``) it is rebuilt from ``config``.
+    """
 
     target: TargetProfile
     config: SystemConfiguration
     best: Candidate
+    derived: Derived | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -146,27 +189,85 @@ class AgentState:
     objective_calls: int = 0
 
 
-def _choose_index(
-    state: AgentState, target: TargetProfile, config: SystemConfiguration
-) -> tuple[int, float]:
-    """Index of the own schedule minimizing the objective against ``config``
-    with the own entry replaced, plus the resulting objective value.
-    Ties break to the lowest index.
-    """
-    horizon = state.horizon
-    others = np.zeros(horizon.interval_count, dtype=np.float64)
-    for aid in sorted(config):
+def _derive(
+    state: AgentState, base: Derived, config: SystemConfiguration, changed: Sequence[str]
+) -> Derived:
+    """``base`` brought up to ``config``, which differs from ``base.config``
+    only in the records of the ids in ``changed``. Shares every part that
+    did not change; never writes to an array of ``base``."""
+    old = base.config
+    added = [aid for aid in changed if aid not in old]
+    if added:
+        ids = tuple(sorted(base.ids + tuple(added)))
+        at = {aid: i for i, aid in enumerate(ids)}
+        rows = np.zeros((len(ids) + 1, base.rows.shape[1]), dtype=np.float64)
+        rows[[at[aid] + 1 for aid in base.ids]] = base.rows[1:]
+        parts = [b""] * len(ids)
+        for aid, part in zip(base.ids, base.parts):
+            parts[at[aid]] = part
+    else:
+        ids = base.ids
+        rows = base.rows
+        parts = list(base.parts)
+    length = base.length
+    w = state.horizon.window_index
+    for aid in changed:
+        rec = config[aid]
+        i = bisect_left(ids, aid)
+        parts[i] = record_key_bytes(rec)
+        prev = old.get(aid)
+        length += record_length(rec) - (record_length(prev) if prev is not None else 0)
         if aid == state.agent_id:
             continue
-        schedule = config[aid].schedule
-        if len(schedule) != horizon.interval_count:
+        if len(rec.schedule) != state.horizon.interval_count:
             raise StructuralError(f"schedule of {aid!r} does not match horizon")
-        others += schedule.arr
-    w = horizon.window_index
-    gap = target.arr[w] - others[w]
+        if rows is base.rows:
+            rows = rows.copy()
+        rows[i + 1] = rec.schedule.arr[w]
+    rows.setflags(write=False)
+    return Derived(config, state.agent_id, state.horizon, ids, rows, tuple(parts), length)
+
+
+def _derived(state: AgentState, config: SystemConfiguration, carried: Derived | None) -> Derived:
+    """``carried`` if it was derived from ``config`` for this agent, else the
+    same data rebuilt from scratch."""
+    if (
+        carried is not None
+        and carried.config is config
+        and carried.owner == state.agent_id
+        and carried.horizon is state.horizon
+    ):
+        return carried
+    empty = np.zeros((1, len(state.horizon.product_window)), dtype=np.float64)
+    base = Derived({}, state.agent_id, state.horizon, (), empty, (), config_length({}))
+    return _derive(state, base, config, sorted(config))
+
+
+def _choose_index(state: AgentState, target: TargetProfile, derived: Derived) -> tuple[int, float]:
+    """Index of the own schedule minimizing the objective against the
+    configuration ``derived`` was derived from, with the own entry replaced,
+    plus the resulting objective value. Ties break to the lowest index.
+    """
+    others = np.add.accumulate(derived.rows, axis=0)[-1]
+    gap = target.arr[state.horizon.window_index] - others
     values = np.abs(state.schedule_set.window_matrix - gap).sum(axis=1)
     idx = int(np.argmin(values))
     return idx, float(values[idx])
+
+
+def _candidate(state: AgentState, derived: Derived, value: float) -> Candidate:
+    candidate = make_candidate(
+        derived.config, value, creator=state.agent_id, key=key_of_parts(derived.parts)
+    )
+    carry_config_length(candidate, derived.length)
+    return candidate
+
+
+def _publish(state: AgentState, memory: WorkingMemory) -> list[KnowledgeMessage]:
+    """One knowledge message per neighbor, parallel to ``state.neighbors``."""
+    message = KnowledgeMessage(state.agent_id, memory.target, memory.config, memory.best)
+    carry_config_length(message, memory.derived.length)
+    return [message] * len(state.neighbors)
 
 
 def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemory, int]:
@@ -176,11 +277,13 @@ def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemor
         raise ConfigurationError(f"agent {state.agent_id!r} has no schedules")
     if len(target) != state.horizon.interval_count:
         raise StructuralError("target length does not match agent horizon")
-    idx, value = _choose_index(state, target, {})
+    empty = _derived(state, {}, None)
+    idx, value = _choose_index(state, target, empty)
     record = SelectionRecord(state.agent_id, idx, state.schedule_set[idx], version=0)
     config: SystemConfiguration = {state.agent_id: record}
-    best = make_candidate(config, value, creator=state.agent_id)
-    return WorkingMemory(target, config, best), len(state.schedule_set)
+    derived = _derive(state, empty, config, [state.agent_id])
+    best = _candidate(state, derived, value)
+    return WorkingMemory(target, config, best, derived), len(state.schedule_set)
 
 
 def handle_start(
@@ -195,28 +298,29 @@ def handle_start(
     new_state = replace(
         state, memory=memory, objective_calls=state.objective_calls + calls
     )
-    message = KnowledgeMessage(state.agent_id, target, memory.config, memory.best)
-    return new_state, [message] * len(state.neighbors)
+    return new_state, _publish(state, memory)
 
 
 def _merge(
     local: SystemConfiguration, remote: SystemConfiguration
-) -> tuple[SystemConfiguration, bool]:
+) -> tuple[SystemConfiguration, list[str]]:
     """Union per agent id; strictly newer versions win, ties keep local.
 
-    Returns the local dict object unchanged when nothing was newer, which
-    lets callers detect change by identity.
+    Returns the merged configuration and the ids whose records it took
+    from ``remote``. When nothing was newer that list is empty and the
+    local dict object is returned unchanged.
     """
     merged = None
+    changed = []
+    get = local.get
     for aid, rec in remote.items():
-        current = (merged or local).get(aid)
+        current = get(aid)
         if current is None or rec.version > current.version:
             if merged is None:
                 merged = dict(local)
             merged[aid] = rec
-    if merged is None:
-        return local, False
-    return merged, True
+            changed.append(aid)
+    return (local if merged is None else merged), changed
 
 
 def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
@@ -225,9 +329,11 @@ def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
     advanced by ``len(schedule_set)``), the chosen index and its objective
     value. Does not modify the selection itself.
     """
-    if state.memory is None:
+    memory = state.memory
+    if memory is None:
         raise NotStartedError(f"agent {state.agent_id!r} has not started")
-    idx, value = _choose_index(state, state.memory.target, state.memory.config)
+    derived = _derived(state, memory.config, memory.derived)
+    idx, value = _choose_index(state, memory.target, derived)
     new_state = replace(
         state, objective_calls=state.objective_calls + len(state.schedule_set)
     )
@@ -252,25 +358,27 @@ def handle_message(
     else:
         memory = state.memory
 
-    config, config_changed = _merge(memory.config, msg.config)
+    config, changed = _merge(memory.config, msg.config)
     best = memory.best
     best_changed = False
     if compare(msg.best, best) > 0:
         best = msg.best
         best_changed = True
 
-    if not (config_changed or best_changed or just_started):
+    if not (changed or best_changed or just_started):
         # Fixed point: the message taught us nothing, stay silent.
         return state, []
 
     # Decide: re-optimize own selection against the merged belief.
-    idx, value = _choose_index(state, memory.target, config)
+    derived = _derived(state, memory.config, memory.derived)
+    if changed:
+        derived = _derive(state, derived, config, changed)
+    idx, value = _choose_index(state, memory.target, derived)
     calls += len(state.schedule_set)
     own = config.get(state.agent_id)
 
     if own is not None and own.schedule_index == idx:
-        cand_record = own
-        cand_config = config
+        cand_derived = derived
     else:
         cand_record = SelectionRecord(
             state.agent_id,
@@ -278,13 +386,12 @@ def handle_message(
             state.schedule_set[idx],
             version=own.version + 1 if own is not None else 0,
         )
-        cand_config = {**config, state.agent_id: cand_record}
+        cand_derived = _derive(state, derived, {**config, state.agent_id: cand_record}, [state.agent_id])
 
-    candidate = make_candidate(cand_config, value, creator=state.agent_id)
+    candidate = _candidate(state, cand_derived, value)
     if compare(candidate, best) > 0:
         best = candidate
-        best_changed = True
-        new_config = cand_config
+        new_derived = cand_derived
     else:
         # Conform to the best known solution: adopt the selection it
         # records for this agent, if any.
@@ -300,14 +407,13 @@ def handle_message(
                 recorded.schedule,
                 version=own.version + 1,
             )
-            new_config = {**config, state.agent_id: adopted}
+            new_derived = _derive(state, derived, {**config, state.agent_id: adopted}, [state.agent_id])
         else:
-            new_config = config
+            new_derived = derived
 
-    new_memory = WorkingMemory(memory.target, new_config, best)
+    new_memory = WorkingMemory(memory.target, new_derived.config, best, new_derived)
     new_state = replace(state, memory=new_memory, objective_calls=calls)
-    out = KnowledgeMessage(state.agent_id, memory.target, new_config, best)
-    return new_state, [out] * len(state.neighbors)
+    return new_state, _publish(state, new_memory)
 
 
 def extract_assignment(state: AgentState) -> dict[str, int]:

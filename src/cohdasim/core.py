@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass
 from hashlib import blake2b
 from math import isfinite
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "objective",
     "coverage",
     "selection_items",
+    "record_key_bytes",
+    "key_of_parts",
     "configuration_key",
     "make_candidate",
     "compare",
@@ -170,7 +172,8 @@ def selection_items(config: Mapping[str, SelectionRecord]) -> tuple[tuple[str, i
     return tuple((aid, config[aid].schedule_index) for aid in sorted(config))
 
 
-def _record_key_bytes(rec: SelectionRecord) -> bytes:
+def record_key_bytes(rec: SelectionRecord) -> bytes:
+    """The bytes one record contributes to a configuration key."""
     raw = rec.__dict__.get("_key_bytes")
     if raw is None:
         encoded = rec.agent_id.encode("utf-8")
@@ -179,22 +182,32 @@ def _record_key_bytes(rec: SelectionRecord) -> bytes:
     return raw
 
 
-def configuration_key(config: Mapping[str, SelectionRecord]) -> int:
-    """Stable 64-bit digest of the sorted (agent_id, schedule_index) pairs."""
+def key_of_parts(parts: Iterable[bytes]) -> int:
+    """64-bit blake2b digest of record key bytes given in sorted-id order."""
     h = blake2b(digest_size=8)
-    h.update(b"".join(_record_key_bytes(config[aid]) for aid in sorted(config)))
+    h.update(b"".join(parts))
     return int.from_bytes(h.digest(), "little")
 
 
+def configuration_key(config: Mapping[str, SelectionRecord]) -> int:
+    """Stable 64-bit digest of the sorted (agent_id, schedule_index) pairs."""
+    return key_of_parts([record_key_bytes(config[aid]) for aid in sorted(config)])
+
+
 def make_candidate(
-    config: Mapping[str, SelectionRecord], fitness: float, creator: str
+    config: Mapping[str, SelectionRecord],
+    fitness: float,
+    creator: str,
+    key: int | None = None,
 ) -> Candidate:
+    """Candidate over ``config``; ``key``, when given, must equal
+    ``configuration_key(config)``."""
     return Candidate(
         configuration=config,
         fitness=float(fitness),
         size=len(config),
         creator=creator,
-        key=configuration_key(config),
+        key=configuration_key(config) if key is None else key,
     )
 
 

@@ -348,8 +348,12 @@ class ExperimentDesign:
         for path, values in self.factors:
             if not values:
                 raise StructuralError(f"factor {path!r} has no values")
-            # Fail early on unresolvable paths.
-            with_param(self.base_scenario, path, values[0])
+            # Fail early on unresolvable paths and values that cannot run.
+            for value in values:
+                try:
+                    with_param(self.base_scenario, path, value)
+                except (ValueError, TypeError) as exc:
+                    raise StructuralError(f"factor {path!r} value {value!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

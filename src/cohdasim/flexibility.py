@@ -63,6 +63,10 @@ class DeviceModel:
     temp_initial: float
 
     def __post_init__(self) -> None:
+        for name in ("p_el_on", "thermal_on", "tank_capacity", "loss_rate", "ambient",
+                     "temp_min", "temp_max", "temp_initial"):
+            if not isfinite(getattr(self, name)):
+                raise StructuralError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind not in ("heat_pump", "chp"):
             raise StructuralError(f"unknown device kind {self.kind!r}")
         if self.kind == "heat_pump" and not self.p_el_on < 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -228,7 +229,17 @@ def _coerce_leaf(current, value):
         if current is None or hasattr(current, "sample"):
             return delay_from_mapping(value)
         raise StructuralError("mapping values are only supported for delay models")
-    if isinstance(current, (bool, int, float)):
+    if isinstance(current, bool):
+        if not isinstance(value, bool):
+            raise StructuralError(f"needs true or false, got {value!r}")
+        return value
+    if isinstance(current, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise StructuralError(f"needs a number, got {value!r}")
+        if isinstance(current, int) and not isinstance(value, int):
+            raise StructuralError(f"needs an integer, got {value!r}")
+        if not math.isfinite(value):
+            raise StructuralError(f"needs a finite number, got {value!r}")
         return type(current)(value)
     return value
 

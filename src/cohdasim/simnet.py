@@ -106,7 +106,18 @@ def delay_from_mapping(m: Mapping) -> DelayModel:
     if kind not in DELAY_KINDS:
         raise StructuralError(f"unknown delay kind {kind!r}")
     cls, keys = DELAY_KINDS[kind]
-    return cls(*(float(m[key]) for key in keys))
+    for key in m:
+        if key != "kind" and key not in keys:
+            raise StructuralError(f"unknown key {key!r} in {kind} delay")
+    values = []
+    for key in keys:
+        if key not in m:
+            raise StructuralError(f"missing key {key!r} in {kind} delay")
+        value = m[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise StructuralError(f"delay {key} must be a number, got {value!r}")
+        values.append(float(value))
+    return cls(*values)
 
 
 def delay_to_mapping(d: DelayModel) -> dict:
@@ -134,8 +145,8 @@ class NetworkModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise StructuralError(f"{name} must be in [0, 1]")
-        if self.max_delay_bound is not None and self.max_delay_bound < 0:
-            raise StructuralError("max_delay_bound must be non-negative")
+        if self.max_delay_bound is not None:
+            _check_delay("max_delay_bound", self.max_delay_bound)
 
 
 @dataclass(frozen=True)
@@ -242,6 +253,8 @@ def run(
 
     while heap:
         at, _, kind, aid, payload = heapq.heappop(heap)
+        if at < now:
+            raise StructuralError(f"simulated time went backwards: event at {at!r} after {now!r}")
         if at > limits.max_sim_time:
             halted = True
             break

@@ -9,10 +9,10 @@ agent id. ``decode_message(encode_message(m)) == m`` holds exactly.
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .agent import KnowledgeMessage
 from .core import (
     Candidate,
     Schedule,
@@ -22,7 +22,17 @@ from .core import (
     configuration_key,
 )
 
-__all__ = ["encode_message", "decode_message", "encoded_length"]
+if TYPE_CHECKING:
+    from .agent import KnowledgeMessage
+
+__all__ = [
+    "encode_message",
+    "decode_message",
+    "encoded_length",
+    "record_length",
+    "config_length",
+    "carry_config_length",
+]
 
 _FORMAT_VERSION = 1
 
@@ -80,7 +90,8 @@ def encode_message(msg: KnowledgeMessage) -> bytes:
     )
 
 
-def _record_length(rec: SelectionRecord) -> int:
+def record_length(rec: SelectionRecord) -> int:
+    """Byte length of one encoded record, cached on the record."""
     n = rec.__dict__.get("_wire_len")
     if n is None:
         n = (4 + len(rec.agent_id.encode("utf-8"))) + 8 + (4 + 8 * len(rec.schedule.power))
@@ -88,14 +99,33 @@ def _record_length(rec: SelectionRecord) -> int:
     return n
 
 
-def _config_length(config: SystemConfiguration) -> int:
-    return 4 + sum(_record_length(rec) for rec in config.values())
+def config_length(config: SystemConfiguration) -> int:
+    """Byte length of an encoded configuration: that of an empty one plus
+    ``record_length`` of each record."""
+    return 4 + sum(map(record_length, config.values()))
+
+
+def carry_config_length(obj, n: int) -> None:
+    """Attach the known byte length of a message's ``config`` or a
+    candidate's ``configuration`` to it. The value is derived, not part of
+    the object: ``dataclasses.replace`` drops it, and ``encoded_length``
+    computes it from the records when it is missing."""
+    obj.__dict__["_config_len"] = n
+
+
+def _carried_config_length(obj, config: SystemConfiguration) -> int:
+    n = obj.__dict__.get("_config_len")
+    if n is None:
+        n = config_length(config)
+        obj.__dict__["_config_len"] = n
+    return n
 
 
 def encoded_length(msg: KnowledgeMessage) -> int:
     """Byte length of the canonical encoding, cached per message object.
 
-    Computed arithmetically (no bytes are built); always equals
+    Computed arithmetically (no bytes are built) from the configuration
+    lengths carried on the message and on its best candidate; always equals
     ``len(encode_message(msg))``.
     """
     n = msg.__dict__.get("_wire_len")
@@ -104,10 +134,10 @@ def encoded_length(msg: KnowledgeMessage) -> int:
             1
             + (4 + len(msg.sender.encode("utf-8")))
             + (4 + 8 * len(msg.target.power))
-            + _config_length(msg.config)
+            + _carried_config_length(msg, msg.config)
             + (4 + len(msg.best.creator.encode("utf-8")))
             + 12
-            + _config_length(msg.best.configuration)
+            + _carried_config_length(msg.best, msg.best.configuration)
         )
         msg.__dict__["_wire_len"] = n
     return n
@@ -150,6 +180,8 @@ def _read_config(r: _Reader) -> SystemConfiguration:
 
 
 def decode_message(data: bytes) -> KnowledgeMessage:
+    from .agent import KnowledgeMessage  # the agent imports this module
+
     r = _Reader(data)
     (version,) = r.take("<B")
     if version != _FORMAT_VERSION:

@@ -1,9 +1,12 @@
 import dataclasses
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cohdasim import agent as agent_module
 from cohdasim.agent import (
     ConfigurationError,
     NotStartedError,
@@ -18,12 +21,15 @@ from cohdasim.agent import (
 from cohdasim.core import (
     PlanningHorizon,
     Schedule,
+    SelectionRecord,
     StructuralError,
     TargetProfile,
     compare,
+    configuration_key,
     make_candidate,
     objective,
 )
+from cohdasim.wire import encode_message, encoded_length
 
 from conftest import make_agent, record
 
@@ -333,6 +339,105 @@ def test_best_config_subset_of_own_config_invariant(horizon1):
         best = make_candidate(config, objective(config, target, horizon1), other)
         state, _ = handle_message(state, KnowledgeMessage(other, target, config, best))
         assert set(state.memory.best.configuration) <= set(state.memory.config)
+
+
+# --- carried derived state ----------------------------------------------------
+
+
+def _reference_choose(state, target, config):
+    """The decide step from scratch: sum the other agents' full schedules
+    left to right in sorted-id order, then score every own schedule."""
+    horizon = state.horizon
+    others = np.zeros(horizon.interval_count, dtype=np.float64)
+    for aid in sorted(config):
+        if aid != state.agent_id:
+            others += config[aid].schedule.arr
+    w = horizon.window_index
+    values = np.abs(state.schedule_set.window_matrix - (target.arr[w] - others[w])).sum(axis=1)
+    idx = int(np.argmin(values))
+    return idx, float(values[idx])
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+_IDS = [f"a{i:02d}" for i in range(12)]
+_OWN = "a05"
+_power = st.one_of(
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 0.1, -0.3, 1e-17]),
+)
+
+
+@st.composite
+def _message_runs(draw):
+    T = draw(st.sampled_from([1, 1, 3]))
+    window = tuple(draw(st.sets(st.integers(0, T - 1), min_size=1)))
+    horizon = PlanningHorizon(T, 1.0, window)
+
+    def schedule():
+        return [draw(_power) for _ in range(T)]
+
+    def config(ids):
+        return {aid: SelectionRecord(aid, draw(st.integers(0, 3)), Schedule(schedule()),
+                                     draw(st.integers(0, 4)))
+                for aid in ids}
+
+    rows = [schedule() for _ in range(draw(st.integers(1, 4)))]
+    target = TargetProfile(schedule())
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        sender = draw(st.sampled_from([aid for aid in _IDS if aid != _OWN]))
+        known = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=len(_IDS)))
+        best_ids = draw(st.lists(st.sampled_from(_IDS), unique=True, min_size=1))
+        best = make_candidate(config(best_ids), draw(st.floats(0.0, 50.0)), sender)
+        # In one step of four, swap the memory's config for another first.
+        swap = None
+        if draw(st.integers(0, 3)) == 0:
+            swap = config(draw(st.lists(st.sampled_from(_IDS), unique=True)))
+        steps.append((KnowledgeMessage(sender, target, config(known), best), swap))
+    return horizon, rows, target, steps
+
+
+@given(_message_runs())
+def test_carried_state_matches_from_scratch(run):
+    horizon, rows, target, steps = run
+    decisions = []
+    original = agent_module._choose_index
+
+    def recording(state, target, derived):
+        idx, value = original(state, target, derived)
+        decisions.append((state, target, derived.config, idx, value))
+        return idx, value
+
+    state, _ = handle_start(make_agent(_OWN, rows, horizon, neighbors=("x", "y")), target)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agent_module, "_choose_index", recording)
+        for msg, swap in steps:
+            if swap is not None:
+                state = dataclasses.replace(
+                    state, memory=dataclasses.replace(state.memory, config=swap))
+            carried = state.memory.derived
+            before = carried.rows.copy()
+            decisions.clear()
+            state, out = handle_message(state, msg)
+
+            assert np.array_equal(carried.rows, before)  # the input is untouched
+            memory = state.memory
+            if decisions:  # a new memory was built, with fresh carried state
+                assert memory.derived.config is memory.config
+                assert not memory.derived.rows.flags.writeable
+            for who, aim, config, idx, value in decisions:
+                ref_idx, ref_value = _reference_choose(who, aim, config)
+                assert idx == ref_idx and _bits(value) == _bits(ref_value)
+            assert memory.best.key == configuration_key(memory.best.configuration)
+            for m in out:
+                assert m.best.key == configuration_key(m.best.configuration)
+                assert encoded_length(m) == len(encode_message(m))
+            _, idx, value = choose_schedule(state)
+            ref_idx, ref_value = _reference_choose(state, target, memory.config)
+            assert idx == ref_idx and _bits(value) == _bits(ref_value)
 
 
 # --- extract_assignment -------------------------------------------------------

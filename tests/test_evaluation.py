@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cohdasim.core import PlanningHorizon, Schedule, TargetProfile
+from cohdasim.core import PlanningHorizon, Schedule, StructuralError, TargetProfile
 from cohdasim.evaluation import (
     CapExceededError,
     ExperimentDesign,
@@ -286,6 +286,22 @@ def test_design_points_arithmetic():
         base_seed=0,
     )
     assert len(design_points(d2)) == 20
+
+
+@pytest.mark.parametrize(
+    "path, values, problem",
+    [
+        ("sampling.count", (2, 1.7), "needs an integer"),
+        ("network.delay", ({"kind": "constant", "seconds": 0.05},
+                           {"kind": "uniform", "low_s": 0.1}), "missing key 'high_s'"),
+        ("network.delay", ({"kind": "constant", "seconds": 1.0, "bogus": 3},),
+         "unknown key 'bogus'"),
+        ("network.max_delay_bound", (0.1, float("nan")), "must be finite"),
+    ],
+)
+def test_design_rejects_every_bad_factor_value(path, values, problem):
+    with pytest.raises(StructuralError, match=f"factor '{path}' value .*{problem}"):
+        ExperimentDesign(build_small_demo_scenario(), ((path, values),))
 
 
 def test_sweep_rows_and_determinism():

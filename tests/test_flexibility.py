@@ -45,6 +45,17 @@ def test_device_validation():
         _device(demand=(-1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["p_el_on", "thermal_on", "tank_capacity", "loss_rate", "ambient",
+     "temp_min", "temp_max", "temp_initial"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_device_rejects_non_finite_parameters(name, value):
+    with pytest.raises(StructuralError, match=f"{name} must be finite"):
+        _device(**{name: value})
+
+
 def test_tank_constant_without_flux():
     horizon = PlanningHorizon(3, 0.25, (0,))
     device = _device(demand=(0.0, 0.0, 0.0), loss_rate=0.0)

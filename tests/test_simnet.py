@@ -229,3 +229,18 @@ def test_delay_mapping_round_trip():
         UniformDelay(2.0, 1.0)
     with pytest.raises(StructuralError):
         NetworkModel(drop_probability=1.5)
+
+
+class _BackwardsDelay:
+    """A delay model that the delay dataclasses would refuse."""
+
+    def sample(self, rng):
+        return -1.0
+
+
+def test_time_going_backwards_raises(horizon1):
+    overlay = complete(["A", "B"])
+    rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
+    with pytest.raises(StructuralError, match="went backwards"):
+        run(_agents(horizon1, rows, overlay), overlay, TargetProfile((-2.0,)),
+            NetworkModel(delay=_BackwardsDelay()))
