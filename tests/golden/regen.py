@@ -21,13 +21,17 @@ from cohdasim.cli import main
 GOLDEN = Path(__file__).resolve().parent
 DATA = GOLDEN.parents[1] / "src" / "cohdasim" / "data"
 
-# (directory name, scenario reference, seed) of every golden ``run``.
+SUBDIRS = ("run", "uncontrolled", "oracle", "sweep")
+
+# (directory name, scenario reference, seed, extra arguments) of every
+# golden ``run``. The lossy scenario's trace covers drop and duplicate events.
 RUNS = (
-    ("toy-2_seed0", "toy-2", 0),
-    ("toy-2_seed3", "toy-2", 3),
-    ("small-demo_seed0", "small-demo", 0),
-    ("small-demo_seed7", "small-demo", 7),
-    ("toy2_scenario_seed0", str(DATA / "toy2_scenario.yaml"), 0),
+    ("toy-2_seed0", "toy-2", 0, ["--trace"]),
+    ("toy-2_seed3", "toy-2", 3, ["--trace"]),
+    ("small-demo_seed0", "small-demo", 0, []),
+    ("small-demo_seed7", "small-demo", 7, []),
+    ("toy2_scenario_seed0", str(DATA / "toy2_scenario.yaml"), 0, []),
+    ("lossy_scenario_seed0", str(GOLDEN / "lossy_scenario.yaml"), 0, ["--trace"]),
 )
 
 
@@ -42,9 +46,9 @@ def _main(argv: list[str]) -> str:
 
 def generate(out: Path) -> None:
     """Write every golden output under ``out``."""
-    for name, ref, seed in RUNS:
+    for name, ref, seed, extra in RUNS:
         run_dir = out / "run" / name
-        _main(["run", ref, "--seed", str(seed), "--out", str(run_dir)])
+        _main(["run", ref, "--seed", str(seed), "--out", str(run_dir), *extra])
         (run_dir / "timing.json").unlink()  # wall-clock time, not reproducible
     _main(["uncontrolled", "small-demo", "--seed", "0",
            "--out", str(out / "uncontrolled" / "small-demo_seed0")])
@@ -58,15 +62,13 @@ def generate(out: Path) -> None:
 def golden_files(root: Path) -> list[Path]:
     """Golden outputs under ``root``, relative to it, in a stable order."""
     return sorted(
-        p.relative_to(root)
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts
+        p.relative_to(root) for sub in SUBDIRS for p in (root / sub).rglob("*") if p.is_file()
     )
 
 
 if __name__ == "__main__":
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
-    for sub in ("run", "uncontrolled", "oracle", "sweep"):
+    for sub in SUBDIRS:
         shutil.rmtree(target / sub, ignore_errors=True)
     generate(target)
     print(f"wrote {len(golden_files(target))} golden files under {target}")
