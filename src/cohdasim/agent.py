@@ -23,17 +23,22 @@ An agent is a pure state transition function ``(state, event) -> (state,
 messages)``; all state types are immutable values.
 
 Working memory carries data derived from its configuration (``Derived``):
-the other agents' window rows, the records' key bytes and the wire length.
-A merge updates only the entries of changed records, so the Python work of
-a delivery grows with the number of changed records, not with the fleet.
-The decide step still sums the rows left to right in sorted-id order, so
-its result is bitwise the one a from-scratch loop gives.
+the other agents' window rows, the records' key bytes and versions, and the
+wire length. A merge updates only the entries of changed records, so the
+Python work of a delivery grows with the number of changed records, not
+with the fleet. The decide step still sums the rows left to right in
+sorted-id order, so its result is bitwise the one a from-scratch loop
+gives. A published message carries the sender's sorted ids and versions;
+when they are the receiver's ids, the update step finds the newer records
+by comparing the two version tuples in C instead of looping over records.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import gt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,20 +129,22 @@ class Derived:
     ``ids`` order, with the owner's own row zero, so that
     ``np.add.accumulate(rows, axis=0)[-1]`` is bitwise the left-to-right
     sorted-id sum of the other agents' window rows. ``parts`` are the
-    records' key bytes in ``ids`` order and ``length`` is the configuration's
-    wire length. ``config``, ``owner`` and ``horizon`` say what it was
-    derived from; it is valid only for exactly those objects.
+    records' key bytes and ``versions`` their versions, both in ``ids``
+    order, and ``length`` is the configuration's wire length. ``config``,
+    ``owner`` and ``horizon`` say what it was derived from; it is valid only
+    for exactly those objects.
     """
 
-    __slots__ = ("config", "owner", "horizon", "ids", "rows", "parts", "length")
+    __slots__ = ("config", "owner", "horizon", "ids", "rows", "parts", "versions", "length")
 
-    def __init__(self, config, owner, horizon, ids, rows, parts, length):
+    def __init__(self, config, owner, horizon, ids, rows, parts, versions, length):
         self.config = config
         self.owner = owner
         self.horizon = horizon
         self.ids = ids
         self.rows = rows
         self.parts = parts
+        self.versions = versions
         self.length = length
 
 
@@ -203,18 +210,22 @@ def _derive(
         rows = np.zeros((len(ids) + 1, base.rows.shape[1]), dtype=np.float64)
         rows[[at[aid] + 1 for aid in base.ids]] = base.rows[1:]
         parts = [b""] * len(ids)
-        for aid, part in zip(base.ids, base.parts):
+        versions = [0] * len(ids)
+        for aid, part, version in zip(base.ids, base.parts, base.versions):
             parts[at[aid]] = part
+            versions[at[aid]] = version
     else:
         ids = base.ids
         rows = base.rows
         parts = list(base.parts)
+        versions = list(base.versions)
     length = base.length
     w = state.horizon.window_index
     for aid in changed:
         rec = config[aid]
         i = bisect_left(ids, aid)
         parts[i] = record_key_bytes(rec)
+        versions[i] = rec.version
         prev = old.get(aid)
         length += record_length(rec) - (record_length(prev) if prev is not None else 0)
         if aid == state.agent_id:
@@ -225,7 +236,9 @@ def _derive(
             rows = rows.copy()
         rows[i + 1] = rec.schedule.arr[w]
     rows.setflags(write=False)
-    return Derived(config, state.agent_id, state.horizon, ids, rows, tuple(parts), length)
+    return Derived(
+        config, state.agent_id, state.horizon, ids, rows, tuple(parts), tuple(versions), length
+    )
 
 
 def _derived(state: AgentState, config: SystemConfiguration, carried: Derived | None) -> Derived:
@@ -239,7 +252,7 @@ def _derived(state: AgentState, config: SystemConfiguration, carried: Derived | 
     ):
         return carried
     empty = np.zeros((1, len(state.horizon.product_window)), dtype=np.float64)
-    base = Derived({}, state.agent_id, state.horizon, (), empty, (), config_length({}))
+    base = Derived({}, state.agent_id, state.horizon, (), empty, (), (), config_length({}))
     return _derive(state, base, config, sorted(config))
 
 
@@ -263,10 +276,19 @@ def _candidate(state: AgentState, derived: Derived, value: float) -> Candidate:
     return candidate
 
 
+def _carry_versions(message: KnowledgeMessage, derived: Derived) -> None:
+    """Attach the sorted ids and versions of ``derived`` to a message. They
+    are derived, not part of the message: ``dataclasses.replace`` drops
+    them, and a receiver uses them only while ``derived.config`` is the
+    message's ``config``."""
+    message.__dict__["_versions"] = (derived.config, derived.ids, derived.versions)
+
+
 def _publish(state: AgentState, memory: WorkingMemory) -> list[KnowledgeMessage]:
     """One knowledge message per neighbor, parallel to ``state.neighbors``."""
     message = KnowledgeMessage(state.agent_id, memory.target, memory.config, memory.best)
     carry_config_length(message, memory.derived.length)
+    _carry_versions(message, memory.derived)
     return [message] * len(state.neighbors)
 
 
@@ -323,6 +345,24 @@ def _merge(
     return (local if merged is None else merged), changed
 
 
+def _merge_message(local: Derived, msg: KnowledgeMessage) -> tuple[SystemConfiguration, list[str]]:
+    """``_merge(local.config, msg.config)``, up to the order of the changed
+    ids. When the message carries versions derived from its own config for
+    exactly the local ids, the newer records are found by comparing the two
+    version tuples in C; otherwise this is the ``_merge`` loop."""
+    carried = msg.__dict__.get("_versions")
+    if carried is None or carried[0] is not msg.config or carried[1] != local.ids:
+        return _merge(local.config, msg.config)
+    changed = list(compress(local.ids, map(gt, carried[2], local.versions)))
+    if not changed:
+        return local.config, changed
+    merged = dict(local.config)
+    remote = msg.config
+    for aid in changed:
+        merged[aid] = remote[aid]
+    return merged, changed
+
+
 def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
     """Re-optimize the own selection against the current believed
     configuration. Returns the updated state (objective call counter
@@ -358,7 +398,8 @@ def handle_message(
     else:
         memory = state.memory
 
-    config, changed = _merge(memory.config, msg.config)
+    derived = _derived(state, memory.config, memory.derived)
+    config, changed = _merge_message(derived, msg)
     best = memory.best
     best_changed = False
     if compare(msg.best, best) > 0:
@@ -370,7 +411,6 @@ def handle_message(
         return state, []
 
     # Decide: re-optimize own selection against the merged belief.
-    derived = _derived(state, memory.config, memory.derived)
     if changed:
         derived = _derive(state, derived, config, changed)
     idx, value = _choose_index(state, memory.target, derived)

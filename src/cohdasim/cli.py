@@ -116,7 +116,10 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed
     out = Path(args.out)
-    run_out = run_scenario_full(scenario, seed)
+    if args.trace:
+        run_out = run_scenario_full(scenario, seed, trace=[])
+    else:
+        run_out = run_scenario_full(scenario, seed)
     result = run_out.result
     mat = run_out.materialized
 

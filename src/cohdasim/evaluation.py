@@ -1,11 +1,11 @@
 """First-order metric extraction, optimization oracles and experiment sweeps.
 
-``run_scenario`` executes one scenario instance and condenses the trace and
-final agent states into a flat result record. The brute-force and worst-case
-oracles enumerate the full schedule product (up to a hard cap) as frame of
-reference; the greedy baseline is a cheap one-pass reference point. Sweeps
-run full factorial designs with replications and common random numbers per
-replication index.
+``run_scenario`` executes one scenario instance and condenses the kernel's
+counters and the final agent states into a flat result record. The
+brute-force and worst-case oracles enumerate the full schedule product (up
+to a hard cap) as frame of reference; the greedy baseline is a cheap
+one-pass reference point. Sweeps run full factorial designs with
+replications and common random numbers per replication index.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class RunResult:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Full artifacts of one run, for callers that need more than metrics."""
+    """Full artifacts of one run, for callers that need more than metrics.
+    ``trace`` is empty unless the caller passed a list to collect it."""
 
     result: RunResult
     materialized: Materialized
@@ -93,34 +94,20 @@ class ScenarioRun:
     stats: SimClockStats
 
 
-def _improvement_curve(trace: EventTrace) -> tuple[tuple[float, float, int], ...]:
-    curve: list[tuple[float, float, int]] = []
-    current: tuple[int, float, int] | None = None  # (size, fitness, key)
-    for ev in trace:
-        if ev.kind != "best_improved":
-            continue
-        size = ev.payload["size"]
-        fitness = ev.payload["fitness"]
-        key = ev.payload["key"]
-        if current is None or (
-            size > current[0]
-            or (size == current[0] and fitness < current[1])
-            or (size == current[0] and fitness == current[1] and key < current[2])
-        ):
-            current = (size, fitness, key)
-            curve.append((ev.time, fitness, size))
-    return tuple(curve)
-
-
-def run_scenario_full(scenario: Scenario, seed: int = 0) -> ScenarioRun:
+def run_scenario_full(
+    scenario: Scenario, seed: int = 0, *, trace: EventTrace | None = None
+) -> ScenarioRun:
+    """Execute one scenario instance; kernel events are appended to
+    ``trace`` when it is given."""
     mat = materialize(scenario, seed)
-    states, trace, stats = run(
+    states, events, stats = run(
         mat.agents,
         mat.overlay,
         scenario.target,
         network=scenario.network,
         seed=mat.network_seed,
         limits=scenario.limits,
+        trace=trace,
     )
     best = snapshot_best(states.values())
     w = scenario.horizon.window_index
@@ -129,12 +116,6 @@ def run_scenario_full(scenario: Scenario, seed: int = 0) -> ScenarioRun:
     delivered = aggregate(best.configuration, scenario.horizon)
     energy_target = float(target_w.sum())
     energy_delivered = float(delivered.arr[w].sum())
-    messages = 0
-    bytes_total = 0
-    for ev in trace:
-        if ev.kind == "publish":
-            messages += 1
-            bytes_total += ev.payload["bytes"]
     result = RunResult(
         final_fitness=best.fitness,
         coverage_l1=max(0.0, 1.0 - best.fitness / denom),
@@ -143,12 +124,12 @@ def run_scenario_full(scenario: Scenario, seed: int = 0) -> ScenarioRun:
         consistent=check_consistency(states.values()),
         termination_sim_time=stats.termination_time,
         wall_time=stats.wall_time,
-        messages_sent=messages,
-        message_bytes_total=bytes_total,
+        messages_sent=stats.messages,
+        message_bytes_total=stats.message_bytes,
         objective_calls={aid: states[aid].objective_calls for aid in sorted(states)},
-        best_improvement_curve=_improvement_curve(trace),
+        best_improvement_curve=stats.improvement_curve,
     )
-    return ScenarioRun(result, mat, states, trace, stats)
+    return ScenarioRun(result, mat, states, events, stats)
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> RunResult:

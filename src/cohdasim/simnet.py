@@ -9,7 +9,9 @@ duplicate, randomized delay) using a single seeded generator, so identical
 
 A run ends at quiescence (empty queue) or when a limit trips; the latter is
 flagged on the returned clock stats instead of raising, preserving the
-anytime semantics.
+anytime semantics. The kernel counts messages, bytes, disturbances and
+deliveries and records the global improvement curve itself; it builds
+``TraceEvent``s only for a caller that passes a list to append them to.
 """
 
 from __future__ import annotations
@@ -171,9 +173,31 @@ EventTrace = list[TraceEvent]
 
 @dataclass(frozen=True)
 class SimClockStats:
+    """Clock and counters of one run.
+
+    ``stop_reason`` is ``"quiescent"`` (the queue drained), ``"max_messages"``
+    or ``"max_sim_time"``. ``messages`` and ``message_bytes`` count every
+    transmission, dropped ones included; ``deliveries`` counts start and
+    knowledge events, ``noop_deliveries`` the knowledge deliveries that left
+    the agent's state unchanged. ``improvement_curve`` holds (sim_time,
+    fitness, size) per strict improvement of the best candidate any agent
+    holds.
+    """
+
     termination_time: float
     wall_time: float
-    terminated: bool
+    stop_reason: str
+    messages: int
+    message_bytes: int
+    drops: int
+    duplicates: int
+    deliveries: int
+    noop_deliveries: int
+    improvement_curve: tuple[tuple[float, float, int], ...]
+
+    @property
+    def terminated(self) -> bool:
+        return self.stop_reason == "quiescent"
 
 
 def _sample_delay(network: NetworkModel, rng: random.Random) -> float:
@@ -190,12 +214,14 @@ def run(
     network: NetworkModel = NetworkModel(),
     seed: int = 0,
     limits: RunLimits = RunLimits(),
+    trace: EventTrace | None = None,
 ) -> tuple[dict[str, AgentState], EventTrace, SimClockStats]:
     """Drive the agents to quiescence over the given overlay.
 
-    Returns the final agent states, the full event trace and clock stats.
-    ``stats.terminated`` is False when a limit tripped before the queue
-    drained.
+    Returns the final agent states, the event trace and clock stats. Events
+    are appended to ``trace`` when it is given, and the returned trace is
+    empty otherwise. ``stats.terminated`` is False when a limit tripped
+    before the queue drained.
     """
     states: dict[str, AgentState] = {a.agent_id: a for a in agents}
     if len(states) != len(agents):
@@ -206,10 +232,11 @@ def run(
     rng = random.Random(seed)
     seq = itertools.count()
     heap: list[tuple] = []
-    trace: EventTrace = []
     last_on_link: dict[tuple[str, str], float] = {}
-    messages_sent = 0
-    halted = False
+    messages_sent = bytes_sent = drops = duplicates = deliveries = noops = 0
+    curve: list[tuple[float, float, int]] = []
+    current: tuple[int, float, int] | None = None  # (size, fitness, key)
+    stop_reason = "quiescent"
     now = 0.0
     started = time.perf_counter()
 
@@ -217,7 +244,7 @@ def run(
         heapq.heappush(heap, (0.0, next(seq), "start", aid, None))
 
     def transmit(sender: str, neighbors, outputs, at: float) -> bool:
-        nonlocal messages_sent
+        nonlocal messages_sent, bytes_sent, drops, duplicates
         if not outputs:
             return True
         size = encoded_length(outputs[0])
@@ -225,11 +252,15 @@ def run(
             if messages_sent >= limits.max_messages:
                 return False
             messages_sent += 1
-            trace.append(
-                TraceEvent(at, "publish", {"from": sender, "to": recipient, "bytes": size})
-            )
+            bytes_sent += size
+            if trace is not None:
+                trace.append(
+                    TraceEvent(at, "publish", {"from": sender, "to": recipient, "bytes": size})
+                )
             if rng.random() < network.drop_probability:
-                trace.append(TraceEvent(at, "drop", {"from": sender, "to": recipient}))
+                drops += 1
+                if trace is not None:
+                    trace.append(TraceEvent(at, "drop", {"from": sender, "to": recipient}))
                 continue
             deliver_at = at + _sample_delay(network, rng)
             if not network.reorder:
@@ -237,17 +268,19 @@ def run(
                 last_on_link[(sender, recipient)] = deliver_at
             heapq.heappush(heap, (deliver_at, next(seq), "deliver", recipient, msg))
             if rng.random() < network.duplicate_probability:
+                duplicates += 1
                 dup_at = at + _sample_delay(network, rng)
                 if not network.reorder:
                     dup_at = max(dup_at, last_on_link.get((sender, recipient), 0.0))
                     last_on_link[(sender, recipient)] = dup_at
-                trace.append(
-                    TraceEvent(
-                        at,
-                        "duplicate",
-                        {"from": sender, "to": recipient, "deliver_at": dup_at},
+                if trace is not None:
+                    trace.append(
+                        TraceEvent(
+                            at,
+                            "duplicate",
+                            {"from": sender, "to": recipient, "deliver_at": dup_at},
+                        )
                     )
-                )
                 heapq.heappush(heap, (dup_at, next(seq), "deliver", recipient, msg))
         return True
 
@@ -256,48 +289,68 @@ def run(
         if at < now:
             raise StructuralError(f"simulated time went backwards: event at {at!r} after {now!r}")
         if at > limits.max_sim_time:
-            halted = True
+            stop_reason = "max_sim_time"
             break
         now = at
+        deliveries += 1
         state = states[aid]
         if kind == "start":
             new_state, outputs = handle_start(state, target)
-            detail = {"msg": "start", "to": aid}
         else:
             new_state, outputs = handle_message(state, payload)
-            detail = {"msg": "knowledge", "to": aid, "from": payload.sender}
-        own = new_state.memory.config.get(aid) if new_state.memory else None
-        detail["version"] = own.version if own is not None else None
-        trace.append(TraceEvent(at, "deliver", detail))
+        if trace is not None:
+            if kind == "start":
+                detail = {"msg": "start", "to": aid}
+            else:
+                detail = {"msg": "knowledge", "to": aid, "from": payload.sender}
+            own = new_state.memory.config.get(aid) if new_state.memory else None
+            detail["version"] = own.version if own is not None else None
+            trace.append(TraceEvent(at, "deliver", detail))
+        if new_state is state:
+            # A knowledge delivery that taught nothing: no improvement,
+            # nothing to send.
+            noops += 1
+            continue
 
         old_best = state.memory.best if state.memory else None
         new_best = new_state.memory.best if new_state.memory else None
         if new_best is not None and (
             old_best is None or (new_best is not old_best and compare(new_best, old_best) > 0)
         ):
-            trace.append(
-                TraceEvent(
-                    at,
-                    "best_improved",
-                    {
-                        "agent": aid,
-                        "fitness": new_best.fitness,
-                        "size": new_best.size,
-                        "key": new_best.key,
-                    },
+            size, fitness, key = new_best.size, new_best.fitness, new_best.key
+            if trace is not None:
+                trace.append(
+                    TraceEvent(
+                        at,
+                        "best_improved",
+                        {"agent": aid, "fitness": fitness, "size": size, "key": key},
+                    )
                 )
-            )
+            if current is None or (
+                size > current[0]
+                or (size == current[0] and fitness < current[1])
+                or (size == current[0] and fitness == current[1] and key < current[2])
+            ):
+                current = (size, fitness, key)
+                curve.append((at, fitness, size))
         states[aid] = new_state
         if not transmit(aid, new_state.neighbors, outputs, at):
-            halted = True
+            stop_reason = "max_messages"
             break
 
     stats = SimClockStats(
         termination_time=now,
         wall_time=time.perf_counter() - started,
-        terminated=not halted and not heap,
+        stop_reason=stop_reason,
+        messages=messages_sent,
+        message_bytes=bytes_sent,
+        drops=drops,
+        duplicates=duplicates,
+        deliveries=deliveries,
+        noop_deliveries=noops,
+        improvement_curve=tuple(curve),
     )
-    return states, trace, stats
+    return states, (trace if trace is not None else []), stats
 
 
 def check_consistency(agents: Iterable[AgentState]) -> bool:

@@ -147,7 +147,7 @@ def battery_outcomes():
         agents, overlay, target, network = _battery_case(index)
         limits = RunLimits(max_sim_time=1.0e5, max_messages=2_000_000)
         states, trace, stats = run(agents, overlay, target, network,
-                                   seed=555 + index, limits=limits)
+                                   seed=555 + index, limits=limits, trace=[])
 
         per_agent: dict[str, tuple] = {}
         anytime_ok = True
@@ -352,7 +352,7 @@ def test_criterion_6_determinism():
     mismatches = []
     for scenario, seed in _determinism_pairs():
         def run_once():
-            full = run_scenario_full(scenario, seed)
+            full = run_scenario_full(scenario, seed, trace=[])
             trace_bytes = "\n".join(
                 json.dumps(r) for r in trace_records(full.trace)
             ).encode()
@@ -427,7 +427,7 @@ def test_criterion_7_efficiency_metrics_hand_trace():
         ),
     ]
     network = NetworkModel(delay=ConstantDelay(1.0))
-    states, trace, stats = run(agents, overlay, target, network, seed=0)
+    states, trace, stats = run(agents, overlay, target, network, seed=0, trace=[])
 
     messages = sum(1 for ev in trace if ev.kind == "publish")
     calls = {aid: states[aid].objective_calls for aid in states}

@@ -17,6 +17,7 @@ from cohdasim.agent import (
     handle_start,
     _merge,
     KnowledgeMessage,
+    WorkingMemory,
 )
 from cohdasim.core import (
     PlanningHorizon,
@@ -438,6 +439,87 @@ def test_carried_state_matches_from_scratch(run):
             _, idx, value = choose_schedule(state)
             ref_idx, ref_value = _reference_choose(state, target, memory.config)
             assert idx == ref_idx and _bits(value) == _bits(ref_value)
+
+
+_POOL = ["a0", "a1", "a2", "a3", "a4", "a5"]
+
+
+def _records(draw, versions):
+    return {aid: record(aid, draw(st.integers(0, 3)), [float(draw(st.integers(-3, 3)))],
+                        version=version)
+            for aid, version in versions.items()}
+
+
+@st.composite
+def _deliveries(draw):
+    """A started agent "a0" with a drawn belief, and a message to it whose
+    ids equal, overlap or are disjoint from the local ones and whose
+    versions are older, equal or newer. Also a config with the message's
+    ids but other versions, to derive a stale version vector from."""
+    horizon = PlanningHorizon(1, 1.0, (0,))
+    target = TargetProfile((float(draw(st.integers(-6, 0))),))
+    local_ids = ["a0"] + draw(st.lists(st.sampled_from(_POOL[1:]), unique=True, min_size=1))
+    relation = draw(st.sampled_from(["equal", "equal", "overlap", "disjoint"]))
+    rest = [aid for aid in _POOL if aid not in local_ids]
+    if relation == "equal":
+        remote_ids = list(local_ids)
+    elif relation == "overlap":
+        remote_ids = draw(st.lists(st.sampled_from(local_ids), unique=True, min_size=1))
+        remote_ids += draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    else:
+        remote_ids = draw(st.lists(st.sampled_from(rest), unique=True, min_size=1)) if rest else []
+    remote_ids = draw(st.permutations(remote_ids))
+    local_versions = {aid: draw(st.integers(1, 4)) for aid in local_ids}
+    remote_versions = {
+        aid: max(0, local_versions.get(aid, 1) + draw(st.sampled_from([-1, 0, 1])))
+        for aid in remote_ids
+    }
+    local = _records(draw, local_versions)
+    remote = _records(draw, remote_versions)
+    stale = {aid: dataclasses.replace(rec, version=rec.version + draw(st.integers(-1, 2)))
+             for aid, rec in remote.items()}
+    rows = [[float(draw(st.integers(-3, 0)))] for _ in range(draw(st.integers(1, 3)))]
+
+    state, _ = handle_start(make_agent("a0", rows, horizon, neighbors=("a1",)), target)
+    local_best = make_candidate(local, float(draw(st.integers(0, 9))), "a0")
+    memory = WorkingMemory(target, local, local_best,
+                           agent_module._derived(state, local, None))
+    state = dataclasses.replace(state, memory=memory)
+    if draw(st.booleans()):
+        best = local_best
+    else:
+        known = {**local, **remote}
+        best_ids = draw(st.lists(st.sampled_from(sorted(known)), unique=True, min_size=1))
+        best = make_candidate({aid: known[aid] for aid in best_ids},
+                              float(draw(st.integers(0, 9))), "s")
+    return state, KnowledgeMessage("s", target, remote, best), stale
+
+
+@given(_deliveries())
+def test_carried_versions_merge_equals_loop(delivery):
+    state, plain, stale = delivery
+    memory = state.memory
+    ref_config, ref_changed = _merge(memory.config, plain.config)
+    noop = not ref_changed and compare(plain.best, memory.best) <= 0
+    plain_state, plain_out = handle_message(state, plain)
+    sender = dataclasses.replace(state, agent_id="s", memory=None)
+    # The message carries no vector, the sender's own one, or a stale one.
+    for carried in (None, plain.config, stale):
+        msg = dataclasses.replace(plain)
+        if carried is not None:
+            agent_module._carry_versions(msg, agent_module._derived(sender, carried, None))
+        config, changed = agent_module._merge_message(memory.derived, msg)
+        assert list(config.items()) == list(ref_config.items())
+        assert sorted(changed) == sorted(ref_changed)
+        assert (config is memory.config) == (ref_config is memory.config)
+
+        new_state, out = handle_message(state, msg)
+        if noop:
+            assert new_state is state and out == []
+        assert new_state == plain_state and out == plain_out
+        derived = new_state.memory.derived
+        assert derived.config is new_state.memory.config
+        assert derived.versions == tuple(derived.config[aid].version for aid in derived.ids)
 
 
 # --- extract_assignment -------------------------------------------------------

@@ -232,7 +232,7 @@ def test_run_scenario_toy_matches_brute_force():
 
 def test_run_result_metric_consistency():
     sc = build_small_demo_scenario()
-    full = run_scenario_full(sc, 2)
+    full = run_scenario_full(sc, 2, trace=[])
     r = full.result
     w = sc.horizon.window_index
     denom = float(abs(sc.target.arr[w]).sum())

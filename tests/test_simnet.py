@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from cohdasim import simnet
 from cohdasim.agent import NotStartedError
 from cohdasim.core import StructuralError, TargetProfile, compare
 from cohdasim.simnet import (
@@ -28,7 +31,7 @@ def _agents(horizon, rows_by_id, overlay):
 def test_single_agent_quiesces_without_messages(horizon1):
     overlay = ring(["A"])
     agents = _agents(horizon1, {"A": [[1.0], [2.0]]}, overlay)
-    states, trace, stats = run(agents, overlay, TargetProfile((2.0,)))
+    states, trace, stats = run(agents, overlay, TargetProfile((2.0,)), trace=[])
     assert stats.terminated
     assert stats.termination_time == 0.0
     assert sum(1 for ev in trace if ev.kind == "publish") == 0
@@ -56,7 +59,7 @@ def test_full_drop_leaves_singletons(horizon1):
     rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
     network = NetworkModel(delay=ConstantDelay(0.1), drop_probability=1.0)
     states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
-                               TargetProfile((-3.0,)), network)
+                               TargetProfile((-3.0,)), network, trace=[])
     assert stats.terminated
     for state in states.values():
         assert state.memory.best.size == 1
@@ -78,7 +81,7 @@ def test_determinism_bit_for_bit(horizon4):
 
     def one():
         agents = _agents(horizon4, rows, overlay)
-        return run(agents, overlay, target, network, seed=123)
+        return run(agents, overlay, target, network, seed=123, trace=[])
 
     states1, trace1, stats1 = one()
     states2, trace2, stats2 = one()
@@ -88,7 +91,8 @@ def test_determinism_bit_for_bit(horizon4):
         a: s.memory.best.key for a, s in states2.items()
     }
 
-    _, trace3, _ = run(_agents(horizon4, rows, overlay), overlay, target, network, seed=124)
+    _, trace3, _ = run(_agents(horizon4, rows, overlay), overlay, target, network, seed=124,
+                       trace=[])
     assert trace3 != trace1  # different seed, different disturbances
 
 
@@ -101,7 +105,7 @@ def test_snapshot_sequence_monotone_and_quiescent_consistency(horizon4):
     target = TargetProfile((-2.0, -2.0, -2.0, -2.0))
     network = NetworkModel(delay=ExponentialDelay(0.05))
     states, trace, stats = run(_agents(horizon4, rows, overlay), overlay, target,
-                               network, seed=5)
+                               network, seed=5, trace=[])
     assert stats.terminated
     assert check_consistency(states.values())
     final = snapshot_best(states.values())
@@ -134,7 +138,7 @@ def test_duplicates_and_reorder_still_consistent(horizon4):
     target = TargetProfile((-2.0, -2.0, -2.0, -2.0))
     network = NetworkModel(delay=UniformDelay(0.0, 1.0), duplicate_probability=0.4)
     states, trace, stats = run(_agents(horizon4, rows, overlay), overlay, target,
-                               network, seed=77)
+                               network, seed=77, trace=[])
     assert stats.terminated
     assert check_consistency(states.values())
     assert any(ev.kind == "duplicate" for ev in trace)
@@ -145,7 +149,7 @@ def test_bounded_delay_clips_samples(horizon1):
     rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
     network = NetworkModel(delay=ExponentialDelay(5.0), max_delay_bound=0.25)
     states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
-                               TargetProfile((-2.0,)), network, seed=3)
+                               TargetProfile((-2.0,)), network, seed=3, trace=[])
     assert stats.terminated
     deliveries = [ev for ev in trace if ev.kind == "deliver" and ev.payload["msg"] == "knowledge"]
     assert deliveries
@@ -176,7 +180,7 @@ def test_message_limit_flags_not_terminated(horizon1):
     rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
     limits = RunLimits(max_sim_time=100.0, max_messages=3)
     states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
-                               TargetProfile((-3.0,)), limits=limits)
+                               TargetProfile((-3.0,)), limits=limits, trace=[])
     assert not stats.terminated
     assert sum(1 for ev in trace if ev.kind == "publish") <= 3
 
@@ -244,3 +248,91 @@ def test_time_going_backwards_raises(horizon1):
     with pytest.raises(StructuralError, match="went backwards"):
         run(_agents(horizon1, rows, overlay), overlay, TargetProfile((-2.0,)),
             NetworkModel(delay=_BackwardsDelay()))
+
+
+# --- kernel counters ----------------------------------------------------------
+
+
+def _lossy_runs(horizon4, traced):
+    """(stats, trace) of a few lossy, duplicating runs, FIFO and reordering."""
+    overlay = ring(["A", "B", "C", "D", "E"])
+    rows = {
+        aid: [[-1.0, 0.0, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0], [-1.0, -1.0, 0.0, 0.0]]
+        for aid in "ABCDE"
+    }
+    target = TargetProfile((-2.0, -3.0, -2.0, -1.0))
+    out = []
+    for seed, reorder in ((1, False), (2, True), (3, False)):
+        network = NetworkModel(delay=UniformDelay(0.0, 0.5), drop_probability=0.15,
+                               duplicate_probability=0.3, reorder=reorder)
+        trace = [] if traced else None
+        _, events, stats = run(_agents(horizon4, rows, overlay), overlay, target, network,
+                               seed=seed, trace=trace)
+        out.append((stats, events))
+    return out
+
+
+def test_default_run_builds_no_events(horizon4, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trace event was built without a trace")
+
+    monkeypatch.setattr(simnet, "TraceEvent", refuse)
+    for stats, events in _lossy_runs(horizon4, traced=False):
+        assert events == []
+        assert stats.messages > 0
+
+
+def test_kernel_counters_match_the_trace(horizon4):
+    untraced = _lossy_runs(horizon4, traced=False)
+    for (stats, trace), (plain, _) in zip(_lossy_runs(horizon4, traced=True), untraced):
+        kinds = [ev.kind for ev in trace]
+        assert stats.messages == kinds.count("publish")
+        assert stats.message_bytes == sum(
+            ev.payload["bytes"] for ev in trace if ev.kind == "publish")
+        assert stats.drops == kinds.count("drop") > 0
+        assert stats.duplicates == kinds.count("duplicate") > 0
+        assert stats.deliveries == kinds.count("deliver")
+        assert 0 < stats.noop_deliveries < stats.deliveries
+        # Collecting the trace changes no counter.
+        assert dataclasses.replace(plain, wall_time=0.0) == \
+            dataclasses.replace(stats, wall_time=0.0)
+
+
+def _reference_curve(trace):
+    """Global anytime curve folded from the best_improved events."""
+    curve = []
+    current = None  # (size, fitness, key)
+    for ev in trace:
+        if ev.kind != "best_improved":
+            continue
+        size = ev.payload["size"]
+        fitness = ev.payload["fitness"]
+        key = ev.payload["key"]
+        if current is None or (
+            size > current[0]
+            or (size == current[0] and fitness < current[1])
+            or (size == current[0] and fitness == current[1] and key < current[2])
+        ):
+            current = (size, fitness, key)
+            curve.append((ev.time, fitness, size))
+    return tuple(curve)
+
+
+def test_kernel_curve_matches_reference_fold(horizon4):
+    for stats, trace in _lossy_runs(horizon4, traced=True):
+        assert len(stats.improvement_curve) > 1
+        assert stats.improvement_curve == _reference_curve(trace)
+
+
+@pytest.mark.parametrize("limits, delay, reason", [
+    (RunLimits(max_sim_time=100.0, max_messages=1000), 1.0, "quiescent"),
+    (RunLimits(max_sim_time=100.0, max_messages=3), 1.0, "max_messages"),
+    (RunLimits(max_sim_time=0.5, max_messages=1000), 1.0, "max_sim_time"),
+])
+def test_stop_reason(horizon1, limits, delay, reason):
+    overlay = complete(["A", "B", "C"])
+    rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
+    _, _, stats = run(_agents(horizon1, rows, overlay), overlay, TargetProfile((-3.0,)),
+                      NetworkModel(delay=ConstantDelay(delay)), limits=limits)
+    assert stats.stop_reason == reason
+    assert stats.terminated == (reason == "quiescent")

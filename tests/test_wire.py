@@ -76,7 +76,7 @@ def test_trace_byte_totals_match_reencoding():
     mat = materialize(scenario, 0)
     states, trace, stats = run(
         mat.agents, mat.overlay, scenario.target, scenario.network,
-        mat.network_seed, scenario.limits,
+        mat.network_seed, scenario.limits, trace=[],
     )
     publishes = [ev for ev in trace if ev.kind == "publish"]
     assert publishes
