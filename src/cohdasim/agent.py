@@ -185,15 +185,19 @@ class AgentState:
     ``neighbors`` fixes the fan-out of every publish; emitted message lists
     are parallel to it (entry i goes to ``neighbors[i]``).
     ``objective_calls`` counts objective evaluations: every run of the
-    choose step adds exactly ``len(schedule_set)``.
+    choose step adds exactly ``len(schedule_set)``. The horizon is the
+    schedule set's.
     """
 
     agent_id: str
     schedule_set: ScheduleSet
-    horizon: PlanningHorizon
     neighbors: tuple[str, ...]
     memory: WorkingMemory | None = None
     objective_calls: int = 0
+
+    @property
+    def horizon(self) -> PlanningHorizon:
+        return self.schedule_set.horizon
 
 
 def _derive(
@@ -220,7 +224,8 @@ def _derive(
         parts = list(base.parts)
         versions = list(base.versions)
     length = base.length
-    w = state.horizon.window_index
+    horizon = state.horizon
+    w = horizon.window_index
     for aid in changed:
         rec = config[aid]
         i = bisect_left(ids, aid)
@@ -230,14 +235,14 @@ def _derive(
         length += record_length(rec) - (record_length(prev) if prev is not None else 0)
         if aid == state.agent_id:
             continue
-        if len(rec.schedule) != state.horizon.interval_count:
+        if len(rec.schedule) != horizon.interval_count:
             raise StructuralError(f"schedule of {aid!r} does not match horizon")
         if rows is base.rows:
             rows = rows.copy()
         rows[i + 1] = rec.schedule.arr[w]
     rows.setflags(write=False)
     return Derived(
-        config, state.agent_id, state.horizon, ids, rows, tuple(parts), tuple(versions), length
+        config, state.agent_id, horizon, ids, rows, tuple(parts), tuple(versions), length
     )
 
 
@@ -266,6 +271,17 @@ def _choose_index(state: AgentState, target: TargetProfile, derived: Derived) ->
     values = np.abs(state.schedule_set.window_matrix - gap).sum(axis=1)
     idx = int(np.argmin(values))
     return idx, float(values[idx])
+
+
+def _select(state: AgentState, derived: Derived, idx: int, schedule: Schedule) -> Derived:
+    """``derived`` with the own selection set to ``schedule`` at index
+    ``idx``, one version above the old own record, or version 0 for the
+    first."""
+    own = derived.config.get(state.agent_id)
+    record = SelectionRecord(
+        state.agent_id, idx, schedule, version=0 if own is None else own.version + 1
+    )
+    return _derive(state, derived, {**derived.config, state.agent_id: record}, [state.agent_id])
 
 
 def _candidate(state: AgentState, derived: Derived, value: float) -> Candidate:
@@ -301,11 +317,9 @@ def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemor
         raise StructuralError("target length does not match agent horizon")
     empty = _derived(state, {}, None)
     idx, value = _choose_index(state, target, empty)
-    record = SelectionRecord(state.agent_id, idx, state.schedule_set[idx], version=0)
-    config: SystemConfiguration = {state.agent_id: record}
-    derived = _derive(state, empty, config, [state.agent_id])
+    derived = _select(state, empty, idx, state.schedule_set[idx])
     best = _candidate(state, derived, value)
-    return WorkingMemory(target, config, best, derived), len(state.schedule_set)
+    return WorkingMemory(target, derived.config, best, derived), len(state.schedule_set)
 
 
 def handle_start(
@@ -401,10 +415,9 @@ def handle_message(
     derived = _derived(state, memory.config, memory.derived)
     config, changed = _merge_message(derived, msg)
     best = memory.best
-    best_changed = False
-    if compare(msg.best, best) > 0:
+    best_changed = compare(msg.best, best) > 0
+    if best_changed:
         best = msg.best
-        best_changed = True
 
     if not (changed or best_changed or just_started):
         # Fixed point: the message taught us nothing, stay silent.
@@ -416,22 +429,15 @@ def handle_message(
     idx, value = _choose_index(state, memory.target, derived)
     calls += len(state.schedule_set)
     own = config.get(state.agent_id)
-
     if own is not None and own.schedule_index == idx:
-        cand_derived = derived
+        chosen = derived
     else:
-        cand_record = SelectionRecord(
-            state.agent_id,
-            idx,
-            state.schedule_set[idx],
-            version=own.version + 1 if own is not None else 0,
-        )
-        cand_derived = _derive(state, derived, {**config, state.agent_id: cand_record}, [state.agent_id])
+        chosen = _select(state, derived, idx, state.schedule_set[idx])
 
-    candidate = _candidate(state, cand_derived, value)
+    candidate = _candidate(state, chosen, value)
     if compare(candidate, best) > 0:
         best = candidate
-        new_derived = cand_derived
+        derived = chosen
     else:
         # Conform to the best known solution: adopt the selection it
         # records for this agent, if any.
@@ -441,17 +447,9 @@ def handle_message(
             and own is not None
             and recorded.schedule_index != own.schedule_index
         ):
-            adopted = SelectionRecord(
-                state.agent_id,
-                recorded.schedule_index,
-                recorded.schedule,
-                version=own.version + 1,
-            )
-            new_derived = _derive(state, derived, {**config, state.agent_id: adopted}, [state.agent_id])
-        else:
-            new_derived = derived
+            derived = _select(state, derived, recorded.schedule_index, recorded.schedule)
 
-    new_memory = WorkingMemory(memory.target, new_derived.config, best, new_derived)
+    new_memory = WorkingMemory(memory.target, derived.config, best, derived)
     new_state = replace(state, memory=new_memory, objective_calls=calls)
     return new_state, _publish(state, new_memory)
 

@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .agent import ScheduleSet
 from .core import Schedule, StructuralError, TargetProfile, PlanningHorizon, aggregate
-from .scenario import Materialized, Scenario, materialize, with_param
+from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 
 __all__ = [
@@ -168,9 +169,7 @@ class EnumerationOracle:
         self.agent_ids = tuple(agent_ids)
         w = horizon.window_index
         self._target_w = target.arr[w]
-        self._mats = [
-            np.stack([s.arr for s in schedules])[:, w] for schedules in schedule_sets
-        ]
+        self._mats = [ScheduleSet(schedules, horizon).window_matrix for schedules in schedule_sets]
         sizes = [m.shape[0] for m in self._mats]
         if any(s == 0 for s in sizes):
             raise StructuralError("empty schedule set")
@@ -285,8 +284,8 @@ def worst_case_bound(
     target_w = scenario.target.arr[w]
     lo = np.zeros(len(w), dtype=np.float64)
     hi = np.zeros(len(w), dtype=np.float64)
-    for flex in mat.flexibility:
-        m = np.stack([s.arr for s in flex.schedules])[:, w]
+    for agent in mat.agents:
+        m = agent.schedule_set.window_matrix
         lo += m.min(axis=0)
         hi += m.max(axis=0)
     return float(np.maximum(np.abs(lo - target_w), np.abs(hi - target_w)).sum())
@@ -301,13 +300,13 @@ def greedy_baseline(scenario: Scenario, seed: int = 0) -> tuple[float, dict[str,
     acc = np.zeros(len(w), dtype=np.float64)
     assignment: dict[str, int] = {}
     value = float(np.abs(acc - target_w).sum())
-    for aid, flex in zip(mat.device_ids, mat.flexibility):
-        m = np.stack([s.arr for s in flex.schedules])[:, w]
+    for agent in mat.agents:
+        m = agent.schedule_set.window_matrix
         values = np.abs((acc + m) - target_w).sum(axis=1)
         j = int(np.argmin(values))
         value = float(values[j])
         acc = acc + m[j]
-        assignment[aid] = j
+        assignment[agent.agent_id] = j
     return value, assignment
 
 
@@ -333,6 +332,8 @@ class ExperimentDesign:
             for value in values:
                 try:
                     with_param(self.base_scenario, path, value)
+                except UnknownPathError as exc:
+                    raise UnknownPathError(f"factor {path!r}: {exc}") from None
                 except (ValueError, TypeError) as exc:
                     raise StructuralError(f"factor {path!r} value {value!r}: {exc}") from None
 

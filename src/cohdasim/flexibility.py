@@ -92,7 +92,6 @@ class FlexibilitySet:
     """Sampled flexibility of one device: distinct feasible on-patterns and
     the corresponding electrical schedules (power = p_el_on * on)."""
 
-    device: DeviceModel
     schedules: tuple[Schedule, ...]
     on_patterns: tuple[tuple[bool, ...], ...]
 
@@ -196,4 +195,4 @@ def sample_feasible_schedules(
         Schedule(tuple(device.p_el_on if v else 0.0 for v in pattern))
         for pattern in patterns
     )
-    return FlexibilitySet(device, schedules, tuple(patterns))
+    return FlexibilitySet(schedules, tuple(patterns))

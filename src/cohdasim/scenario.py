@@ -41,6 +41,7 @@ __all__ = [
     "SeedBlock",
     "Scenario",
     "Materialized",
+    "UnknownPathError",
     "mix_seed",
     "materialize",
     "with_param",
@@ -135,7 +136,6 @@ class Materialized:
     """Concrete instance of a scenario under one run seed."""
 
     scenario: Scenario
-    run_seed: int
     device_ids: tuple[str, ...]
     devices: tuple[DeviceModel, ...]
     flexibility: tuple[FlexibilitySet, ...]
@@ -186,14 +186,12 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
         AgentState(
             agent_id=aid,
             schedule_set=ScheduleSet(flex.schedules, scenario.horizon),
-            horizon=scenario.horizon,
             neighbors=overlay.adjacency[aid],
         )
         for aid, flex in zip(ids, flexibility)
     )
     return Materialized(
         scenario=scenario,
-        run_seed=run_seed,
         device_ids=ids,
         devices=models,
         flexibility=flexibility,
@@ -203,6 +201,10 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     )
 
 
+class UnknownPathError(StructuralError):
+    """A dotted parameter path does not name a scenario parameter."""
+
+
 def _set_path(obj, parts: list[str], value):
     """Rebuild an immutable dataclass/tuple tree with one leaf replaced,
     the value coerced to the type of the leaf it replaces."""
@@ -210,18 +212,17 @@ def _set_path(obj, parts: list[str], value):
         return _coerce_leaf(obj, value)
     head, rest = parts[0], parts[1:]
     if isinstance(obj, tuple):
-        index = int(head)
-        if not 0 <= index < len(obj):
-            raise StructuralError(f"index {index} out of range in parameter path")
+        if not (head.isdigit() and int(head) < len(obj)):
+            raise UnknownPathError(f"index {head} out of range in parameter path")
         items = list(obj)
-        items[index] = _set_path(items[index], rest, value)
+        items[int(head)] = _set_path(items[int(head)], rest, value)
         return tuple(items)
     if dataclasses.is_dataclass(obj):
         if not hasattr(obj, head):
-            raise StructuralError(f"unknown parameter path segment {head!r}")
+            raise UnknownPathError(f"unknown parameter path segment {head!r}")
         current = getattr(obj, head)
         return dataclasses.replace(obj, **{head: _set_path(current, rest, value)})
-    raise StructuralError(f"cannot descend into {type(obj).__name__} at {head!r}")
+    raise UnknownPathError(f"cannot descend into {type(obj).__name__} at {head!r}")
 
 
 def _coerce_leaf(current, value):

@@ -27,6 +27,7 @@ from .scenario import (
     Scenario,
     SeedBlock,
     TopologySpec,
+    UnknownPathError,
 )
 from .simnet import DELAY_KINDS, NetworkModel, RunLimits, delay_from_mapping, delay_to_mapping
 
@@ -372,7 +373,15 @@ def load_design(path_str: str) -> ExperimentDesign:
     data = _load_yaml(path)
     try:
         values = _read(data, _DESIGN, "design")
-        values["base_scenario"] = load_scenario(values["base_scenario"], relative_to=path.parent)
+        base = load_scenario(values["base_scenario"], relative_to=path.parent)
+        values["base_scenario"] = base
+        # Check each factor alone, so that an error points at its own block.
+        for block, factor in zip(data.get("factors") or (), values.get("factors", ())):
+            try:
+                ExperimentDesign(base, (factor,))
+            except ValueError as exc:
+                key = "path" if isinstance(exc, UnknownPathError) else "values"
+                raise _Invalid(str(exc), block, key) from None
         return _build(ExperimentDesign, values, data)
     except _Invalid as exc:
         raise exc.at(str(path)) from None

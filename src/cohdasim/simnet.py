@@ -200,11 +200,20 @@ class SimClockStats:
         return self.stop_reason == "quiescent"
 
 
-def _sample_delay(network: NetworkModel, rng: random.Random) -> float:
-    d = network.delay.sample(rng)
+def _delivery_time(
+    network: NetworkModel, rng: random.Random, at: float, link: tuple, last_on_link: dict
+) -> float:
+    """When one copy sent on ``link`` at ``at`` arrives: a sampled delay,
+    capped by ``max_delay_bound``; with ``reorder`` disabled, never before
+    the link's previous delivery."""
+    delay = network.delay.sample(rng)
     if network.max_delay_bound is not None:
-        d = min(d, network.max_delay_bound)
-    return d
+        delay = min(delay, network.max_delay_bound)
+    deliver_at = at + delay
+    if not network.reorder:
+        deliver_at = max(deliver_at, last_on_link.get(link, 0.0))
+        last_on_link[link] = deliver_at
+    return deliver_at
 
 
 def run(
@@ -231,61 +240,18 @@ def run(
 
     rng = random.Random(seed)
     seq = itertools.count()
-    heap: list[tuple] = []
+    # (time, seq, recipient, message); a start event carries no message.
+    heap: list[tuple] = [(0.0, next(seq), aid, None) for aid in sorted(states)]
     last_on_link: dict[tuple[str, str], float] = {}
     messages_sent = bytes_sent = drops = duplicates = deliveries = noops = 0
     curve: list[tuple[float, float, int]] = []
-    current: tuple[int, float, int] | None = None  # (size, fitness, key)
+    leader: Candidate | None = None  # compare-maximal best any agent has held
     stop_reason = "quiescent"
     now = 0.0
     started = time.perf_counter()
 
-    for aid in sorted(states):
-        heapq.heappush(heap, (0.0, next(seq), "start", aid, None))
-
-    def transmit(sender: str, neighbors, outputs, at: float) -> bool:
-        nonlocal messages_sent, bytes_sent, drops, duplicates
-        if not outputs:
-            return True
-        size = encoded_length(outputs[0])
-        for recipient, msg in zip(neighbors, outputs):
-            if messages_sent >= limits.max_messages:
-                return False
-            messages_sent += 1
-            bytes_sent += size
-            if trace is not None:
-                trace.append(
-                    TraceEvent(at, "publish", {"from": sender, "to": recipient, "bytes": size})
-                )
-            if rng.random() < network.drop_probability:
-                drops += 1
-                if trace is not None:
-                    trace.append(TraceEvent(at, "drop", {"from": sender, "to": recipient}))
-                continue
-            deliver_at = at + _sample_delay(network, rng)
-            if not network.reorder:
-                deliver_at = max(deliver_at, last_on_link.get((sender, recipient), 0.0))
-                last_on_link[(sender, recipient)] = deliver_at
-            heapq.heappush(heap, (deliver_at, next(seq), "deliver", recipient, msg))
-            if rng.random() < network.duplicate_probability:
-                duplicates += 1
-                dup_at = at + _sample_delay(network, rng)
-                if not network.reorder:
-                    dup_at = max(dup_at, last_on_link.get((sender, recipient), 0.0))
-                    last_on_link[(sender, recipient)] = dup_at
-                if trace is not None:
-                    trace.append(
-                        TraceEvent(
-                            at,
-                            "duplicate",
-                            {"from": sender, "to": recipient, "deliver_at": dup_at},
-                        )
-                    )
-                heapq.heappush(heap, (dup_at, next(seq), "deliver", recipient, msg))
-        return True
-
     while heap:
-        at, _, kind, aid, payload = heapq.heappop(heap)
+        at, _, aid, msg = heapq.heappop(heap)
         if at < now:
             raise StructuralError(f"simulated time went backwards: event at {at!r} after {now!r}")
         if at > limits.max_sim_time:
@@ -294,15 +260,15 @@ def run(
         now = at
         deliveries += 1
         state = states[aid]
-        if kind == "start":
+        if msg is None:
             new_state, outputs = handle_start(state, target)
         else:
-            new_state, outputs = handle_message(state, payload)
+            new_state, outputs = handle_message(state, msg)
         if trace is not None:
-            if kind == "start":
+            if msg is None:
                 detail = {"msg": "start", "to": aid}
             else:
-                detail = {"msg": "knowledge", "to": aid, "from": payload.sender}
+                detail = {"msg": "knowledge", "to": aid, "from": msg.sender}
             own = new_state.memory.config.get(aid) if new_state.memory else None
             detail["version"] = own.version if own is not None else None
             trace.append(TraceEvent(at, "deliver", detail))
@@ -311,31 +277,46 @@ def run(
             # nothing to send.
             noops += 1
             continue
+        states[aid] = new_state
 
         old_best = state.memory.best if state.memory else None
-        new_best = new_state.memory.best if new_state.memory else None
-        if new_best is not None and (
-            old_best is None or (new_best is not old_best and compare(new_best, old_best) > 0)
-        ):
-            size, fitness, key = new_best.size, new_best.fitness, new_best.key
+        best = new_state.memory.best
+        if best is not old_best and (old_best is None or compare(best, old_best) > 0):
             if trace is not None:
-                trace.append(
-                    TraceEvent(
-                        at,
-                        "best_improved",
-                        {"agent": aid, "fitness": fitness, "size": size, "key": key},
-                    )
-                )
-            if current is None or (
-                size > current[0]
-                or (size == current[0] and fitness < current[1])
-                or (size == current[0] and fitness == current[1] and key < current[2])
-            ):
-                current = (size, fitness, key)
-                curve.append((at, fitness, size))
-        states[aid] = new_state
-        if not transmit(aid, new_state.neighbors, outputs, at):
-            stop_reason = "max_messages"
+                detail = {"agent": aid, "fitness": best.fitness, "size": best.size, "key": best.key}
+                trace.append(TraceEvent(at, "best_improved", detail))
+            if leader is None or compare(best, leader) > 0:
+                leader = best
+                curve.append((at, best.fitness, best.size))
+
+        if not outputs:
+            continue
+        size = encoded_length(outputs[0])
+        for recipient, out in zip(new_state.neighbors, outputs):
+            if messages_sent >= limits.max_messages:
+                stop_reason = "max_messages"
+                break
+            messages_sent += 1
+            bytes_sent += size
+            if trace is not None:
+                detail = {"from": aid, "to": recipient, "bytes": size}
+                trace.append(TraceEvent(at, "publish", detail))
+            if rng.random() < network.drop_probability:
+                drops += 1
+                if trace is not None:
+                    trace.append(TraceEvent(at, "drop", {"from": aid, "to": recipient}))
+                continue
+            link = (aid, recipient)
+            deliver_at = _delivery_time(network, rng, at, link, last_on_link)
+            heapq.heappush(heap, (deliver_at, next(seq), recipient, out))
+            if rng.random() < network.duplicate_probability:
+                duplicates += 1
+                dup_at = _delivery_time(network, rng, at, link, last_on_link)
+                if trace is not None:
+                    detail = {"from": aid, "to": recipient, "deliver_at": dup_at}
+                    trace.append(TraceEvent(at, "duplicate", detail))
+                heapq.heappush(heap, (dup_at, next(seq), recipient, out))
+        if stop_reason != "quiescent":
             break
 
     stats = SimClockStats(

@@ -13,7 +13,7 @@ settings.load_profile("suite")
 def make_agent(agent_id, schedules, horizon, neighbors=()):
     """Agent with explicit schedule rows (lists of floats)."""
     sset = ScheduleSet((Schedule(tuple(row)) for row in schedules), horizon)
-    return AgentState(agent_id, sset, horizon, tuple(neighbors))
+    return AgentState(agent_id, sset, tuple(neighbors))
 
 
 def record(agent_id, index, row, version=0):

@@ -132,7 +132,7 @@ def _battery_case(index: int):
             for _ in range(m)
         ]
         agents.append(
-            AgentState(aid, ScheduleSet(rows, horizon), horizon, overlay.adjacency[aid])
+            AgentState(aid, ScheduleSet(rows, horizon), overlay.adjacency[aid])
         )
     target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
     return agents, overlay, target, network
@@ -416,13 +416,11 @@ def test_criterion_7_efficiency_metrics_hand_trace():
         AgentState(
             "A",
             ScheduleSet([Schedule((-1.0,)), Schedule((-2.0,))], horizon),
-            horizon,
             overlay.adjacency["A"],
         ),
         AgentState(
             "B",
             ScheduleSet([Schedule((-1.0,)), Schedule((-3.0,))], horizon),
-            horizon,
             overlay.adjacency["B"],
         ),
     ]

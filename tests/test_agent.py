@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from cohdasim import agent as agent_module
 from cohdasim.agent import (
+    AgentState,
     ConfigurationError,
     NotStartedError,
     ScheduleSet,
@@ -78,6 +79,14 @@ def test_start_target_length_mismatch(horizon1):
     agent = make_agent("A", [[0.0]], horizon1)
     with pytest.raises(StructuralError):
         handle_start(agent, TargetProfile((0.0, 1.0)))
+
+
+def test_agent_horizon_is_its_schedule_sets(horizon4):
+    # A separate horizon could disagree with the schedule set's window.
+    agent = make_agent("A", [[0.0, 0.0, 0.0, 0.0]], horizon4)
+    assert agent.horizon is agent.schedule_set.horizon
+    with pytest.raises(TypeError):
+        AgentState("A", agent.schedule_set, (), horizon=horizon4)
 
 
 # --- merge_config -----------------------------------------------------------

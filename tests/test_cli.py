@@ -319,11 +319,11 @@ BAD_VALUES = [
 ]
 
 
-def _located_error(path: Path) -> tuple[str, str]:
+def _located_error(path: Path, load=load_scenario) -> tuple[str, str]:
     """Message of the ScenarioError that loading ``path`` raises, and the
     file line its location points at."""
     with pytest.raises(ScenarioError) as err:
-        load_scenario(str(path))
+        load(str(path))
     match = re.match(rf"{re.escape(str(path))}:(\d+):\d+: (.*)", str(err.value))
     assert match, str(err.value)
     return match.group(2), path.read_text().splitlines()[int(match.group(1)) - 1]
@@ -364,3 +364,32 @@ def test_bad_delay_parameters_rejected(tmp_path, capsys, delay):
     assert line.split(":")[0].strip() in {"delay", *keys}
     assert main(["validate", str(path)]) == 2
     assert "network.delay" in capsys.readouterr().err
+
+
+# (factor path, its values, message, the reported key)
+BAD_FACTORS = [
+    ("sampling.count", [2, 1.7], "factor 'sampling.count' value 1.7: needs an integer", "values"),
+    ("network.delay", [{"kind": "uniform", "low_s": 0.1}],
+     "missing key 'high_s' in uniform delay", "values"),
+    ("network.bogus", [1], "factor 'network.bogus': unknown parameter path segment 'bogus'",
+     "path"),
+]
+
+
+@pytest.mark.parametrize("factor, values, message, key", BAD_FACTORS,
+                         ids=["non-integer-count", "delay-missing-key", "unknown-path"])
+def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message, key):
+    # The bad factor is the second one, so its keys are on lines 6 and 7.
+    path = tmp_path / "design.yaml"
+    path.write_text(
+        "base_scenario: toy-2\n"
+        "replications: 2\n"
+        "factors:\n"
+        "- path: network.duplicate_probability\n"
+        "  values: [0.0, 0.1]\n"
+        f"- path: {factor}\n"
+        f"  values: {json.dumps(values)}\n"
+    )
+    reported, line = _located_error(path, load_design)
+    assert message in reported
+    assert line == (f"- path: {factor}" if key == "path" else f"  values: {json.dumps(values)}")

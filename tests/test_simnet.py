@@ -1,4 +1,5 @@
 import dataclasses
+from collections import defaultdict
 
 import pytest
 
@@ -253,23 +254,52 @@ def test_time_going_backwards_raises(horizon1):
 # --- kernel counters ----------------------------------------------------------
 
 
-def _lossy_runs(horizon4, traced):
-    """(stats, trace) of a few lossy, duplicating runs, FIFO and reordering."""
+def _lossy_run(horizon4, seed, reorder, trace=None):
+    """Five agents on a ring over a lossy, duplicating network."""
     overlay = ring(["A", "B", "C", "D", "E"])
     rows = {
         aid: [[-1.0, 0.0, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0], [-1.0, -1.0, 0.0, 0.0]]
         for aid in "ABCDE"
     }
     target = TargetProfile((-2.0, -3.0, -2.0, -1.0))
+    network = NetworkModel(delay=UniformDelay(0.0, 0.5), drop_probability=0.15,
+                           duplicate_probability=0.3, reorder=reorder)
+    return run(_agents(horizon4, rows, overlay), overlay, target, network, seed=seed,
+               trace=trace)
+
+
+def _lossy_runs(horizon4, traced):
+    """(stats, trace) of a few lossy, duplicating runs, FIFO and reordering."""
     out = []
     for seed, reorder in ((1, False), (2, True), (3, False)):
-        network = NetworkModel(delay=UniformDelay(0.0, 0.5), drop_probability=0.15,
-                               duplicate_probability=0.3, reorder=reorder)
-        trace = [] if traced else None
-        _, events, stats = run(_agents(horizon4, rows, overlay), overlay, target, network,
-                               seed=seed, trace=trace)
+        _, events, stats = _lossy_run(horizon4, seed, reorder, [] if traced else None)
         out.append((stats, events))
     return out
+
+
+@pytest.mark.parametrize("reorder", [False, True])
+def test_link_order_of_sender_versions(horizon4, monkeypatch, reorder):
+    # Per link, the sender's own record version in each delivered message:
+    # with reordering disabled it never decreases, duplicates included.
+    handle = simnet.handle_message
+    delivered = defaultdict(list)
+
+    def record(state, msg):
+        delivered[msg.sender, state.agent_id].append(msg.config[msg.sender].version)
+        return handle(state, msg)
+
+    monkeypatch.setattr(simnet, "handle_message", record)
+    decreases = 0
+    for seed in range(1, 11):
+        delivered.clear()
+        _, _, stats = _lossy_run(horizon4, seed, reorder)
+        assert stats.duplicates > 0
+        decreases += sum(
+            later < earlier
+            for versions in delivered.values()
+            for earlier, later in zip(versions, versions[1:])
+        )
+    assert (decreases > 0) == reorder
 
 
 def test_default_run_builds_no_events(horizon4, monkeypatch):
