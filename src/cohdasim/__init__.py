@@ -4,6 +4,7 @@ plants, embedded in a deterministic simulated message network."""
 from .core import (
     Candidate,
     DegenerateTargetError,
+    Fleet,
     PlanningHorizon,
     Schedule,
     SelectionRecord,

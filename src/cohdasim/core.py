@@ -11,8 +11,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import accumulate, compress
 from math import isfinite
-from typing import Iterable, Mapping
+from operator import getitem
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,18 +25,17 @@ __all__ = [
     "Schedule",
     "TargetProfile",
     "SelectionRecord",
+    "ScheduleSet",
+    "Fleet",
     "SystemConfiguration",
     "Candidate",
     "aggregate",
     "objective",
     "coverage",
     "selection_items",
-    "record_key_bytes",
-    "key_of_parts",
     "configuration_key",
     "make_candidate",
     "compare",
-    "prefer",
 ]
 
 
@@ -144,10 +145,158 @@ class SelectionRecord:
     version: int = 0
 
 
-# A system configuration maps agent ids to their selection records. It is
-# treated as an immutable value everywhere: operations build new dicts and
-# never mutate one that has been handed out.
-SystemConfiguration = dict[str, SelectionRecord]
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class ScheduleSet(Sequence[Schedule]):
+    """Immutable, ordered schedule collection bound to a horizon.
+
+    Precomputes the window-restricted power matrix once so that the
+    per-message re-optimization stays a single vectorized pass.
+    """
+
+    __slots__ = ("schedules", "horizon", "window_matrix")
+
+    def __init__(self, schedules: Iterable[Schedule], horizon: PlanningHorizon):
+        self.schedules = tuple(schedules)
+        for s in self.schedules:
+            if len(s) != horizon.interval_count:
+                raise StructuralError(
+                    f"schedule length {len(s)} does not match horizon "
+                    f"{horizon.interval_count}"
+                )
+        self.horizon = horizon
+        if self.schedules:
+            full = np.stack([s.arr for s in self.schedules])
+        else:
+            full = np.zeros((0, horizon.interval_count), dtype=np.float64)
+        # Column indexing leaves this in Fortran order; the decide step's
+        # per-row sums depend on that order bit for bit.
+        self.window_matrix = _frozen(full[:, horizon.window_index])
+
+    def __len__(self) -> int:
+        return len(self.schedules)
+
+    def __getitem__(self, index):
+        return self.schedules[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScheduleSet):
+            return NotImplemented
+        return self.schedules == other.schedules and self.horizon == other.horizon
+
+    def __repr__(self) -> str:
+        return f"ScheduleSet({len(self.schedules)} schedules, T={self.horizon.interval_count})"
+
+
+class Fleet:
+    """The fixed table of one run, shared by all its agents and
+    configurations.
+
+    ``ids`` are the agent ids, sorted; ``position`` maps each to its place.
+    ``schedule_sets`` holds each agent's schedules in that order. ``rows`` is
+    one window-row table: for each agent a zero row, then its window
+    matrix, so that schedule ``s`` of the agent at place ``i`` is row
+    ``offsets[i] + s`` and index -1 is a zero row. ``record_lengths`` are
+    the wire lengths of each agent's records, and ``key_parts[i][s]`` is
+    what schedule ``s`` of agent ``i`` adds to a configuration key;
+    ``key_parts[i][-1]`` is empty.
+    """
+
+    __slots__ = ("ids", "position", "horizon", "schedule_sets", "rows", "offsets",
+                 "record_lengths", "key_parts")
+
+    def __init__(self, schedules: Mapping[str, Iterable[Schedule]], horizon: PlanningHorizon):
+        from .wire import record_length  # the wire module imports this one
+
+        self.ids = tuple(sorted(schedules))
+        self.position = {aid: i for i, aid in enumerate(self.ids)}
+        self.horizon = horizon
+        self.schedule_sets = tuple(ScheduleSet(schedules[aid], horizon) for aid in self.ids)
+        sizes = [len(s) for s in self.schedule_sets]
+        self.offsets = tuple(accumulate((size + 1 for size in sizes), initial=1))[:-1]
+        zero = np.zeros((1, len(horizon.product_window)), dtype=np.float64)
+        blocks = [block for s in self.schedule_sets for block in (zero, s.window_matrix)]
+        # C order, so that gathering rows reads each row in one piece.
+        self.rows = _frozen(np.ascontiguousarray(np.concatenate(blocks or [zero])))
+        self.record_lengths = tuple(record_length(aid, horizon.interval_count) for aid in self.ids)
+        self.key_parts = tuple(
+            tuple(_key_part(aid, s) for s in range(size)) + (b"",)
+            for aid, size in zip(self.ids, sizes)
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"Fleet({len(self.ids)} agents, T={self.horizon.interval_count})"
+
+
+class SystemConfiguration(Mapping[str, SelectionRecord]):
+    """Read-only map from agent id to selection record over one ``Fleet``.
+
+    Backed by two int tuples in fleet order: each agent's schedule index and
+    version, both -1 for an agent the configuration does not know. Records
+    are built only when read. Configurations are immutable values.
+    """
+
+    __slots__ = ("fleet", "index", "version")
+
+    def __init__(self, fleet: Fleet, index: tuple[int, ...], version: tuple[int, ...]):
+        self.fleet = fleet
+        self.index = index
+        self.version = version
+
+    @classmethod
+    def empty(cls, fleet: Fleet) -> SystemConfiguration:
+        unknown = (-1,) * len(fleet)
+        return cls(fleet, unknown, unknown)
+
+    @classmethod
+    def from_records(cls, fleet: Fleet, records: Mapping[str, SelectionRecord]) -> SystemConfiguration:
+        """The configuration holding ``records``, each of which must select
+        an entry of its agent's row in ``fleet``."""
+        index = [-1] * len(fleet)
+        version = [-1] * len(fleet)
+        for aid, rec in records.items():
+            i = fleet.position.get(aid)
+            if i is None or rec.agent_id != aid:
+                raise StructuralError(f"record for {aid!r} names no agent of the fleet")
+            schedules = fleet.schedule_sets[i]
+            if not 0 <= rec.schedule_index < len(schedules) or rec.version < 0:
+                raise StructuralError(f"record of {aid!r} is out of range")
+            if rec.schedule != schedules[rec.schedule_index]:
+                raise StructuralError(f"schedule of {aid!r} is not its table entry")
+            index[i] = rec.schedule_index
+            version[i] = rec.version
+        return cls(fleet, tuple(index), tuple(version))
+
+    def known(self) -> Iterator[bool]:
+        """Whether the configuration knows each agent, in fleet order."""
+        return map((0).__le__, self.index)
+
+    def __getitem__(self, aid: str) -> SelectionRecord:
+        i = self.fleet.position.get(aid)
+        if i is None or self.index[i] < 0:
+            raise KeyError(aid)
+        idx = self.index[i]
+        return SelectionRecord(aid, idx, self.fleet.schedule_sets[i][idx], self.version[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return compress(self.fleet.ids, self.known())
+
+    def __len__(self) -> int:
+        return len(self.index) - self.index.count(-1)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SystemConfiguration) and other.fleet is self.fleet:
+            return self.index == other.index and self.version == other.version
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"SystemConfiguration({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -172,42 +321,31 @@ def selection_items(config: Mapping[str, SelectionRecord]) -> tuple[tuple[str, i
     return tuple((aid, config[aid].schedule_index) for aid in sorted(config))
 
 
-def record_key_bytes(rec: SelectionRecord) -> bytes:
-    """The bytes one record contributes to a configuration key."""
-    raw = rec.__dict__.get("_key_bytes")
-    if raw is None:
-        encoded = rec.agent_id.encode("utf-8")
-        raw = struct.pack("<I", len(encoded)) + encoded + struct.pack("<q", rec.schedule_index)
-        rec.__dict__["_key_bytes"] = raw
-    return raw
-
-
-def key_of_parts(parts: Iterable[bytes]) -> int:
-    """64-bit blake2b digest of record key bytes given in sorted-id order."""
-    h = blake2b(digest_size=8)
-    h.update(b"".join(parts))
-    return int.from_bytes(h.digest(), "little")
+def _key_part(agent_id: str, schedule_index: int) -> bytes:
+    """What one record adds to a configuration key."""
+    encoded = agent_id.encode("utf-8")
+    return struct.pack("<I", len(encoded)) + encoded + struct.pack("<q", schedule_index)
 
 
 def configuration_key(config: Mapping[str, SelectionRecord]) -> int:
-    """Stable 64-bit digest of the sorted (agent_id, schedule_index) pairs."""
-    return key_of_parts([record_key_bytes(config[aid]) for aid in sorted(config)])
+    """Stable 64-bit blake2b digest of the sorted (agent_id, schedule_index)
+    pairs. A ``SystemConfiguration`` lays its bytes out from its fleet's
+    table."""
+    if isinstance(config, SystemConfiguration):
+        data = b"".join(map(getitem, config.fleet.key_parts, config.index))
+    else:
+        data = b"".join(_key_part(aid, config[aid].schedule_index) for aid in sorted(config))
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
-def make_candidate(
-    config: Mapping[str, SelectionRecord],
-    fitness: float,
-    creator: str,
-    key: int | None = None,
-) -> Candidate:
-    """Candidate over ``config``; ``key``, when given, must equal
-    ``configuration_key(config)``."""
+def make_candidate(config: Mapping[str, SelectionRecord], fitness: float, creator: str) -> Candidate:
+    """Candidate over ``config``, with its size and key."""
     return Candidate(
         configuration=config,
         fitness=float(fitness),
         size=len(config),
         creator=creator,
-        key=configuration_key(config) if key is None else key,
+        key=configuration_key(config),
     )
 
 
@@ -234,11 +372,6 @@ def compare(a: Candidate, b: Candidate) -> int:
     if items_a != items_b:
         return 1 if items_a < items_b else -1
     return 0
-
-
-def prefer(a: Candidate, b: Candidate) -> Candidate:
-    """The compare-preferred of the two; ``a`` wins ties."""
-    return a if compare(a, b) >= 0 else b
 
 
 def aggregate(config: Mapping[str, SelectionRecord], horizon: PlanningHorizon) -> Schedule:

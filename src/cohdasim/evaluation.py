@@ -19,8 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agent import ScheduleSet
-from .core import Schedule, StructuralError, TargetProfile, PlanningHorizon, aggregate
+from .core import Schedule, ScheduleSet, StructuralError, TargetProfile, PlanningHorizon, aggregate
 from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import topology
-from .agent import AgentState, ScheduleSet
+from .agent import AgentState
 from .core import (
     DegenerateTargetError,
+    Fleet,
     PlanningHorizon,
     StructuralError,
     TargetProfile,
@@ -166,7 +167,8 @@ def _build_overlay(spec: TopologySpec, ids: Sequence[str], seed: int) -> Overlay
 
 def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     """Expand device groups, sample flexibility sets, build the overlay and
-    construct agents, all deterministically from (scenario, run_seed)."""
+    construct agents over one fleet table, all deterministically from
+    (scenario, run_seed)."""
     ids, models = _expand_devices(scenario)
     budget = scenario.sampling.attempt_factor * scenario.sampling.count
     flexibility = tuple(
@@ -182,14 +184,8 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     overlay = _build_overlay(
         scenario.topology, ids, mix_seed("topology", scenario.seeds.topology, run_seed)
     )
-    agents = tuple(
-        AgentState(
-            agent_id=aid,
-            schedule_set=ScheduleSet(flex.schedules, scenario.horizon),
-            neighbors=overlay.adjacency[aid],
-        )
-        for aid, flex in zip(ids, flexibility)
-    )
+    fleet = Fleet({aid: flex.schedules for aid, flex in zip(ids, flexibility)}, scenario.horizon)
+    agents = tuple(AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids)
     return Materialized(
         scenario=scenario,
         device_ids=ids,
@@ -202,14 +198,15 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
 
 
 class UnknownPathError(StructuralError):
-    """A dotted parameter path does not name a scenario parameter."""
+    """A dotted parameter path does not name a scenario parameter that a
+    design factor can set."""
 
 
 def _set_path(obj, parts: list[str], value):
     """Rebuild an immutable dataclass/tuple tree with one leaf replaced,
-    the value coerced to the type of the leaf it replaces."""
+    the value checked against the kind of that leaf."""
     if not parts:
-        return _coerce_leaf(obj, value)
+        raise UnknownPathError("parameter path ends at a list item")
     head, rest = parts[0], parts[1:]
     if isinstance(obj, tuple):
         if not (head.isdigit() and int(head) < len(obj)):
@@ -220,37 +217,47 @@ def _set_path(obj, parts: list[str], value):
     if dataclasses.is_dataclass(obj):
         if not hasattr(obj, head):
             raise UnknownPathError(f"unknown parameter path segment {head!r}")
-        current = getattr(obj, head)
-        return dataclasses.replace(obj, **{head: _set_path(current, rest, value)})
+        if rest:
+            return dataclasses.replace(obj, **{head: _set_path(getattr(obj, head), rest, value)})
+        from .schema import leaf_kind  # the schema module imports this one
+
+        kind = leaf_kind(type(obj), head)
+        if kind is None:
+            raise UnknownPathError(f"{head!r} is not a number, a boolean, a delay or a name")
+        return dataclasses.replace(obj, **{head: _coerce_leaf(kind, value)})
     raise UnknownPathError(f"cannot descend into {type(obj).__name__} at {head!r}")
 
 
-def _coerce_leaf(current, value):
-    if isinstance(value, Mapping):
-        if current is None or hasattr(current, "sample"):
-            return delay_from_mapping(value)
-        raise StructuralError("mapping values are only supported for delay models")
-    if isinstance(current, bool):
+def _coerce_leaf(kind: str, value):
+    if kind == "delay":
+        if not isinstance(value, Mapping):
+            raise StructuralError(f"needs a delay mapping, got {value!r}")
+        return delay_from_mapping(value)
+    if kind == "boolean":
         if not isinstance(value, bool):
             raise StructuralError(f"needs true or false, got {value!r}")
         return value
-    if isinstance(current, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise StructuralError(f"needs a number, got {value!r}")
-        if isinstance(current, int) and not isinstance(value, int):
-            raise StructuralError(f"needs an integer, got {value!r}")
-        if not math.isfinite(value):
-            raise StructuralError(f"needs a finite number, got {value!r}")
-        return type(current)(value)
-    return value
+    if kind == "name":
+        if not isinstance(value, str):
+            raise StructuralError(f"needs a name, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"needs a number, got {value!r}")
+    if kind == "integer" and not isinstance(value, int):
+        raise StructuralError(f"needs an integer, got {value!r}")
+    if not math.isfinite(value):
+        raise StructuralError(f"must be finite, got {value!r}")
+    return int(value) if kind == "integer" else float(value)
 
 
 def with_param(scenario: Scenario, path: str, value) -> Scenario:
     """Return a copy of the scenario with one dotted parameter replaced.
 
-    Paths resolve against the scenario structure, e.g.
-    ``network.duplicate_probability``, ``topology.k``, ``sampling.count``,
-    ``devices.0.count`` or ``network.delay`` (with a delay mapping value).
+    Paths resolve against the scenario structure and must end at a field
+    of the scenario file's table that holds a number, a boolean, a delay or
+    a name, e.g. ``network.duplicate_probability``, ``topology.k``,
+    ``sampling.count``, ``devices.0.count``, ``topology.family`` or
+    ``network.delay`` (with a delay mapping value).
     """
     return _set_path(scenario, path.split("."), value)
 

@@ -37,6 +37,7 @@ __all__ = [
     "load_design",
     "parse_scenario_mapping",
     "scenario_to_mapping",
+    "leaf_kind",
 ]
 
 
@@ -282,6 +283,25 @@ _DESIGN = (
     Field("base_seed", "base_seed", _integer),
 )
 _FACTOR = (Field("path", "path", str, True), Field("values", "values", _list_of(lambda v: v), True))
+
+
+# What a design factor may set each scalar field to, by dataclass attribute.
+_LEAF_KINDS = {_number: "number", _integer: "integer", _boolean: "boolean", _delay: "delay",
+               str: "name"}
+_LEAVES = {
+    (cls, f.attr): _LEAF_KINDS[f.read]
+    for cls, fields in [(PlanningHorizon, _HORIZON), (DeviceGroup, _GROUP), (DeviceModel, _MODEL),
+                        *_SECTIONS.values()]
+    for f in fields
+    if f.read in _LEAF_KINDS
+}
+
+
+def leaf_kind(owner: type, attr: str) -> str | None:
+    """``number``, ``integer``, ``boolean``, ``delay`` or ``name`` for a
+    scalar field of the table that ``attr`` of an ``owner`` fills; None for
+    any other attribute."""
+    return _LEAVES.get((owner, attr))
 
 
 # --- parse and dump -----------------------------------------------------------

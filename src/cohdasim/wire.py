@@ -3,18 +3,21 @@
 Used for message size accounting in the simulator and for the scenario
 tooling. The encoding is deterministic: fixed-width little-endian
 integers, 64-bit IEEE floats, and maps length-prefixed and sorted by
-agent id. ``decode_message(encode_message(m)) == m`` holds exactly.
+agent id. ``decode_message(encode_message(m), fleet) == m`` holds exactly
+for a message over ``fleet``.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     Candidate,
+    Fleet,
     Schedule,
     SelectionRecord,
     SystemConfiguration,
@@ -31,7 +34,6 @@ __all__ = [
     "encoded_length",
     "record_length",
     "config_length",
-    "carry_config_length",
 ]
 
 _FORMAT_VERSION = 1
@@ -48,17 +50,13 @@ def _pack_floats(values) -> bytes:
 
 
 def _pack_record(rec: SelectionRecord) -> bytes:
-    cached = rec.__dict__.get("_wire")
-    if cached is None:
-        cached = b"".join(
-            (
-                _pack_str(rec.agent_id),
-                struct.pack("<iI", rec.schedule_index, rec.version),
-                _pack_floats(rec.schedule.power),
-            )
+    return b"".join(
+        (
+            _pack_str(rec.agent_id),
+            struct.pack("<iI", rec.schedule_index, rec.version),
+            _pack_floats(rec.schedule.power),
         )
-        rec.__dict__["_wire"] = cached
-    return cached
+    )
 
 
 def _pack_config(config: SystemConfiguration) -> bytes:
@@ -90,57 +88,30 @@ def encode_message(msg: KnowledgeMessage) -> bytes:
     )
 
 
-def record_length(rec: SelectionRecord) -> int:
-    """Byte length of one encoded record, cached on the record."""
-    n = rec.__dict__.get("_wire_len")
-    if n is None:
-        n = (4 + len(rec.agent_id.encode("utf-8"))) + 8 + (4 + 8 * len(rec.schedule.power))
-        rec.__dict__["_wire_len"] = n
-    return n
+def record_length(agent_id: str, interval_count: int) -> int:
+    """Byte length of one encoded record of ``agent_id`` over a horizon of
+    ``interval_count`` intervals."""
+    return (4 + len(agent_id.encode("utf-8"))) + 8 + (4 + 8 * interval_count)
 
 
 def config_length(config: SystemConfiguration) -> int:
     """Byte length of an encoded configuration: that of an empty one plus
-    ``record_length`` of each record."""
-    return 4 + sum(map(record_length, config.values()))
-
-
-def carry_config_length(obj, n: int) -> None:
-    """Attach the known byte length of a message's ``config`` or a
-    candidate's ``configuration`` to it. The value is derived, not part of
-    the object: ``dataclasses.replace`` drops it, and ``encoded_length``
-    computes it from the records when it is missing."""
-    obj.__dict__["_config_len"] = n
-
-
-def _carried_config_length(obj, config: SystemConfiguration) -> int:
-    n = obj.__dict__.get("_config_len")
-    if n is None:
-        n = config_length(config)
-        obj.__dict__["_config_len"] = n
-    return n
+    the fleet's record length of each known agent."""
+    return 4 + sum(compress(config.fleet.record_lengths, config.known()))
 
 
 def encoded_length(msg: KnowledgeMessage) -> int:
-    """Byte length of the canonical encoding, cached per message object.
-
-    Computed arithmetically (no bytes are built) from the configuration
-    lengths carried on the message and on its best candidate; always equals
-    ``len(encode_message(msg))``.
-    """
-    n = msg.__dict__.get("_wire_len")
-    if n is None:
-        n = (
-            1
-            + (4 + len(msg.sender.encode("utf-8")))
-            + (4 + 8 * len(msg.target.power))
-            + _carried_config_length(msg, msg.config)
-            + (4 + len(msg.best.creator.encode("utf-8")))
-            + 12
-            + _carried_config_length(msg.best, msg.best.configuration)
-        )
-        msg.__dict__["_wire_len"] = n
-    return n
+    """Byte length of the canonical encoding, computed from the fleet table
+    without building any bytes; always equals ``len(encode_message(msg))``."""
+    return (
+        1
+        + (4 + len(msg.sender.encode("utf-8")))
+        + (4 + 8 * len(msg.target.power))
+        + config_length(msg.config)
+        + (4 + len(msg.best.creator.encode("utf-8")))
+        + 12
+        + config_length(msg.best.configuration)
+    )
 
 
 class _Reader:
@@ -168,18 +139,19 @@ class _Reader:
         return tuple(arr.tolist())
 
 
-def _read_config(r: _Reader) -> SystemConfiguration:
+def _read_config(r: _Reader, fleet: Fleet) -> SystemConfiguration:
     (n,) = r.take("<I")
-    config: SystemConfiguration = {}
+    records = {}
     for _ in range(n):
         aid = r.take_str()
         idx, version = r.take("<iI")
-        schedule = Schedule(r.take_floats())
-        config[aid] = SelectionRecord(aid, idx, schedule, version)
-    return config
+        records[aid] = SelectionRecord(aid, idx, Schedule(r.take_floats()), version)
+    return SystemConfiguration.from_records(fleet, records)
 
 
-def decode_message(data: bytes) -> KnowledgeMessage:
+def decode_message(data: bytes, fleet: Fleet) -> KnowledgeMessage:
+    """The message ``data`` encodes, its configurations over ``fleet``.
+    Raises ``StructuralError`` for a record that is not a table entry."""
     from .agent import KnowledgeMessage  # the agent imports this module
 
     r = _Reader(data)
@@ -188,9 +160,9 @@ def decode_message(data: bytes) -> KnowledgeMessage:
         raise ValueError(f"unsupported wire format version {version}")
     sender = r.take_str()
     target = TargetProfile(r.take_floats())
-    config = _read_config(r)
+    config = _read_config(r, fleet)
     creator = r.take_str()
     fitness, size = r.take("<dI")
-    best_config = _read_config(r)
+    best_config = _read_config(r, fleet)
     best = Candidate(best_config, fitness, size, creator, configuration_key(best_config))
     return KnowledgeMessage(sender, target, config, best)

@@ -1,37 +1,50 @@
-import random
-
 import pytest
 from hypothesis import settings
 
-from cohdasim.agent import AgentState, ScheduleSet
-from cohdasim.core import PlanningHorizon, Schedule, SelectionRecord, TargetProfile
+from cohdasim.agent import AgentState
+from cohdasim.core import (
+    Fleet,
+    PlanningHorizon,
+    Schedule,
+    SelectionRecord,
+    SystemConfiguration,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
+def make_fleet(horizon, schedules):
+    """Fleet over ``schedules``: agent id -> schedule rows (lists of floats)."""
+    return Fleet({aid: [Schedule(tuple(row)) for row in rows] for aid, rows in schedules.items()},
+                 horizon)
+
+
+def make_agents(horizon, schedules, neighbors=None):
+    """Agents over one shared fleet, by id. ``schedules`` maps each id to its
+    schedule rows, ``neighbors`` an id to its neighbors' ids."""
+    fleet = make_fleet(horizon, schedules)
+    neighbors = neighbors or {}
+    return {aid: AgentState(aid, fleet, tuple(neighbors.get(aid, ()))) for aid in schedules}
+
+
 def make_agent(agent_id, schedules, horizon, neighbors=()):
-    """Agent with explicit schedule rows (lists of floats)."""
-    sset = ScheduleSet((Schedule(tuple(row)) for row in schedules), horizon)
-    return AgentState(agent_id, sset, tuple(neighbors))
+    """An agent alone in its fleet, with explicit schedule rows."""
+    return make_agents(horizon, {agent_id: schedules}, {agent_id: neighbors})[agent_id]
+
+
+def configuration(fleet, picks):
+    """Configuration over ``fleet`` from ``{agent_id: (index, version)}``:
+    each record selects that entry of its agent's table row."""
+    records = {
+        aid: SelectionRecord(aid, index, fleet.schedule_sets[fleet.position[aid]][index], version)
+        for aid, (index, version) in picks.items()
+    }
+    return SystemConfiguration.from_records(fleet, records)
 
 
 def record(agent_id, index, row, version=0):
     return SelectionRecord(agent_id, index, Schedule(tuple(row)), version)
-
-
-def random_instance(rng: random.Random, n_agents, n_schedules, T, window=None):
-    """Random raw instance: ids, schedule rows, target, horizon."""
-    if window is None:
-        window = tuple(range(T))
-    horizon = PlanningHorizon(T, 1.0, window)
-    ids = [f"a{i:03d}" for i in range(n_agents)]
-    sets = [
-        [[rng.uniform(-5.0, 5.0) for _ in range(T)] for _ in range(n_schedules)]
-        for _ in ids
-    ]
-    target = TargetProfile(tuple(rng.uniform(-5.0, 5.0) * n_agents / 2 for _ in range(T)))
-    return ids, sets, target, horizon
 
 
 @pytest.fixture

@@ -6,15 +6,18 @@ lines and the observational reports (optimality gaps, sweep trends).
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from cohdasim.agent import AgentState, ScheduleSet
+from cohdasim.agent import AgentState
 from cohdasim.cli import load_design, result_record, trace_records
-from cohdasim.core import PlanningHorizon, Schedule, TargetProfile, coverage
+from cohdasim.core import Fleet, PlanningHorizon, Schedule, TargetProfile, coverage
 from cohdasim.evaluation import (
     ExperimentDesign,
     EnumerationOracle,
@@ -56,24 +59,41 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 # --- shared fixtures ---------------------------------------------------------
 
 
+def _pool() -> ProcessPoolExecutor:
+    """Worker processes for independent runs; ``map`` keeps the input order."""
+    return ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                               mp_context=multiprocessing.get_context("spawn"))
+
+
+def _epex_run(seed: int):
+    """One run of the builtin EPEX Peakload scenario and the coverage of
+    its uncontrolled baseline."""
+    scenario = build_epex_scenario()
+    full = run_scenario_full(scenario, seed)
+    unc_total = [0.0] * scenario.horizon.interval_count
+    for schedule in uncontrolled_schedules(full.materialized):
+        for t, v in enumerate(schedule.power):
+            unc_total[t] += v
+    unc_cov = coverage(Schedule(tuple(unc_total)), scenario.target, scenario.horizon)
+    return full, unc_cov
+
+
+def _epex_outcome(seed: int):
+    full, unc_cov = _epex_run(seed)
+    return full.result, unc_cov
+
+
 @pytest.fixture(scope="module")
 def epex_runs():
     """Ten seeded runs of the builtin EPEX Peakload scenario, plus the full
-    artifacts of the first run for the feasibility criterion."""
-    scenario = build_epex_scenario()
-    outcomes = {}
-    first_full = None
-    for seed in EPEX_SEEDS:
-        full = run_scenario_full(scenario, seed)
-        unc_total = [0.0] * scenario.horizon.interval_count
-        for schedule in uncontrolled_schedules(full.materialized):
-            for t, v in enumerate(schedule.power):
-                unc_total[t] += v
-        unc_cov = coverage(Schedule(tuple(unc_total)), scenario.target, scenario.horizon)
-        outcomes[seed] = (full.result, unc_cov)
-        if seed == 0:
-            first_full = full
-    return scenario, outcomes, first_full
+    artifacts of the first run for the feasibility criterion. Seeds 1-9 run
+    in worker processes while seed 0 runs here."""
+    first, *rest = EPEX_SEEDS
+    with _pool() as pool:
+        others = pool.map(_epex_outcome, rest)
+        first_full, first_unc = _epex_run(first)
+        outcomes = {first: (first_full.result, first_unc), **dict(zip(rest, others))}
+    return build_epex_scenario(), outcomes, first_full
 
 
 _BATTERY_PINNED = [
@@ -125,59 +145,57 @@ def _battery_case(index: int):
     bound = rng.choice([None, 2.0])
     network = NetworkModel(delay=delay, drop_probability=0.0, max_delay_bound=bound)
 
-    agents = []
-    for aid in ids:
-        rows = [
-            Schedule(tuple(rng.uniform(-4.0, 4.0) for _ in range(T)))
-            for _ in range(m)
-        ]
-        agents.append(
-            AgentState(aid, ScheduleSet(rows, horizon), overlay.adjacency[aid])
-        )
+    fleet = Fleet({
+        aid: [Schedule(tuple(rng.uniform(-4.0, 4.0) for _ in range(T))) for _ in range(m)]
+        for aid in ids
+    }, horizon)
+    agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids]
     target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
     return agents, overlay, target, network
 
 
+def _battery_outcome(index: int) -> dict:
+    """One randomized drop-free scenario, reduced to the facts the
+    termination and anytime criteria assert on."""
+    agents, overlay, target, network = _battery_case(index)
+    limits = RunLimits(max_sim_time=1.0e5, max_messages=2_000_000)
+    states, trace, stats = run(agents, overlay, target, network,
+                               seed=555 + index, limits=limits, trace=[])
+
+    per_agent: dict[str, tuple] = {}
+    anytime_ok = True
+    global_steps = []
+    started_agents = set()
+    for ev in trace:
+        if ev.kind != "best_improved":
+            continue
+        started_agents.add(ev.payload["agent"])
+        step = (ev.payload["size"], -ev.payload["fitness"], -ev.payload["key"])
+        previous = per_agent.get(ev.payload["agent"])
+        if previous is not None and not step > previous:
+            anytime_ok = False
+        per_agent[ev.payload["agent"]] = step
+        if not global_steps or step > global_steps[-1]:
+            global_steps.append(step)
+    snapshot_monotone = all(a < b for a, b in zip(global_steps, global_steps[1:]))
+    initial_solutions = started_agents == {a.agent_id for a in agents}
+
+    return {
+        "n": len(agents),
+        "terminated": stats.terminated,
+        "consistent": check_consistency(states.values()),
+        "anytime_ok": anytime_ok,
+        "snapshot_monotone": snapshot_monotone,
+        "initial_solutions": initial_solutions,
+    }
+
+
 @pytest.fixture(scope="module")
 def battery_outcomes():
-    """200 randomized drop-free scenarios, reduced to the per-run facts the
-    termination and anytime criteria assert on."""
-    outcomes = []
-    for index in range(200):
-        agents, overlay, target, network = _battery_case(index)
-        limits = RunLimits(max_sim_time=1.0e5, max_messages=2_000_000)
-        states, trace, stats = run(agents, overlay, target, network,
-                                   seed=555 + index, limits=limits, trace=[])
-
-        per_agent: dict[str, tuple] = {}
-        anytime_ok = True
-        global_steps = []
-        started_agents = set()
-        for ev in trace:
-            if ev.kind != "best_improved":
-                continue
-            started_agents.add(ev.payload["agent"])
-            step = (ev.payload["size"], -ev.payload["fitness"], -ev.payload["key"])
-            previous = per_agent.get(ev.payload["agent"])
-            if previous is not None and not step > previous:
-                anytime_ok = False
-            per_agent[ev.payload["agent"]] = step
-            if not global_steps or step > global_steps[-1]:
-                global_steps.append(step)
-        snapshot_monotone = all(a < b for a, b in zip(global_steps, global_steps[1:]))
-        initial_solutions = started_agents == {a.agent_id for a in agents}
-
-        outcomes.append(
-            {
-                "n": len(agents),
-                "terminated": stats.terminated,
-                "consistent": check_consistency(states.values()),
-                "anytime_ok": anytime_ok,
-                "snapshot_monotone": snapshot_monotone,
-                "initial_solutions": initial_solutions,
-            }
-        )
-    return outcomes
+    """200 randomized drop-free scenarios, run in worker processes, in
+    index order."""
+    with _pool() as pool:
+        return list(pool.map(_battery_outcome, range(200)))
 
 
 # --- criteria ----------------------------------------------------------------
@@ -412,18 +430,11 @@ def test_criterion_7_efficiency_metrics_hand_trace():
     horizon = PlanningHorizon(1, 1.0, (0,))
     target = TargetProfile((-3.0,))
     overlay = ring(["A", "B"])
-    agents = [
-        AgentState(
-            "A",
-            ScheduleSet([Schedule((-1.0,)), Schedule((-2.0,))], horizon),
-            overlay.adjacency["A"],
-        ),
-        AgentState(
-            "B",
-            ScheduleSet([Schedule((-1.0,)), Schedule((-3.0,))], horizon),
-            overlay.adjacency["B"],
-        ),
-    ]
+    fleet = Fleet({
+        "A": [Schedule((-1.0,)), Schedule((-2.0,))],
+        "B": [Schedule((-1.0,)), Schedule((-3.0,))],
+    }, horizon)
+    agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ("A", "B")]
     network = NetworkModel(delay=ConstantDelay(1.0))
     states, trace, stats = run(agents, overlay, target, network, seed=0, trace=[])
 

@@ -23,17 +23,17 @@ from cohdasim.agent import (
 from cohdasim.core import (
     PlanningHorizon,
     Schedule,
-    SelectionRecord,
     StructuralError,
+    SystemConfiguration,
     TargetProfile,
     compare,
     configuration_key,
     make_candidate,
     objective,
 )
-from cohdasim.wire import encode_message, encoded_length
+from cohdasim.wire import decode_message, encode_message, encoded_length
 
-from conftest import make_agent, record
+from conftest import configuration, make_agent, make_agents, make_fleet
 
 
 # --- handle_start -----------------------------------------------------------
@@ -86,57 +86,53 @@ def test_agent_horizon_is_its_schedule_sets(horizon4):
     agent = make_agent("A", [[0.0, 0.0, 0.0, 0.0]], horizon4)
     assert agent.horizon is agent.schedule_set.horizon
     with pytest.raises(TypeError):
-        AgentState("A", agent.schedule_set, (), horizon=horizon4)
+        AgentState("A", agent.fleet, (), horizon=horizon4)
 
 
-# --- merge_config -----------------------------------------------------------
+# --- _merge -----------------------------------------------------------------
+
+_FLEET = make_fleet(PlanningHorizon(1, 1.0, (0,)),
+                    {aid: [[0.0], [1.0], [2.0], [3.0]] for aid in "abcd"})
 
 
 def test_merge_union_with_empty():
-    remote = {"A": record("A", 0, [1.0], version=3)}
-    assert _merge({}, remote)[0] == remote
+    remote = configuration(_FLEET, {"a": (0, 3)})
+    assert _merge(SystemConfiguration.empty(_FLEET), remote) == remote
 
 
 def test_merge_larger_version_wins_keep_local_on_tie():
-    local = {"A": record("A", 1, [1.0], version=5)}
-    remote = {"A": record("A", 0, [0.0], version=3)}
-    assert _merge(local, remote)[0]["A"].schedule_index == 1
+    local = configuration(_FLEET, {"a": (1, 5)})
+    remote = configuration(_FLEET, {"a": (0, 3)})
+    assert _merge(local, remote)["a"].schedule_index == 1
 
-    tie_local = {"A": record("A", 1, [1.0], version=3)}
-    merged = _merge(tie_local, remote)[0]
-    assert merged["A"] is tie_local["A"]
+    tie_local = configuration(_FLEET, {"a": (1, 3)})
+    merged = _merge(tie_local, remote)
+    assert merged is tie_local
 
 
 def test_merge_mixed_example():
-    local = {"A": record("A", 0, [0.0], version=1)}
-    remote = {
-        "A": record("A", 1, [1.0], version=2),
-        "B": record("B", 2, [2.0], version=0),
-    }
-    merged = _merge(local, remote)[0]
-    assert merged["A"].version == 2 and merged["A"].schedule_index == 1
-    assert merged["B"].schedule_index == 2
+    local = configuration(_FLEET, {"a": (0, 1)})
+    remote = configuration(_FLEET, {"a": (1, 2), "b": (2, 0)})
+    merged = _merge(local, remote)
+    assert merged["a"].version == 2 and merged["a"].schedule_index == 1
+    assert merged["b"].schedule_index == 2
 
 
-@st.composite
-def configs(draw):
-    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, max_size=4))
-    return {
-        aid: record(aid, draw(st.integers(0, 3)), [float(draw(st.integers(-3, 3)))],
-                    version=draw(st.integers(0, 4)))
-        for aid in ids
-    }
+# {agent id: (schedule index, version)} over _FLEET
+picks = st.dictionaries(st.sampled_from("abcd"), st.tuples(st.integers(0, 3), st.integers(0, 4)))
 
 
-@given(configs())
-def test_merge_idempotent(config):
-    assert _merge(config, config)[0] == config
+@given(picks)
+def test_merge_idempotent(p):
+    config = configuration(_FLEET, p)
+    assert _merge(config, config) is config
 
 
-@given(configs(), configs())
-def test_merge_commutative_up_to_equal_version_ties(a, b):
-    ab = _merge(a, b)[0]
-    ba = _merge(b, a)[0]
+@given(picks, picks)
+def test_merge_commutative_up_to_equal_version_ties(pa, pb):
+    a, b = configuration(_FLEET, pa), configuration(_FLEET, pb)
+    ab = _merge(a, b)
+    ba = _merge(b, a)
     assert set(ab) == set(ba)
     for aid in ab:
         if ab[aid] != ba[aid]:
@@ -144,17 +140,18 @@ def test_merge_commutative_up_to_equal_version_ties(a, b):
             assert ab[aid].version == ba[aid].version
 
 
-@given(configs(), configs(), configs())
-def test_merge_associative_on_conflict_free_inputs(a, b, c):
+@given(picks, picks, picks)
+def test_merge_associative_on_conflict_free_inputs(pa, pb, pc):
     # Make inputs conflict-free: distinct versions per agent id across maps.
     seen: dict[str, int] = {}
-    for m in (a, b, c):
-        for aid in list(m):
+    for p in (pa, pb, pc):
+        for aid in list(p):
             bump = seen.get(aid, 0)
-            m[aid] = dataclasses.replace(m[aid], version=bump)
+            p[aid] = (p[aid][0], bump)
             seen[aid] = bump + 1
-    left = _merge(_merge(a, b)[0], c)[0]
-    right = _merge(a, _merge(b, c)[0])[0]
+    a, b, c = (configuration(_FLEET, p) for p in (pa, pb, pc))
+    left = _merge(_merge(a, b), c)
+    right = _merge(a, _merge(b, c))
     assert left == right
 
 
@@ -162,10 +159,9 @@ def test_merge_associative_on_conflict_free_inputs(a, b, c):
 
 
 def test_choose_fills_gap(horizon1):
-    agent = make_agent("A", [[-2.0], [0.0]], horizon1)
-    state, _ = handle_start(agent, TargetProfile((-100.0,)))
-    config = dict(state.memory.config)
-    config["X"] = record("X", 0, [-98.0])
+    agents = make_agents(horizon1, {"A": [[-2.0], [0.0]], "X": [[-98.0]]})
+    state, _ = handle_start(agents["A"], TargetProfile((-100.0,)))
+    config = _merge(state.memory.config, configuration(state.fleet, {"X": (0, 0)}))
     state = dataclasses.replace(state, memory=dataclasses.replace(state.memory, config=config))
     state2, idx, value = choose_schedule(state)
     assert idx == 0 and value == 0.0
@@ -199,16 +195,16 @@ def test_choose_requires_memory(horizon1):
 # --- handle_message ---------------------------------------------------------
 
 
-def _started(agent_id, rows, horizon, target, neighbors=("N",)):
-    agent = make_agent(agent_id, rows, horizon, neighbors=neighbors)
+def _started(agent, target):
     state, _ = handle_start(agent, target)
     return state
 
 
 def test_message_identical_to_memory_is_silent(horizon1):
     target = TargetProfile((-1.0,))
-    state = _started("A", [[-1.0], [0.0]], horizon1, target)
-    echo = KnowledgeMessage("B", target, dict(state.memory.config), state.memory.best)
+    state = _started(make_agent("A", [[-1.0], [0.0]], horizon1, ("N",)), target)
+    echo_config = SystemConfiguration.from_records(state.fleet, dict(state.memory.config))
+    echo = KnowledgeMessage("B", target, echo_config, state.memory.best)
     state2, out = handle_message(state, echo)
     assert out == []
     assert state2.memory == state.memory
@@ -217,11 +213,10 @@ def test_message_identical_to_memory_is_silent(horizon1):
 
 def test_message_with_larger_best_replaces_and_publishes(horizon1):
     target = TargetProfile((-5.0,))
-    state = _started("A", [[-1.0]], horizon1, target)
-    remote_config = {
-        "B": record("B", 0, [-2.0]),
-        "C": record("C", 1, [-2.0]),
-    }
+    agents = make_agents(horizon1, {"A": [[-1.0]], "B": [[-2.0]], "C": [[0.0], [-2.0]]},
+                         {"A": ("N",)})
+    state = _started(agents["A"], target)
+    remote_config = configuration(state.fleet, {"B": (0, 0), "C": (1, 0)})
     remote_best = make_candidate(remote_config, objective(remote_config, target, horizon1), "B")
     msg = KnowledgeMessage("B", target, remote_config, remote_best)
     state2, out = handle_message(state, msg)
@@ -245,10 +240,9 @@ def test_two_agent_quiescence_matches_enumeration(horizon1):
     best = min(combos, key=lambda c: c[2])
     assert best[:2] == (0, 1) and best[2] == 0.0
 
-    a = make_agent("A", rows_a, horizon1, neighbors=("B",))
-    b = make_agent("B", rows_b, horizon1, neighbors=("A",))
-    state_a, out_a = handle_start(a, target)
-    state_b, out_b = handle_start(b, target)
+    agents = make_agents(horizon1, {"A": rows_a, "B": rows_b}, {"A": ("B",), "B": ("A",)})
+    state_a, out_a = handle_start(agents["A"], target)
+    state_b, out_b = handle_start(agents["B"], target)
     inbox = [("B", out_a[0]), ("A", out_b[0])]
     states = {"A": state_a, "B": state_b}
     hops = 0
@@ -265,18 +259,32 @@ def test_two_agent_quiescence_matches_enumeration(horizon1):
 
 
 def test_message_unknown_target_length(horizon1):
-    state = _started("A", [[0.0]], horizon1, TargetProfile((0.5,)))
-    bad = KnowledgeMessage("B", TargetProfile((1.0, 2.0)), {}, state.memory.best)
+    state = _started(make_agent("A", [[0.0]], horizon1, ("N",)), TargetProfile((0.5,)))
+    bad = KnowledgeMessage("B", TargetProfile((1.0, 2.0)), SystemConfiguration.empty(state.fleet),
+                           state.memory.best)
     with pytest.raises(StructuralError):
         handle_message(state, bad)
 
 
+def test_message_over_another_fleet_is_refused(horizon1):
+    target = TargetProfile((0.0,))
+    state, _ = handle_start(make_agent("A", [[0.0]], horizon1), target)
+    twin = make_fleet(horizon1, {"A": [[0.0]]})  # equal tables, another run
+    foreign = configuration(twin, {"A": (0, 1)})
+    dict_best = make_candidate(dict(state.memory.config), 0.0, "B")
+    for config, best in [(foreign, state.memory.best),
+                         (state.memory.config, make_candidate(foreign, 0.0, "B")),
+                         (state.memory.config, dict_best)]:
+        with pytest.raises(StructuralError):
+            handle_message(state, KnowledgeMessage("B", target, config, best))
+
+
 def test_implicit_start_on_first_message(horizon1):
     target = TargetProfile((-3.0,))
-    sender = _started("B", [[-3.0]], horizon1, target)
-    msg = KnowledgeMessage("B", target, dict(sender.memory.config), sender.memory.best)
-    cold = make_agent("A", [[-1.0], [0.0]], horizon1, neighbors=("B",))
-    state, out = handle_message(cold, msg)
+    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-3.0]]}, {"A": ("B",)})
+    sender = _started(agents["B"], target)
+    msg = KnowledgeMessage("B", target, sender.memory.config, sender.memory.best)
+    state, out = handle_message(agents["A"], msg)
     assert state.memory is not None
     assert state.memory.target == target
     assert "A" in state.memory.config and "B" in state.memory.config
@@ -287,14 +295,12 @@ def test_implicit_start_on_first_message(horizon1):
 
 def test_adopt_realigns_with_best(horizon1):
     target = TargetProfile((-2.0,))
-    state = _started("A", [[-1.0], [-2.0]], horizon1, target)
+    agents = make_agents(horizon1, {"A": [[-1.0], [-2.0]], "B": [[-1.0]]}, {"A": ("N",)})
+    state = _started(agents["A"], target)
     assert state.memory.config["A"].schedule_index == 1
     # A remote best of larger size records index 0 for A; A cannot beat it
     # alone (size), so it must conform and bump its version.
-    remote_config = {
-        "A": record("A", 0, [-1.0], version=0),
-        "B": record("B", 0, [-1.0], version=0),
-    }
+    remote_config = configuration(state.fleet, {"A": (0, 0), "B": (0, 0)})
     remote_best = make_candidate(remote_config, objective(remote_config, target, horizon1), "B")
     msg = KnowledgeMessage("B", target, remote_config, remote_best)
     state2, out = handle_message(state, msg)
@@ -307,17 +313,28 @@ def test_adopt_realigns_with_best(horizon1):
     assert len(out) == 1
 
 
+def _message_from(fleet, target, sender, index, version, extra=None):
+    """A message whose config and best hold a record of ``sender`` and the
+    ``extra`` picks."""
+    config = configuration(fleet, {sender: (index, version), **(extra or {})})
+    best = make_candidate(config, objective(config, target, fleet.horizon), sender)
+    return KnowledgeMessage(sender, target, config, best)
+
+
+# The other agents' schedule tables: their index picks the power value.
+_LEVELS = [[-4.0], [-3.0], [-2.0], [-1.0], [0.0]]
+
+
 def test_version_monotone_over_message_sequence(horizon1):
     rng = random.Random(3)
     target = TargetProfile((-4.0,))
-    state = _started("A", [[-1.0], [-2.0], [0.0]], horizon1, target)
+    rows = {"A": [[-1.0], [-2.0], [0.0]], **{f"B{i}": _LEVELS for i in range(3)}}
+    state = _started(make_agents(horizon1, rows, {"A": ("N",)})["A"], target)
     versions = [state.memory.config["A"].version]
     for step in range(30):
         other = f"B{rng.randrange(3)}"
-        config = {other: record(other, rng.randrange(2), [float(rng.randrange(-3, 1))],
-                                version=rng.randrange(4))}
-        best = make_candidate(config, objective(config, target, horizon1), other)
-        state, _ = handle_message(state, KnowledgeMessage(other, target, config, best))
+        msg = _message_from(state.fleet, target, other, rng.randrange(1, 5), rng.randrange(4))
+        state, _ = handle_message(state, msg)
         versions.append(state.memory.config["A"].version)
     assert versions == sorted(versions)
 
@@ -325,13 +342,13 @@ def test_version_monotone_over_message_sequence(horizon1):
 def test_anytime_monotone_over_message_sequence(horizon1):
     rng = random.Random(11)
     target = TargetProfile((-6.0,))
-    state = _started("A", [[-1.0], [-2.0], [0.0]], horizon1, target)
+    rows = {"A": [[-1.0], [-2.0], [0.0]], **{f"C{i}": _LEVELS for i in range(4)}}
+    state = _started(make_agents(horizon1, rows, {"A": ("N",)})["A"], target)
     previous = state.memory.best
     for step in range(40):
         other = f"C{rng.randrange(4)}"
-        config = {other: record(other, 0, [float(rng.randrange(-4, 0))], version=rng.randrange(3))}
-        best = make_candidate(config, objective(config, target, horizon1), other)
-        state, _ = handle_message(state, KnowledgeMessage(other, target, config, best))
+        msg = _message_from(state.fleet, target, other, rng.randrange(0, 4), rng.randrange(3))
+        state, _ = handle_message(state, msg)
         assert compare(state.memory.best, previous) >= 0
         previous = state.memory.best
 
@@ -339,24 +356,23 @@ def test_anytime_monotone_over_message_sequence(horizon1):
 def test_best_config_subset_of_own_config_invariant(horizon1):
     rng = random.Random(5)
     target = TargetProfile((-6.0,))
-    state = _started("A", [[-2.0], [0.0]], horizon1, target)
+    rows = {"A": [[-2.0], [0.0]], "E": [[-1.0]], **{f"D{i}": _LEVELS for i in range(4)}}
+    state = _started(make_agents(horizon1, rows, {"A": ("N",)})["A"], target)
     for step in range(40):
         other = f"D{rng.randrange(4)}"
-        config = {
-            other: record(other, 0, [float(rng.randrange(-4, 0))], version=rng.randrange(3)),
-            "E": record("E", 0, [-1.0], version=rng.randrange(3)),
-        }
-        best = make_candidate(config, objective(config, target, horizon1), other)
-        state, _ = handle_message(state, KnowledgeMessage(other, target, config, best))
+        msg = _message_from(state.fleet, target, other, rng.randrange(0, 4), rng.randrange(3),
+                            {"E": (0, rng.randrange(3))})
+        state, _ = handle_message(state, msg)
         assert set(state.memory.best.configuration) <= set(state.memory.config)
 
 
-# --- carried derived state ----------------------------------------------------
+# --- the decide step and the merge against dict references ----------------------
 
 
 def _reference_choose(state, target, config):
-    """The decide step from scratch: sum the other agents' full schedules
-    left to right in sorted-id order, then score every own schedule."""
+    """The decide step from scratch, through the records: sum the other
+    agents' full schedules left to right in sorted-id order, then score
+    every own schedule."""
     horizon = state.horizon
     others = np.zeros(horizon.interval_count, dtype=np.float64)
     for aid in sorted(config):
@@ -380,6 +396,15 @@ _power = st.one_of(
 )
 
 
+def _index(draw, fleet, aid):
+    return draw(st.integers(0, len(fleet.schedule_sets[fleet.position[aid]]) - 1))
+
+
+def _draw_config(draw, fleet, ids):
+    return configuration(fleet, {aid: (_index(draw, fleet, aid), draw(st.integers(0, 4)))
+                                 for aid in ids})
+
+
 @st.composite
 def _message_runs(draw):
     T = draw(st.sampled_from([1, 1, 3]))
@@ -389,61 +414,55 @@ def _message_runs(draw):
     def schedule():
         return [draw(_power) for _ in range(T)]
 
-    def config(ids):
-        return {aid: SelectionRecord(aid, draw(st.integers(0, 3)), Schedule(schedule()),
-                                     draw(st.integers(0, 4)))
-                for aid in ids}
-
-    rows = [schedule() for _ in range(draw(st.integers(1, 4)))]
+    fleet = make_fleet(horizon, {
+        aid: [schedule() for _ in range(draw(st.integers(1, 4)))] for aid in _IDS
+    })
     target = TargetProfile(schedule())
+    some_ids = st.lists(st.sampled_from(_IDS), unique=True, max_size=len(_IDS))
     steps = []
     for _ in range(draw(st.integers(1, 12))):
         sender = draw(st.sampled_from([aid for aid in _IDS if aid != _OWN]))
-        known = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=len(_IDS)))
         best_ids = draw(st.lists(st.sampled_from(_IDS), unique=True, min_size=1))
-        best = make_candidate(config(best_ids), draw(st.floats(0.0, 50.0)), sender)
+        best = make_candidate(_draw_config(draw, fleet, best_ids), draw(st.floats(0.0, 50.0)),
+                              sender)
         # In one step of four, swap the memory's config for another first.
         swap = None
         if draw(st.integers(0, 3)) == 0:
-            swap = config(draw(st.lists(st.sampled_from(_IDS), unique=True)))
-        steps.append((KnowledgeMessage(sender, target, config(known), best), swap))
-    return horizon, rows, target, steps
+            swap = _draw_config(draw, fleet, draw(some_ids))
+        config = _draw_config(draw, fleet, draw(some_ids))
+        steps.append((KnowledgeMessage(sender, target, config, best), swap))
+    return fleet, target, steps
 
 
 @given(_message_runs())
 def test_carried_state_matches_from_scratch(run):
-    horizon, rows, target, steps = run
+    # Every decide step equals the record-by-record reference bit for bit.
+    fleet, target, steps = run
     decisions = []
     original = agent_module._choose_index
 
-    def recording(state, target, derived):
-        idx, value = original(state, target, derived)
-        decisions.append((state, target, derived.config, idx, value))
+    def recording(state, target, config):
+        idx, value = original(state, target, config)
+        decisions.append((state, target, config, idx, value))
         return idx, value
 
-    state, _ = handle_start(make_agent(_OWN, rows, horizon, neighbors=("x", "y")), target)
+    state, _ = handle_start(AgentState(_OWN, fleet, ("x", "y")), target)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(agent_module, "_choose_index", recording)
         for msg, swap in steps:
             if swap is not None:
                 state = dataclasses.replace(
                     state, memory=dataclasses.replace(state.memory, config=swap))
-            carried = state.memory.derived
-            before = carried.rows.copy()
             decisions.clear()
             state, out = handle_message(state, msg)
 
-            assert np.array_equal(carried.rows, before)  # the input is untouched
             memory = state.memory
-            if decisions:  # a new memory was built, with fresh carried state
-                assert memory.derived.config is memory.config
-                assert not memory.derived.rows.flags.writeable
             for who, aim, config, idx, value in decisions:
                 ref_idx, ref_value = _reference_choose(who, aim, config)
                 assert idx == ref_idx and _bits(value) == _bits(ref_value)
-            assert memory.best.key == configuration_key(memory.best.configuration)
+            assert memory.best.key == configuration_key(dict(memory.best.configuration))
             for m in out:
-                assert m.best.key == configuration_key(m.best.configuration)
+                assert m.best.key == configuration_key(dict(m.best.configuration))
                 assert encoded_length(m) == len(encode_message(m))
             _, idx, value = choose_schedule(state)
             ref_idx, ref_value = _reference_choose(state, target, memory.config)
@@ -453,20 +472,28 @@ def test_carried_state_matches_from_scratch(run):
 _POOL = ["a0", "a1", "a2", "a3", "a4", "a5"]
 
 
-def _records(draw, versions):
-    return {aid: record(aid, draw(st.integers(0, 3)), [float(draw(st.integers(-3, 3)))],
-                        version=version)
-            for aid, version in versions.items()}
+def _dict_merge(local, remote):
+    """The merge rule over plain dicts of records: the union, in which a
+    remote record replaces a local one only with a strictly newer version."""
+    merged = dict(local)
+    for aid, rec in remote.items():
+        if aid not in local or rec.version > local[aid].version:
+            merged[aid] = rec
+    return merged
 
 
 @st.composite
 def _deliveries(draw):
     """A started agent "a0" with a drawn belief, and a message to it whose
     ids equal, overlap or are disjoint from the local ones and whose
-    versions are older, equal or newer. Also a config with the message's
-    ids but other versions, to derive a stale version vector from."""
+    versions are older, equal or newer."""
     horizon = PlanningHorizon(1, 1.0, (0,))
     target = TargetProfile((float(draw(st.integers(-6, 0))),))
+    levels = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+    fleet = make_fleet(horizon, {
+        "a0": [[float(draw(st.integers(-3, 0)))] for _ in range(draw(st.integers(1, 3)))],
+        **{aid: [[float(v)] for v in draw(levels)] for aid in _POOL[1:]},
+    })
     local_ids = ["a0"] + draw(st.lists(st.sampled_from(_POOL[1:]), unique=True, min_size=1))
     relation = draw(st.sampled_from(["equal", "equal", "overlap", "disjoint"]))
     rest = [aid for aid in _POOL if aid not in local_ids]
@@ -477,65 +504,52 @@ def _deliveries(draw):
         remote_ids += draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
     else:
         remote_ids = draw(st.lists(st.sampled_from(rest), unique=True, min_size=1)) if rest else []
-    remote_ids = draw(st.permutations(remote_ids))
     local_versions = {aid: draw(st.integers(1, 4)) for aid in local_ids}
     remote_versions = {
         aid: max(0, local_versions.get(aid, 1) + draw(st.sampled_from([-1, 0, 1])))
         for aid in remote_ids
     }
-    local = _records(draw, local_versions)
-    remote = _records(draw, remote_versions)
-    stale = {aid: dataclasses.replace(rec, version=rec.version + draw(st.integers(-1, 2)))
-             for aid, rec in remote.items()}
-    rows = [[float(draw(st.integers(-3, 0)))] for _ in range(draw(st.integers(1, 3)))]
+    local = configuration(fleet, {aid: (_index(draw, fleet, aid), version)
+                                  for aid, version in local_versions.items()})
+    remote = configuration(fleet, {aid: (_index(draw, fleet, aid), version)
+                                   for aid, version in remote_versions.items()})
 
-    state, _ = handle_start(make_agent("a0", rows, horizon, neighbors=("a1",)), target)
+    state, _ = handle_start(AgentState("a0", fleet, ("a1",)), target)
     local_best = make_candidate(local, float(draw(st.integers(0, 9))), "a0")
-    memory = WorkingMemory(target, local, local_best,
-                           agent_module._derived(state, local, None))
-    state = dataclasses.replace(state, memory=memory)
+    state = dataclasses.replace(state, memory=WorkingMemory(target, local, local_best))
     if draw(st.booleans()):
         best = local_best
     else:
-        known = {**local, **remote}
+        known = {**dict(local), **dict(remote)}
         best_ids = draw(st.lists(st.sampled_from(sorted(known)), unique=True, min_size=1))
-        best = make_candidate({aid: known[aid] for aid in best_ids},
-                              float(draw(st.integers(0, 9))), "s")
-    return state, KnowledgeMessage("s", target, remote, best), stale
+        best = make_candidate(
+            SystemConfiguration.from_records(fleet, {aid: known[aid] for aid in best_ids}),
+            float(draw(st.integers(0, 9))), "s")
+    return state, KnowledgeMessage("s", target, remote, best)
 
 
 @given(_deliveries())
-def test_carried_versions_merge_equals_loop(delivery):
-    state, plain, stale = delivery
-    memory = state.memory
-    ref_config, ref_changed = _merge(memory.config, plain.config)
-    noop = not ref_changed and compare(plain.best, memory.best) <= 0
-    plain_state, plain_out = handle_message(state, plain)
-    sender = dataclasses.replace(state, agent_id="s", memory=None)
-    # The message carries no vector, the sender's own one, or a stale one.
-    for carried in (None, plain.config, stale):
-        msg = dataclasses.replace(plain)
-        if carried is not None:
-            agent_module._carry_versions(msg, agent_module._derived(sender, carried, None))
-        config, changed = agent_module._merge_message(memory.derived, msg)
-        assert list(config.items()) == list(ref_config.items())
-        assert sorted(changed) == sorted(ref_changed)
-        assert (config is memory.config) == (ref_config is memory.config)
+def test_merge_equals_dict_reference(delivery):
+    state, msg = delivery
+    local = state.memory.config
+    merged = _merge(local, msg.config)
+    reference = _dict_merge(dict(local), dict(msg.config))
+    assert dict(merged) == reference
+    assert (merged is local) == (reference == dict(local))
 
-        new_state, out = handle_message(state, msg)
-        if noop:
-            assert new_state is state and out == []
-        assert new_state == plain_state and out == plain_out
-        derived = new_state.memory.derived
-        assert derived.config is new_state.memory.config
-        assert derived.versions == tuple(derived.config[aid].version for aid in derived.ids)
+    new_state, out = handle_message(state, msg)
+    if merged is local and compare(msg.best, state.memory.best) <= 0:
+        assert new_state is state and out == []
+    # The message's bytes, decoded over the fleet, are handled the same way.
+    decoded = decode_message(encode_message(msg), state.fleet)
+    assert handle_message(state, decoded) == (new_state, out)
 
 
 # --- extract_assignment -------------------------------------------------------
 
 
 def test_extract_after_start_is_singleton(horizon1):
-    state = _started("A", [[0.0]], horizon1, TargetProfile((1.0,)))
+    state = _started(make_agent("A", [[0.0]], horizon1), TargetProfile((1.0,)))
     assert extract_assignment(state) == {"A": 0}
 
 

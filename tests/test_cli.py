@@ -373,11 +373,14 @@ BAD_FACTORS = [
      "missing key 'high_s' in uniform delay", "values"),
     ("network.bogus", [1], "factor 'network.bogus': unknown parameter path segment 'bogus'",
      "path"),
+    ("sampling", [3], "factor 'sampling': 'sampling' is not a number, a boolean, a delay or a name",
+     "path"),
 ]
 
 
 @pytest.mark.parametrize("factor, values, message, key", BAD_FACTORS,
-                         ids=["non-integer-count", "delay-missing-key", "unknown-path"])
+                         ids=["non-integer-count", "delay-missing-key", "unknown-path",
+                              "section-path"])
 def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message, key):
     # The bad factor is the second one, so its keys are on lines 6 and 7.
     path = tmp_path / "design.yaml"

@@ -16,11 +16,11 @@ from cohdasim.core import (
     coverage,
     make_candidate,
     objective,
-    prefer,
     selection_items,
+    SystemConfiguration,
 )
 
-from conftest import record
+from conftest import configuration, make_fleet, record
 
 
 def test_horizon_validation():
@@ -127,7 +127,6 @@ def test_compare_fitness_second():
     a = _cand([("a", 0), ("b", 0)], 5.0)
     b = _cand([("a", 1), ("b", 1)], 7.0)
     assert compare(a, b) > 0
-    assert prefer(a, b) is a
 
 
 def test_compare_key_breaks_ties_never_equal_for_distinct():
@@ -215,3 +214,50 @@ def test_candidate_fitness_matches_recomputed_objective():
     cand = make_candidate(config, fitness, "A")
     assert cand.size == 2
     assert math.isclose(cand.fitness, objective(config, target, horizon), abs_tol=1e-9)
+
+
+# --- configurations over a fleet table ------------------------------------------
+
+_FLEET = make_fleet(PlanningHorizon(2, 1.0, (1,)), {
+    "a": [[0.0, 1.0], [2.0, -0.5]],
+    "bb": [[1.5, 0.0]],
+    "c\u00e9": [[0.0, 0.0], [3.0, 1e-17], [-2.0, 4.0]],
+})
+
+fleet_configs = st.fixed_dictionaries({}, optional={
+    "a": st.tuples(st.integers(0, 1), st.integers(0, 9)),
+    "bb": st.tuples(st.just(0), st.integers(0, 9)),
+    "c\u00e9": st.tuples(st.integers(0, 2), st.integers(0, 2**31)),
+}).map(lambda picks: configuration(_FLEET, picks))
+
+
+@given(fleet_configs)
+def test_configuration_round_trips_through_records(config):
+    records = dict(config)
+    assert list(records) == sorted(records)
+    again = SystemConfiguration.from_records(_FLEET, records)
+    assert again == config and dict(again) == records
+    assert len(config) == len(records)
+    assert all((aid in config) == (aid in records) for aid in (*_FLEET.ids, "zz"))
+
+
+@given(fleet_configs)
+def test_configuration_key_from_the_table_equals_the_dict_key(config):
+    assert configuration_key(config) == configuration_key(dict(config))
+    assert make_candidate(config, 1.0, "a").size == len(dict(config))
+
+
+def test_from_records_rejects_records_off_the_table():
+    config = configuration(_FLEET, {"a": (1, 0), "bb": (0, 2)})
+    good = dict(config)
+    assert SystemConfiguration.from_records(_FLEET, good) == config
+    bad = [
+        {**good, "a": record("a", 1, [2.0, -0.25])},  # not the table's schedule 1
+        {**good, "a": record("a", 0, [2.0, -0.5])},  # schedule 1 under index 0
+        {**good, "bb": record("bb", 1, [1.5, 0.0])},  # index out of range
+        {**good, "zz": record("zz", 0, [1.5, 0.0])},  # no agent of the fleet
+        {**good, "bb": record("a", 1, [2.0, -0.5])},  # filed under another id
+    ]
+    for records in bad:
+        with pytest.raises(StructuralError):
+            SystemConfiguration.from_records(_FLEET, records)

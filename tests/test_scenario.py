@@ -114,6 +114,25 @@ def test_with_param_unknown_path():
         with_param(sc, "devices.9.count", 1)
 
 
+@pytest.mark.parametrize("path, value", [("sampling", 3), ("name", 3), ("horizon", 3)],
+                         ids=["section", "name", "horizon"])
+def test_with_param_refuses_paths_that_end_at_no_parameter(path, value):
+    # A section, or a leaf the scenario file table does not list.
+    with pytest.raises(StructuralError, match="is not a number, a boolean, a delay or a name"):
+        with_param(build_toy2_scenario(), path, value)
+
+
+def test_with_param_leaf_kinds():
+    sc = build_small_demo_scenario()
+    assert with_param(sc, "network.max_delay_bound", 2).network.max_delay_bound == 2.0
+    assert with_param(sc, "network.reorder", False).network.reorder is False
+    assert with_param(sc, "topology.family", "ring").topology.family == "ring"
+    for path, value in [("topology.family", 3), ("network.reorder", 1), ("topology.k", 2.5),
+                        ("network.delay", 0.1), ("devices.0.model.demand.3", 1.0)]:
+        with pytest.raises(StructuralError):
+            with_param(sc, path, value)
+
+
 def test_device_group_validation():
     sc = build_toy2_scenario()
     with pytest.raises(StructuralError):

@@ -19,14 +19,11 @@ from cohdasim.simnet import (
 )
 from cohdasim.topology import complete, ring
 
-from conftest import make_agent
+from conftest import make_agent, make_agents
 
 
 def _agents(horizon, rows_by_id, overlay):
-    return [
-        make_agent(aid, rows, horizon, neighbors=overlay.adjacency[aid])
-        for aid, rows in rows_by_id.items()
-    ]
+    return list(make_agents(horizon, rows_by_id, overlay.adjacency).values())
 
 
 def test_single_agent_quiesces_without_messages(horizon1):

@@ -1,66 +1,87 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
-    Schedule,
+    PlanningHorizon,
     SelectionRecord,
+    StructuralError,
+    SystemConfiguration,
     TargetProfile,
     make_candidate,
 )
 from cohdasim.wire import decode_message, encode_message, encoded_length
+
+from conftest import configuration, make_fleet
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def messages(draw):
+    """A message over a drawn fleet, and that fleet."""
     T = draw(st.integers(1, 6))
     ids = draw(st.lists(st.text(
         alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8
     ), unique=True, min_size=1, max_size=5))
+    fleet = make_fleet(PlanningHorizon(T, 1.0, (0,)), {
+        aid: [[draw(finite) for _ in range(T)] for _ in range(draw(st.integers(1, 3)))]
+        for aid in ids
+    })
 
     def config(subset):
-        return {
-            aid: SelectionRecord(
-                aid,
-                draw(st.integers(0, 100)),
-                Schedule(tuple(draw(finite) for _ in range(T))),
-                draw(st.integers(0, 1000)),
-            )
+        return configuration(fleet, {
+            aid: (draw(st.integers(0, len(fleet.schedule_sets[fleet.position[aid]]) - 1)),
+                  draw(st.integers(0, 1000)))
             for aid in subset
-        }
+        })
 
     cfg = config(ids)
     best_ids = ids[: draw(st.integers(1, len(ids)))]
     best = make_candidate(config(best_ids), draw(st.floats(0, 1e9)), best_ids[0])
     target = TargetProfile(tuple(draw(finite) for _ in range(T)))
-    return KnowledgeMessage(ids[0], target, cfg, best)
+    return KnowledgeMessage(ids[0], target, cfg, best), fleet
 
 
 @given(messages())
-def test_round_trip_identity(msg):
-    data = encode_message(msg)
-    decoded = decode_message(data)
+def test_round_trip_identity(drawn):
+    msg, fleet = drawn
+    decoded = decode_message(encode_message(msg), fleet)
     assert decoded == msg
     assert decoded.best.key == msg.best.key
 
 
+def test_decode_refuses_records_off_the_table():
+    horizon = PlanningHorizon(1, 1.0, (0,))
+    fleet = make_fleet(horizon, {"a": [[1.0], [2.0]], "b": [[3.0]]})
+    config = configuration(fleet, {"a": (1, 4), "b": (0, 0)})
+    data = encode_message(KnowledgeMessage("a", TargetProfile((0.0,)), config,
+                                           make_candidate(config, 0.0, "a")))
+    assert decode_message(data, fleet).config == config
+    for other in ({"a": [[1.0], [2.5]], "b": [[3.0]]}, {"a": [[1.0]], "b": [[3.0]]},
+                  {"a": [[1.0], [2.0]]}):
+        with pytest.raises(StructuralError):
+            decode_message(data, make_fleet(horizon, other))
+
+
 @given(messages())
-def test_length_matches_real_encoding(msg):
+def test_length_matches_real_encoding(drawn):
+    msg, _ = drawn
     assert encoded_length(msg) == len(encode_message(msg))
 
 
 @given(messages())
-def test_encoding_deterministic(msg):
+def test_encoding_deterministic(drawn):
+    msg, _ = drawn
     assert encode_message(msg) == encode_message(msg)
 
 
 def test_map_ordering_is_canonical():
-    sched = Schedule((1.0,))
-    rec = lambda aid: SelectionRecord(aid, 0, sched, 0)
+    fleet = make_fleet(PlanningHorizon(1, 1.0, (0,)), {"a": [[1.0]], "b": [[1.0]]})
+    rec = lambda aid: SelectionRecord(aid, 0, fleet.schedule_sets[fleet.position[aid]][0], 0)
     target = TargetProfile((0.0,))
-    forward = {"a": rec("a"), "b": rec("b")}
-    backward = {"b": rec("b"), "a": rec("a")}
+    forward = SystemConfiguration.from_records(fleet, {"a": rec("a"), "b": rec("b")})
+    backward = SystemConfiguration.from_records(fleet, {"b": rec("b"), "a": rec("a")})
     best = make_candidate(forward, 0.0, "a")
     m1 = KnowledgeMessage("a", target, forward, best)
     m2 = KnowledgeMessage("a", target, backward, best)
