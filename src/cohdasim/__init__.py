@@ -20,7 +20,6 @@ from .core import (
 from .agent import (
     AgentState,
     KnowledgeMessage,
-    ScheduleSet,
     WorkingMemory,
     choose_schedule,
     extract_assignment,

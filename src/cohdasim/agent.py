@@ -23,7 +23,7 @@ An agent is a pure state transition function ``(state, event) -> (state,
 messages)``; all state types are immutable values.
 
 Every agent of a run references one ``Fleet``: the sorted agent ids, each
-agent's schedules and their window rows, and what a record adds to a key
+agent's power table and its window rows, and what a record adds to a key
 and to the wire. A configuration is an index and a version array over that
 table, so the update step is one vectorized comparison of versions and the
 decide step gathers the other agents' window rows from the table. The
@@ -43,7 +43,6 @@ from .core import (
     Candidate,
     Fleet,
     PlanningHorizon,
-    ScheduleSet,
     StructuralError,
     SystemConfiguration,
     TargetProfile,
@@ -54,7 +53,6 @@ from .core import (
 __all__ = [
     "ConfigurationError",
     "NotStartedError",
-    "ScheduleSet",
     "WorkingMemory",
     "KnowledgeMessage",
     "AgentState",
@@ -103,8 +101,8 @@ class AgentState:
     ``neighbors`` fixes the fan-out of every publish; emitted message lists
     are parallel to it (entry i goes to ``neighbors[i]``).
     ``objective_calls`` counts objective evaluations: every run of the
-    choose step adds exactly ``len(schedule_set)``. The schedule set and the
-    horizon are the fleet's.
+    choose step adds exactly the number of own schedules. The window matrix
+    and the horizon are the fleet's.
     """
 
     agent_id: str
@@ -122,8 +120,9 @@ class AgentState:
         return self.fleet.position[self.agent_id]
 
     @property
-    def schedule_set(self) -> ScheduleSet:
-        return self.fleet.schedule_sets[self.position]
+    def window_matrix(self) -> np.ndarray:
+        """The own schedules' window columns, one row per schedule."""
+        return self.fleet.windows[self.position]
 
     @property
     def horizon(self) -> PlanningHorizon:
@@ -149,7 +148,7 @@ def _choose_index(
     pick[i] = fleet.offsets[i] - 1
     others = np.add.accumulate(fleet.rows.take(pick, axis=0), axis=0)[-1]
     gap = target.arr[fleet.horizon.window_index] - others
-    values = np.abs(state.schedule_set.window_matrix - gap).sum(axis=1)
+    values = np.abs(state.window_matrix - gap).sum(axis=1)
     idx = int(np.argmin(values))
     return idx, float(values[idx])
 
@@ -172,7 +171,7 @@ def _publish(state: AgentState, memory: WorkingMemory) -> list[KnowledgeMessage]
 def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemory, int]:
     """Initial working memory: best own schedule against an otherwise empty
     configuration, version counter starting at zero."""
-    if len(state.schedule_set) == 0:
+    if len(state.window_matrix) == 0:
         raise ConfigurationError(f"agent {state.agent_id!r} has no schedules")
     if len(target) != state.horizon.interval_count:
         raise StructuralError("target length does not match agent horizon")
@@ -180,7 +179,7 @@ def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemor
     idx, value = _choose_index(state, target, empty)
     config = _select(state, empty, idx)
     best = make_candidate(config, value, state.agent_id)
-    return WorkingMemory(target, config, best), len(state.schedule_set)
+    return WorkingMemory(target, config, best), len(state.window_matrix)
 
 
 def handle_start(
@@ -217,7 +216,7 @@ def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemCon
 def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
     """Re-optimize the own selection against the current believed
     configuration. Returns the updated state (objective call counter
-    advanced by ``len(schedule_set)``), the chosen index and its objective
+    advanced by the number of own schedules), the chosen index and its objective
     value. Does not modify the selection itself.
     """
     memory = state.memory
@@ -225,7 +224,7 @@ def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
         raise NotStartedError(f"agent {state.agent_id!r} has not started")
     idx, value = _choose_index(state, memory.target, memory.config)
     new_state = replace(
-        state, objective_calls=state.objective_calls + len(state.schedule_set)
+        state, objective_calls=state.objective_calls + len(state.window_matrix)
     )
     return new_state, idx, value
 
@@ -263,7 +262,7 @@ def handle_message(
 
     # Decide: re-optimize own selection against the merged belief.
     idx, value = _choose_index(state, memory.target, config)
-    calls += len(state.schedule_set)
+    calls += len(state.window_matrix)
     own = config.index[state.position]
     chosen = config if own == idx else _select(state, config, idx)
 

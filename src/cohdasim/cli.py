@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
     assignment = {aid: best.configuration[aid].schedule_index for aid in mat.device_ids}
     temp_rows = []
     for aid, device, flex in zip(mat.device_ids, mat.devices, mat.flexibility):
-        pattern = flex.on_patterns[assignment[aid]]
+        pattern = flex.on[assignment[aid]]
         for point, temp in enumerate(simulate_tank(device, pattern, scenario.horizon)):
             temp_rows.append([aid, point, temp])
     _write_csv(out / "temperatures.csv", ["device_id", "point", "temp_c"], temp_rows)

@@ -14,7 +14,7 @@ from hashlib import blake2b
 from itertools import accumulate, compress
 from math import isfinite
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "Schedule",
     "TargetProfile",
     "SelectionRecord",
-    "ScheduleSet",
     "Fleet",
     "SystemConfiguration",
     "Candidate",
@@ -150,54 +149,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class ScheduleSet(Sequence[Schedule]):
-    """Immutable, ordered schedule collection bound to a horizon.
-
-    Precomputes the window-restricted power matrix once so that the
-    per-message re-optimization stays a single vectorized pass.
-    """
-
-    __slots__ = ("schedules", "horizon", "window_matrix")
-
-    def __init__(self, schedules: Iterable[Schedule], horizon: PlanningHorizon):
-        self.schedules = tuple(schedules)
-        for s in self.schedules:
-            if len(s) != horizon.interval_count:
-                raise StructuralError(
-                    f"schedule length {len(s)} does not match horizon "
-                    f"{horizon.interval_count}"
-                )
-        self.horizon = horizon
-        if self.schedules:
-            full = np.stack([s.arr for s in self.schedules])
-        else:
-            full = np.zeros((0, horizon.interval_count), dtype=np.float64)
-        # Column indexing leaves this in Fortran order; the decide step's
-        # per-row sums depend on that order bit for bit.
-        self.window_matrix = _frozen(full[:, horizon.window_index])
-
-    def __len__(self) -> int:
-        return len(self.schedules)
-
-    def __getitem__(self, index):
-        return self.schedules[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScheduleSet):
-            return NotImplemented
-        return self.schedules == other.schedules and self.horizon == other.horizon
-
-    def __repr__(self) -> str:
-        return f"ScheduleSet({len(self.schedules)} schedules, T={self.horizon.interval_count})"
-
-
 class Fleet:
     """The fixed table of one run, shared by all its agents and
     configurations.
 
     ``ids`` are the agent ids, sorted; ``position`` maps each to its place.
-    ``schedule_sets`` holds each agent's schedules in that order. ``rows`` is
-    one window-row table: for each agent a zero row, then its window
+    ``power[i]`` is the read-only power table of the agent at place ``i``,
+    one schedule per row, and ``windows[i]`` its window columns. ``rows``
+    is one window-row table: for each agent a zero row, then its window
     matrix, so that schedule ``s`` of the agent at place ``i`` is row
     ``offsets[i] + s`` and index -1 is a zero row. ``record_lengths`` are
     the wire lengths of each agent's records, and ``key_parts[i][s]`` is
@@ -205,33 +164,53 @@ class Fleet:
     ``key_parts[i][-1]`` is empty.
     """
 
-    __slots__ = ("ids", "position", "horizon", "schedule_sets", "rows", "offsets",
+    __slots__ = ("ids", "position", "horizon", "power", "windows", "rows", "offsets",
                  "record_lengths", "key_parts")
 
-    def __init__(self, schedules: Mapping[str, Iterable[Schedule]], horizon: PlanningHorizon):
+    def __init__(self, power: Mapping[str, np.ndarray], horizon: PlanningHorizon):
         from .wire import record_length  # the wire module imports this one
 
-        self.ids = tuple(sorted(schedules))
+        self.ids = tuple(sorted(power))
         self.position = {aid: i for i, aid in enumerate(self.ids)}
         self.horizon = horizon
-        self.schedule_sets = tuple(ScheduleSet(schedules[aid], horizon) for aid in self.ids)
-        sizes = [len(s) for s in self.schedule_sets]
-        self.offsets = tuple(accumulate((size + 1 for size in sizes), initial=1))[:-1]
+        self.power = tuple(_power_table(power[aid], horizon) for aid in self.ids)
+        # Column indexing leaves these in Fortran order; the decide step's
+        # per-row sums depend on that order bit for bit.
+        self.windows = tuple(_frozen(table[:, horizon.window_index]) for table in self.power)
+        self.offsets = tuple(accumulate((len(t) + 1 for t in self.power), initial=1))[:-1]
         zero = np.zeros((1, len(horizon.product_window)), dtype=np.float64)
-        blocks = [block for s in self.schedule_sets for block in (zero, s.window_matrix)]
+        blocks = [block for window in self.windows for block in (zero, window)]
         # C order, so that gathering rows reads each row in one piece.
         self.rows = _frozen(np.ascontiguousarray(np.concatenate(blocks or [zero])))
         self.record_lengths = tuple(record_length(aid, horizon.interval_count) for aid in self.ids)
         self.key_parts = tuple(
-            tuple(_key_part(aid, s) for s in range(size)) + (b"",)
-            for aid, size in zip(self.ids, sizes)
+            tuple(_key_part(aid, s) for s in range(len(table))) + (b"",)
+            for aid, table in zip(self.ids, self.power)
         )
+
+    def schedule(self, position: int, index: int) -> Schedule:
+        """Schedule ``index`` of the agent at ``position``, built on read."""
+        return Schedule(self.power[position][index].tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __repr__(self) -> str:
         return f"Fleet({len(self.ids)} agents, T={self.horizon.interval_count})"
+
+
+def _power_table(table, horizon: PlanningHorizon) -> np.ndarray:
+    """A read-only C-order copy of ``table``, which must hold one row of
+    ``interval_count`` finite values per schedule."""
+    power = _frozen(np.array(table, dtype=np.float64, order="C"))
+    if power.ndim != 2 or power.shape[1] != horizon.interval_count:
+        raise StructuralError(
+            f"schedule table of shape {power.shape} does not match horizon "
+            f"{horizon.interval_count}"
+        )
+    if not np.isfinite(power).all():
+        raise StructuralError("schedule contains non-finite power values")
+    return power
 
 
 class SystemConfiguration(Mapping[str, SelectionRecord]):
@@ -264,10 +243,9 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
             i = fleet.position.get(aid)
             if i is None or rec.agent_id != aid:
                 raise StructuralError(f"record for {aid!r} names no agent of the fleet")
-            schedules = fleet.schedule_sets[i]
-            if not 0 <= rec.schedule_index < len(schedules) or rec.version < 0:
+            if not 0 <= rec.schedule_index < len(fleet.power[i]) or rec.version < 0:
                 raise StructuralError(f"record of {aid!r} is out of range")
-            if rec.schedule != schedules[rec.schedule_index]:
+            if rec.schedule != fleet.schedule(i, rec.schedule_index):
                 raise StructuralError(f"schedule of {aid!r} is not its table entry")
             index[i] = rec.schedule_index
             version[i] = rec.version
@@ -282,7 +260,7 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
         if i is None or self.index[i] < 0:
             raise KeyError(aid)
         idx = self.index[i]
-        return SelectionRecord(aid, idx, self.fleet.schedule_sets[i][idx], self.version[i])
+        return SelectionRecord(aid, idx, self.fleet.schedule(i, idx), self.version[i])
 
     def __iter__(self) -> Iterator[str]:
         return compress(self.fleet.ids, self.known())
@@ -317,7 +295,10 @@ class Candidate:
 
 
 def selection_items(config: Mapping[str, SelectionRecord]) -> tuple[tuple[str, int], ...]:
-    """Canonical (agent_id, schedule_index) pairs, sorted by agent id."""
+    """Canonical (agent_id, schedule_index) pairs, sorted by agent id. A
+    ``SystemConfiguration`` reads them from its index array."""
+    if isinstance(config, SystemConfiguration):
+        return tuple(compress(zip(config.fleet.ids, config.index), config.known()))
     return tuple((aid, config[aid].schedule_index) for aid in sorted(config))
 
 
@@ -378,17 +359,23 @@ def aggregate(config: Mapping[str, SelectionRecord], horizon: PlanningHorizon) -
     """Element-wise sum of all selected schedules (zero profile if empty).
 
     Summation runs in sorted agent-id order, which makes the result
-    independent of the map's insertion history.
+    independent of the map's insertion history. A ``SystemConfiguration``
+    adds its fleet's table rows, in the same order.
     """
+    if isinstance(config, SystemConfiguration):
+        fleet = config.fleet
+        parts = [(aid, table[s]) for aid, table, s in zip(fleet.ids, fleet.power, config.index)
+                 if s >= 0]
+    else:
+        parts = [(aid, config[aid].schedule.arr) for aid in sorted(config)]
     total = np.zeros(horizon.interval_count, dtype=np.float64)
-    for aid in sorted(config):
-        schedule = config[aid].schedule
-        if len(schedule) != horizon.interval_count:
+    for aid, power in parts:
+        if len(power) != horizon.interval_count:
             raise StructuralError(
-                f"schedule of {aid!r} has length {len(schedule)}, "
+                f"schedule of {aid!r} has length {len(power)}, "
                 f"expected {horizon.interval_count}"
             )
-        total += schedule.arr
+        total += power
     return Schedule(tuple(total.tolist()))
 
 

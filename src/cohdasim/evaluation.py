@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Schedule, ScheduleSet, StructuralError, TargetProfile, PlanningHorizon, aggregate
+from .core import Fleet, Schedule, StructuralError, TargetProfile, aggregate
 from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 
@@ -140,14 +140,15 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> RunResult:
 def uncontrolled_schedules(mat: Materialized) -> tuple[Schedule, ...]:
     """Default pattern per device: the first schedule its repair sampler
     drew. No coordination; the baseline the controlled run is compared to."""
-    return tuple(flex.schedules[0] for flex in mat.flexibility)
+    return tuple(Schedule(flex.power[0].tolist()) for flex in mat.flexibility)
 
 
 # --- enumeration oracles ---------------------------------------------------
 
 
 class EnumerationOracle:
-    """Exhaustive enumeration of a schedule product.
+    """Exhaustive enumeration of the schedule product of a fleet, in its id
+    order.
 
     Exposes the minimal and maximal objective with lexicographically lowest
     argument tuples, plus ``value_of`` which evaluates an assignment through
@@ -155,20 +156,11 @@ class EnumerationOracle:
     are free of rounding asymmetries.
     """
 
-    def __init__(
-        self,
-        agent_ids: Sequence[str],
-        schedule_sets: Sequence[Sequence[Schedule]],
-        target: TargetProfile,
-        horizon: PlanningHorizon,
-        cap: int = DEFAULT_CAP,
-    ):
-        if len(agent_ids) != len(schedule_sets):
-            raise StructuralError("one schedule set per agent id required")
-        self.agent_ids = tuple(agent_ids)
-        w = horizon.window_index
+    def __init__(self, fleet: Fleet, target: TargetProfile, cap: int = DEFAULT_CAP):
+        self.agent_ids = fleet.ids
+        w = fleet.horizon.window_index
         self._target_w = target.arr[w]
-        self._mats = [ScheduleSet(schedules, horizon).window_matrix for schedules in schedule_sets]
+        self._mats = fleet.windows
         sizes = [m.shape[0] for m in self._mats]
         if any(s == 0 for s in sizes):
             raise StructuralError("empty schedule set")
@@ -242,14 +234,7 @@ class EnumerationOracle:
 
 
 def _oracle_for(mat: Materialized, cap: int) -> EnumerationOracle:
-    scenario = mat.scenario
-    return EnumerationOracle(
-        mat.device_ids,
-        [flex.schedules for flex in mat.flexibility],
-        scenario.target,
-        scenario.horizon,
-        cap,
-    )
+    return EnumerationOracle(mat.fleet, mat.scenario.target, cap)
 
 
 def brute_force_optimum(
@@ -284,7 +269,7 @@ def worst_case_bound(
     lo = np.zeros(len(w), dtype=np.float64)
     hi = np.zeros(len(w), dtype=np.float64)
     for agent in mat.agents:
-        m = agent.schedule_set.window_matrix
+        m = agent.window_matrix
         lo += m.min(axis=0)
         hi += m.max(axis=0)
     return float(np.maximum(np.abs(lo - target_w), np.abs(hi - target_w)).sum())
@@ -300,7 +285,7 @@ def greedy_baseline(scenario: Scenario, seed: int = 0) -> tuple[float, dict[str,
     assignment: dict[str, int] = {}
     value = float(np.abs(acc - target_w).sum())
     for agent in mat.agents:
-        m = agent.schedule_set.window_matrix
+        m = agent.window_matrix
         values = np.abs((acc + m) - target_w).sum(axis=1)
         j = int(np.argmin(values))
         value = float(values[j])

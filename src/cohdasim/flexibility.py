@@ -2,15 +2,17 @@
 
 Devices are two-state per interval: either off or running at their rated
 electrical power, while the thermal side charges a hot water tank that must
-stay inside its temperature band. A device's flexibility is a list of
-distinct feasible on/off patterns, sampled with a repair strategy so that
-tightly buffered devices still yield schedules.
+stay inside its temperature band. A device's flexibility is a matrix of
+distinct feasible on/off patterns, one per row, sampled with a repair
+strategy so that tightly buffered devices still yield schedules, and the
+matching matrix of electrical power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import Sequence
 
 import numpy as np
 
@@ -87,17 +89,28 @@ class DeviceModel:
         object.__setattr__(self, "demand", demand)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlexibilitySet:
-    """Sampled flexibility of one device: distinct feasible on-patterns and
-    the corresponding electrical schedules (power = p_el_on * on)."""
+    """Sampled flexibility of one device: ``on`` holds its distinct feasible
+    on-patterns, one bool row each, and ``power`` the electrical schedules
+    ``where(on, p_el_on, 0.0)`` in kW. Both matrices are read-only."""
 
-    schedules: tuple[Schedule, ...]
-    on_patterns: tuple[tuple[bool, ...], ...]
+    on: np.ndarray
+    power: np.ndarray
+
+    @property
+    def schedules(self) -> tuple[Schedule, ...]:
+        """One ``Schedule`` per row of ``power``, built on read."""
+        return tuple(map(Schedule, self.power.tolist()))
+
+    @property
+    def on_patterns(self) -> tuple[tuple[bool, ...], ...]:
+        """One bool tuple per row of ``on``, built on read."""
+        return tuple(map(tuple, self.on.tolist()))
 
 
 def simulate_tank(
-    device: DeviceModel, on: tuple[bool, ...] | list[bool], horizon: PlanningHorizon
+    device: DeviceModel, on: Sequence[bool] | np.ndarray, horizon: PlanningHorizon
 ) -> tuple[float, ...]:
     """Tank temperature trajectory (length T+1) for one on/off pattern.
 
@@ -171,28 +184,27 @@ def sample_feasible_schedules(
         raise StructuralError("device demand length does not match horizon")
     budget = attempt_budget if attempt_budget is not None else max(_BATCH, 50 * count)
     rng = np.random.default_rng(seed)
-    patterns: list[tuple[bool, ...]] = []
+    rows: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
-    while attempts < budget and len(patterns) < count:
+    while attempts < budget and len(rows) < count:
         batch = min(_BATCH, budget - attempts)
         attempts += batch
         coins = rng.random((batch, horizon.interval_count)) < 0.5
         on, feasible = _repair_batch(device, coins, horizon)
-        for row in range(batch):
-            if not feasible[row]:
-                continue
-            key = np.packbits(on[row]).tobytes()
+        keys = np.packbits(on, axis=1)
+        for row in np.flatnonzero(feasible):
+            key = keys[row].tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            patterns.append(tuple(bool(v) for v in on[row]))
-            if len(patterns) == count:
+            rows.append(on[row])
+            if len(rows) == count:
                 break
-    if len(patterns) < count:
-        raise SamplingError(count, len(patterns), attempts)
-    schedules = tuple(
-        Schedule(tuple(device.p_el_on if v else 0.0 for v in pattern))
-        for pattern in patterns
-    )
-    return FlexibilitySet(schedules, tuple(patterns))
+    if len(rows) < count:
+        raise SamplingError(count, len(rows), attempts)
+    on = np.array(rows)
+    power = np.where(on, device.p_el_on, 0.0)
+    on.setflags(write=False)
+    power.setflags(write=False)
+    return FlexibilitySet(on, power)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import topology
 from .agent import AgentState
@@ -31,7 +30,6 @@ from .simnet import (
     NetworkModel,
     RunLimits,
     UniformDelay,
-    delay_from_mapping,
 )
 from .topology import Overlay
 
@@ -144,6 +142,11 @@ class Materialized:
     agents: tuple[AgentState, ...]
     network_seed: int
 
+    @property
+    def fleet(self) -> Fleet:
+        """The run's fleet table, which every agent references."""
+        return self.agents[0].fleet
+
 
 def _expand_devices(scenario: Scenario) -> tuple[tuple[str, ...], tuple[DeviceModel, ...]]:
     ids: list[str] = []
@@ -184,7 +187,7 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     overlay = _build_overlay(
         scenario.topology, ids, mix_seed("topology", scenario.seeds.topology, run_seed)
     )
-    fleet = Fleet({aid: flex.schedules for aid, flex in zip(ids, flexibility)}, scenario.horizon)
+    fleet = Fleet({aid: flex.power for aid, flex in zip(ids, flexibility)}, scenario.horizon)
     agents = tuple(AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids)
     return Materialized(
         scenario=scenario,
@@ -204,7 +207,7 @@ class UnknownPathError(StructuralError):
 
 def _set_path(obj, parts: list[str], value):
     """Rebuild an immutable dataclass/tuple tree with one leaf replaced,
-    the value checked against the kind of that leaf."""
+    the value read by that leaf's field reader."""
     if not parts:
         raise UnknownPathError("parameter path ends at a list item")
     head, rest = parts[0], parts[1:]
@@ -219,35 +222,10 @@ def _set_path(obj, parts: list[str], value):
             raise UnknownPathError(f"unknown parameter path segment {head!r}")
         if rest:
             return dataclasses.replace(obj, **{head: _set_path(getattr(obj, head), rest, value)})
-        from .schema import leaf_kind  # the schema module imports this one
+        from .schema import read_leaf  # the schema module imports this one
 
-        kind = leaf_kind(type(obj), head)
-        if kind is None:
-            raise UnknownPathError(f"{head!r} is not a number, a boolean, a delay or a name")
-        return dataclasses.replace(obj, **{head: _coerce_leaf(kind, value)})
+        return dataclasses.replace(obj, **{head: read_leaf(type(obj), head, value)})
     raise UnknownPathError(f"cannot descend into {type(obj).__name__} at {head!r}")
-
-
-def _coerce_leaf(kind: str, value):
-    if kind == "delay":
-        if not isinstance(value, Mapping):
-            raise StructuralError(f"needs a delay mapping, got {value!r}")
-        return delay_from_mapping(value)
-    if kind == "boolean":
-        if not isinstance(value, bool):
-            raise StructuralError(f"needs true or false, got {value!r}")
-        return value
-    if kind == "name":
-        if not isinstance(value, str):
-            raise StructuralError(f"needs a name, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StructuralError(f"needs a number, got {value!r}")
-    if kind == "integer" and not isinstance(value, int):
-        raise StructuralError(f"needs an integer, got {value!r}")
-    if not math.isfinite(value):
-        raise StructuralError(f"must be finite, got {value!r}")
-    return int(value) if kind == "integer" else float(value)
 
 
 def with_param(scenario: Scenario, path: str, value) -> Scenario:
@@ -255,9 +233,10 @@ def with_param(scenario: Scenario, path: str, value) -> Scenario:
 
     Paths resolve against the scenario structure and must end at a field
     of the scenario file's table that holds a number, a boolean, a delay or
-    a name, e.g. ``network.duplicate_probability``, ``topology.k``,
-    ``sampling.count``, ``devices.0.count``, ``topology.family`` or
-    ``network.delay`` (with a delay mapping value).
+    a name, and that field's reader reads the value, e.g.
+    ``network.duplicate_probability``, ``topology.k``, ``sampling.count``,
+    ``devices.0.count``, ``topology.family`` or ``network.delay`` (with a
+    delay mapping value).
     """
     return _set_path(scenario, path.split("."), value)
 

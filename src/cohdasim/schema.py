@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import yaml
 
-from .core import PlanningHorizon, TargetProfile
+from .core import PlanningHorizon, StructuralError, TargetProfile
 from .evaluation import ExperimentDesign
 from .flexibility import DeviceModel
 from .scenario import (
@@ -37,7 +37,7 @@ __all__ = [
     "load_design",
     "parse_scenario_mapping",
     "scenario_to_mapping",
-    "leaf_kind",
+    "read_leaf",
 ]
 
 
@@ -131,9 +131,13 @@ def _check_keys(mapping, allowed: set[str], required: set[str], ctx: str):
 def _number(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError("must be finite")
-    return float(value)
+    return number
 
 
 def _integer(value):
@@ -145,6 +149,12 @@ def _integer(value):
 def _boolean(value):
     if not isinstance(value, bool):
         raise ValueError("must be true or false")
+    return value
+
+
+def _name(value):
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
     return value
 
 
@@ -166,7 +176,7 @@ def _delay(value):
     kind = value.get("kind") if isinstance(value, Mapping) else None
     if not isinstance(kind, str) or kind not in DELAY_KINDS:
         raise ValueError(f"needs kind: {' | '.join(DELAY_KINDS)}")
-    fields = [Field("kind", "kind", str, True)]
+    fields = [Field("kind", "kind", _name, True)]
     fields += [Field(key, key, _number, True) for key in DELAY_KINDS[kind][1]]
     return delay_from_mapping(_read(value, fields, "network.delay"))
 
@@ -196,7 +206,7 @@ def _read(block, fields, ctx: str) -> dict:
             continue
         try:
             values[f.attr] = f.read(value)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise _Invalid(f"{ctx}.{f.key} {exc}", block, f.key) from None
     return values
 
@@ -231,11 +241,11 @@ _WINDOW_HOURS = Field("window_hours", "window_hours", _list_of(_number))
 _TARGET = (Field("value_kw", "value"), Field("power_kw", "power", _per_interval))
 
 _GROUP = (
-    Field("prefix", "prefix", str, True),
+    Field("prefix", "prefix", _name, True),
     Field("count", "count", _integer),
 )
 _MODEL = (
-    Field("kind", "kind", str, True),
+    Field("kind", "kind", _name, True),
     Field("p_el_on_kw", "p_el_on", _number, True),
     Field("thermal_on_kw", "thermal_on", _number, True),
     Field("tank_kwh_per_k", "tank_capacity", _number, True),
@@ -250,7 +260,7 @@ _MODEL = (
 # Optional sections: Scenario attribute -> (dataclass, fields).
 _SECTIONS = {
     "topology": (TopologySpec, (
-        Field("family", "family", str, True),
+        Field("family", "family", _name, True),
         Field("k", "k", _integer),
         Field("p", "p", _number),
     )),
@@ -277,31 +287,36 @@ _SECTIONS = {
 }
 
 _DESIGN = (
-    Field("base_scenario", "base_scenario", str, True),
+    Field("base_scenario", "base_scenario", _name, True),
     Field("factors", "factors", _list_of(_factor)),
     Field("replications", "replications", _integer, True),
     Field("base_seed", "base_seed", _integer),
 )
-_FACTOR = (Field("path", "path", str, True), Field("values", "values", _list_of(lambda v: v), True))
+_FACTOR = (Field("path", "path", _name, True), Field("values", "values", _list_of(lambda v: v), True))
 
 
-# What a design factor may set each scalar field to, by dataclass attribute.
-_LEAF_KINDS = {_number: "number", _integer: "integer", _boolean: "boolean", _delay: "delay",
-               str: "name"}
+# The reader of each scalar field that a design factor may set, by
+# dataclass attribute.
 _LEAVES = {
-    (cls, f.attr): _LEAF_KINDS[f.read]
+    (cls, f.attr): f.read
     for cls, fields in [(PlanningHorizon, _HORIZON), (DeviceGroup, _GROUP), (DeviceModel, _MODEL),
                         *_SECTIONS.values()]
     for f in fields
-    if f.read in _LEAF_KINDS
+    if f.read in (_number, _integer, _boolean, _delay, _name)
 }
 
 
-def leaf_kind(owner: type, attr: str) -> str | None:
-    """``number``, ``integer``, ``boolean``, ``delay`` or ``name`` for a
-    scalar field of the table that ``attr`` of an ``owner`` fills; None for
-    any other attribute."""
-    return _LEAVES.get((owner, attr))
+def read_leaf(owner: type, attr: str, value):
+    """``value`` read by the reader of the scalar field that ``attr`` of an
+    ``owner`` fills. Raises ``UnknownPathError`` for any other attribute and
+    ``StructuralError`` for a value that the reader refuses."""
+    read = _LEAVES.get((owner, attr))
+    if read is None:
+        raise UnknownPathError(f"{attr!r} is not a number, a boolean, a delay or a name")
+    try:
+        return read(value)
+    except (ValueError, _Invalid) as exc:
+        raise StructuralError(str(exc)) from None
 
 
 # --- parse and dump -----------------------------------------------------------
@@ -344,8 +359,12 @@ def _parse_scenario(data, name: str) -> Scenario:
     blocks = data["devices"]
     if not isinstance(blocks, list) or not blocks:
         raise _Invalid("devices must be a non-empty list", data, "devices")
+    try:
+        name = name if data.get("name") is None else _name(data["name"])
+    except ValueError as exc:
+        raise _Invalid(f"scenario.name {exc}", data, "name") from None
     values = {
-        "name": str(data.get("name", name)),
+        "name": name,
         "horizon": horizon,
         "target": _parse_target(data["target"], horizon),
         "devices": tuple(_parse_device_group(block, horizon) for block in blocks),

@@ -269,8 +269,7 @@ def run(
                 detail = {"msg": "start", "to": aid}
             else:
                 detail = {"msg": "knowledge", "to": aid, "from": msg.sender}
-            own = new_state.memory.config.get(aid) if new_state.memory else None
-            detail["version"] = own.version if own is not None else None
+            detail["version"] = new_state.memory.config.version[new_state.position]
             trace.append(TraceEvent(at, "deliver", detail))
         if new_state is state:
             # A knowledge delivery that taught nothing: no improvement,
@@ -336,7 +335,8 @@ def run(
 
 def check_consistency(agents: Iterable[AgentState]) -> bool:
     """True iff all agents share a compare-equal best candidate that covers
-    every agent, and each agent's own selection conforms to it."""
+    every agent, and each agent's own selection conforms to it. Reads the
+    configurations' index arrays; builds no record."""
     states = list(agents)
     if not states:
         return True
@@ -350,11 +350,8 @@ def check_consistency(agents: Iterable[AgentState]) -> bool:
             return False
         if not set(best.configuration).issuperset(ids):
             return False
-        own = s.memory.config.get(s.agent_id)
-        recorded = best.configuration.get(s.agent_id)
-        if own is None or recorded is None:
-            return False
-        if own.schedule_index != recorded.schedule_index:
+        own = s.memory.config.index[s.position]
+        if own < 0 or own != best.configuration.index[s.position]:
             return False
     return True
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,7 +17,8 @@ settings.load_profile("suite")
 
 def make_fleet(horizon, schedules):
     """Fleet over ``schedules``: agent id -> schedule rows (lists of floats)."""
-    return Fleet({aid: [Schedule(tuple(row)) for row in rows] for aid, rows in schedules.items()},
+    return Fleet({aid: np.array(rows, dtype=np.float64) if rows else
+                  np.zeros((0, horizon.interval_count)) for aid, rows in schedules.items()},
                  horizon)
 
 
@@ -37,7 +39,7 @@ def configuration(fleet, picks):
     """Configuration over ``fleet`` from ``{agent_id: (index, version)}``:
     each record selects that entry of its agent's table row."""
     records = {
-        aid: SelectionRecord(aid, index, fleet.schedule_sets[fleet.position[aid]][index], version)
+        aid: SelectionRecord(aid, index, fleet.schedule(fleet.position[aid], index), version)
         for aid, (index, version) in picks.items()
     }
     return SystemConfiguration.from_records(fleet, records)

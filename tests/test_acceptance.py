@@ -146,8 +146,7 @@ def _battery_case(index: int):
     network = NetworkModel(delay=delay, drop_probability=0.0, max_delay_bound=bound)
 
     fleet = Fleet({
-        aid: [Schedule(tuple(rng.uniform(-4.0, 4.0) for _ in range(T))) for _ in range(m)]
-        for aid in ids
+        aid: [[rng.uniform(-4.0, 4.0) for _ in range(T)] for _ in range(m)] for aid in ids
     }, horizon)
     agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids]
     target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
@@ -298,12 +297,7 @@ def test_criterion_4_oracle_sandwich():
         full = run_scenario_full(scenario, seed)
         assert full.result.terminated and full.result.consistent
         mat = full.materialized
-        oracle = EnumerationOracle(
-            mat.device_ids,
-            [flex.schedules for flex in mat.flexibility],
-            scenario.target,
-            scenario.horizon,
-        )
+        oracle = EnumerationOracle(mat.fleet, scenario.target)
         from cohdasim.simnet import snapshot_best
 
         best = snapshot_best(full.states.values())
@@ -430,10 +424,7 @@ def test_criterion_7_efficiency_metrics_hand_trace():
     horizon = PlanningHorizon(1, 1.0, (0,))
     target = TargetProfile((-3.0,))
     overlay = ring(["A", "B"])
-    fleet = Fleet({
-        "A": [Schedule((-1.0,)), Schedule((-2.0,))],
-        "B": [Schedule((-1.0,)), Schedule((-3.0,))],
-    }, horizon)
+    fleet = Fleet({"A": [[-1.0], [-2.0]], "B": [[-1.0], [-3.0]]}, horizon)
     agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ("A", "B")]
     network = NetworkModel(delay=ConstantDelay(1.0))
     states, trace, stats = run(agents, overlay, target, network, seed=0, trace=[])

@@ -11,7 +11,6 @@ from cohdasim.agent import (
     AgentState,
     ConfigurationError,
     NotStartedError,
-    ScheduleSet,
     choose_schedule,
     extract_assignment,
     handle_message,
@@ -22,7 +21,6 @@ from cohdasim.agent import (
 )
 from cohdasim.core import (
     PlanningHorizon,
-    Schedule,
     StructuralError,
     SystemConfiguration,
     TargetProfile,
@@ -82,9 +80,10 @@ def test_start_target_length_mismatch(horizon1):
 
 
 def test_agent_horizon_is_its_schedule_sets(horizon4):
-    # A separate horizon could disagree with the schedule set's window.
+    # A separate horizon could disagree with the window of the agent's
+    # schedule table, which is the fleet's.
     agent = make_agent("A", [[0.0, 0.0, 0.0, 0.0]], horizon4)
-    assert agent.horizon is agent.schedule_set.horizon
+    assert agent.horizon is agent.fleet.horizon
     with pytest.raises(TypeError):
         AgentState("A", agent.fleet, (), horizon=horizon4)
 
@@ -224,7 +223,7 @@ def test_message_with_larger_best_replaces_and_publishes(horizon1):
     assert len(out) == len(state.neighbors)
     assert compare(state2.memory.best, remote_best) > 0
     # The decide step ran: exactly one evaluation per own schedule.
-    assert state2.objective_calls == state.objective_calls + len(state.schedule_set)
+    assert state2.objective_calls == state.objective_calls + len(state.window_matrix)
 
 
 def test_two_agent_quiescence_matches_enumeration(horizon1):
@@ -379,7 +378,7 @@ def _reference_choose(state, target, config):
         if aid != state.agent_id:
             others += config[aid].schedule.arr
     w = horizon.window_index
-    values = np.abs(state.schedule_set.window_matrix - (target.arr[w] - others[w])).sum(axis=1)
+    values = np.abs(state.window_matrix - (target.arr[w] - others[w])).sum(axis=1)
     idx = int(np.argmin(values))
     return idx, float(values[idx])
 
@@ -397,7 +396,7 @@ _power = st.one_of(
 
 
 def _index(draw, fleet, aid):
-    return draw(st.integers(0, len(fleet.schedule_sets[fleet.position[aid]]) - 1))
+    return draw(st.integers(0, len(fleet.power[fleet.position[aid]]) - 1))
 
 
 def _draw_config(draw, fleet, ids):
@@ -560,5 +559,6 @@ def test_extract_before_start_raises(horizon1):
 
 
 def test_schedule_set_validates_lengths(horizon1):
+    # The fleet checks each agent's schedule table against the horizon.
     with pytest.raises(StructuralError):
-        ScheduleSet([Schedule((1.0, 2.0))], horizon1)
+        make_fleet(horizon1, {"A": [[1.0, 2.0]]})

@@ -74,3 +74,13 @@ def test_cli_run_under_the_worker_capture(worker, monkeypatch, tmp_path, traced)
         _, totals = tracer.self_times()
         for name in HOT_NAMES:
             assert totals.get(name, [0])[0] > 0, name
+
+
+def test_worker_correctness_checks_pass(worker, monkeypatch, tmp_path):
+    # The worker's checks read the run's flexibility sets (``schedules`` and
+    # ``on_patterns``) and the committed records; toy-2 keeps the run short.
+    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy2_scenario.yaml"))
+    m = worker.import_package(ROOT)
+    rep = worker.run_cli(m, ROOT, "fleet", 0, tmp_path, None)
+    assert rep["failed"] == 0, rep["failures"]
+    assert rep["outputs"]["messages"] > 0

@@ -316,6 +316,9 @@ BAD_VALUES = [
      "unknown key 'extra' in network.delay", "extra:"),
     ("network", "delay", {"kind": "uniform", "low_s": 0.1},
      "missing key 'high_s' in network.delay", "kind: uniform"),
+    ("topology", "family", 7, "topology.family must be a string", "family:"),
+    ("network", "duplicate_probability", 10**400, "duplicate_probability must be finite",
+     "duplicate_"),
 ]
 
 
@@ -368,19 +371,21 @@ def test_bad_delay_parameters_rejected(tmp_path, capsys, delay):
 
 # (factor path, its values, message, the reported key)
 BAD_FACTORS = [
-    ("sampling.count", [2, 1.7], "factor 'sampling.count' value 1.7: needs an integer", "values"),
+    ("sampling.count", [2, 1.7], "factor 'sampling.count' value 1.7: must be an integer", "values"),
     ("network.delay", [{"kind": "uniform", "low_s": 0.1}],
-     "missing key 'high_s' in uniform delay", "values"),
+     "missing key 'high_s' in network.delay", "values"),
     ("network.bogus", [1], "factor 'network.bogus': unknown parameter path segment 'bogus'",
      "path"),
     ("sampling", [3], "factor 'sampling': 'sampling' is not a number, a boolean, a delay or a name",
      "path"),
+    # An integer beyond the float range, where a probability is read.
+    ("network.duplicate_probability", [10**400], "must be finite", "values"),
 ]
 
 
 @pytest.mark.parametrize("factor, values, message, key", BAD_FACTORS,
                          ids=["non-integer-count", "delay-missing-key", "unknown-path",
-                              "section-path"])
+                              "section-path", "huge-probability"])
 def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message, key):
     # The bad factor is the second one, so its keys are on lines 6 and 7.
     path = tmp_path / "design.yaml"
@@ -396,3 +401,4 @@ def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message
     reported, line = _located_error(path, load_design)
     assert message in reported
     assert line == (f"- path: {factor}" if key == "path" else f"  values: {json.dumps(values)}")
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from cohdasim.core import PlanningHorizon, Schedule, StructuralError, TargetProfile
+from cohdasim.core import Fleet, PlanningHorizon, StructuralError, TargetProfile
 from cohdasim.evaluation import (
     CapExceededError,
     ExperimentDesign,
@@ -24,9 +25,15 @@ from cohdasim.scenario import (
     with_param,
 )
 
+from conftest import make_fleet
+
 
 def _rows(*rows):
-    return [Schedule(tuple(r)) for r in rows]
+    return [list(r) for r in rows]
+
+
+def _oracle(ids, sets, target, horizon, **kwargs):
+    return EnumerationOracle(make_fleet(horizon, dict(zip(ids, sets))), target, **kwargs)
 
 
 @pytest.fixture
@@ -41,13 +48,13 @@ def test_brute_force_toy_instance(toy_instance):
     ids, sets, target, horizon = toy_instance
     # Independent oracle: plain nested enumeration.
     best = min(
-        ((ia, ib, abs(sets[0][ia].power[0] + sets[1][ib].power[0] - 4.0))
+        ((ia, ib, abs(sets[0][ia][0] + sets[1][ib][0] - 4.0))
          for ia in range(2) for ib in range(2)),
         key=lambda c: (c[2], c[0], c[1]),
     )
     assert (best[0], best[1], best[2]) == (0, 1, 0.0)
 
-    oracle = EnumerationOracle(ids, sets, target, horizon)
+    oracle = _oracle(ids, sets, target, horizon)
     assert oracle.optimum == 0.0
     assert oracle.optimum_assignment == {"A": 0, "B": 1}
     assert oracle.worst == 2.0
@@ -57,7 +64,7 @@ def test_brute_force_toy_instance(toy_instance):
 def test_brute_force_single_agent():
     horizon = PlanningHorizon(1, 1.0, (0,))
     target = TargetProfile((2.5,))
-    oracle = EnumerationOracle(["A"], [_rows([1.0], [2.0], [4.0])], target, horizon)
+    oracle = _oracle(["A"], [_rows([1.0], [2.0], [4.0])], target, horizon)
     assert oracle.optimum == 0.5
     assert oracle.optimum_assignment == {"A": 1}
 
@@ -66,7 +73,7 @@ def test_brute_force_all_zero():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((0.0, 0.0))
     sets = [_rows([0.0, 0.0], [0.0, 0.0]) for _ in range(3)]
-    oracle = EnumerationOracle(["a", "b", "c"], sets, target, horizon)
+    oracle = _oracle(["a", "b", "c"], sets, target, horizon)
     assert oracle.optimum == 0.0
     assert oracle.optimum_assignment == {"a": 0, "b": 0, "c": 0}
 
@@ -76,7 +83,7 @@ def test_brute_force_cap():
     target = TargetProfile((1.0,))
     sets = [_rows(*[[float(i)] for i in range(10)]) for _ in range(4)]
     with pytest.raises(CapExceededError):
-        EnumerationOracle(list("abcd"), sets, target, horizon, cap=100)
+        _oracle(list("abcd"), sets, target, horizon, cap=100)
 
 
 def test_brute_force_matches_naive_on_random_instances():
@@ -91,11 +98,11 @@ def test_brute_force_matches_naive_on_random_instances():
             for _ in range(n)
         ]
         target = TargetProfile(tuple(rng.uniform(-3, 3) for _ in range(T)))
-        oracle = EnumerationOracle([f"a{i}" for i in range(n)], sets, target, horizon)
+        oracle = _oracle([f"a{i}" for i in range(n)], sets, target, horizon)
 
         def value(combo):
             return sum(
-                abs(sum(sets[i][j].power[t] for i, j in enumerate(combo)) - target.power[t])
+                abs(sum(sets[i][j][t] for i, j in enumerate(combo)) - target.power[t])
                 for t in range(T)
             )
 
@@ -108,7 +115,7 @@ def test_brute_force_matches_naive_on_random_instances():
 
 def test_value_of_uses_identical_float_path(toy_instance):
     ids, sets, target, horizon = toy_instance
-    oracle = EnumerationOracle(ids, sets, target, horizon)
+    oracle = _oracle(ids, sets, target, horizon)
     for ia in range(2):
         for ib in range(2):
             v = oracle.value_of({"A": ia, "B": ib})
@@ -175,10 +182,10 @@ def test_greedy_baseline_hand_example(toy_instance):
     # By hand: A alone picks 2.0 (index 1), then B ties between 1.0 and 3.0
     # and takes the lowest index; the final fitness is 1.0 either way.
     acc = 0.0
-    a_pick = min(range(2), key=lambda i: abs(sets[0][i].power[0] - 4.0))
+    a_pick = min(range(2), key=lambda i: abs(sets[0][i][0] - 4.0))
     assert a_pick == 1
-    acc += sets[0][a_pick].power[0]
-    b_values = [abs(acc + sets[1][i].power[0] - 4.0) for i in range(2)]
+    acc += sets[0][a_pick][0]
+    b_values = [abs(acc + sets[1][i][0] - 4.0) for i in range(2)]
     assert b_values == [1.0, 1.0]
 
 
@@ -258,6 +265,20 @@ def test_run_result_metric_consistency():
     assert set(r.objective_calls) == set(full.states)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_no_schedule_is_built_on_the_delivery_path(monkeypatch, traced):
+    expected = run_scenario(build_small_demo_scenario(), 0)
+
+    def refuse(fleet, position, index):
+        raise AssertionError("a schedule was built from the fleet table")
+
+    monkeypatch.setattr(Fleet, "schedule", refuse)
+    full = run_scenario_full(build_small_demo_scenario(), 0, trace=[] if traced else None)
+    assert full.result.terminated and full.result.consistent
+    assert dataclasses.replace(full.result, wall_time=0.0) == dataclasses.replace(
+        expected, wall_time=0.0)
+
+
 def test_uncontrolled_first_sample_per_device():
     from cohdasim.scenario import materialize
 
@@ -291,7 +312,7 @@ def test_design_points_arithmetic():
 @pytest.mark.parametrize(
     "path, values, problem",
     [
-        ("sampling.count", (2, 1.7), "needs an integer"),
+        ("sampling.count", (2, 1.7), "must be an integer"),
         ("network.delay", ({"kind": "constant", "seconds": 0.05},
                            {"kind": "uniform", "low_s": 0.1}), "missing key 'high_s'"),
         ("network.delay", ({"kind": "constant", "seconds": 1.0, "bogus": 3},),

@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from cohdasim.core import DegenerateTargetError, StructuralError
+from cohdasim.core import DegenerateTargetError, Schedule, StructuralError
 from cohdasim.scenario import (
     BUILTIN_SCENARIOS,
     DeviceGroup,
@@ -74,7 +75,37 @@ def test_materialize_ids_and_neighbors():
     assert len(mat.device_ids) == 12
     for agent in mat.agents:
         assert agent.neighbors == mat.overlay.adjacency[agent.agent_id]
-        assert len(agent.schedule_set) == sc.sampling.count
+        assert len(agent.window_matrix) == sc.sampling.count
+
+
+@pytest.mark.parametrize("builder, seed", [(build_small_demo_scenario, 0),
+                                           (build_small_demo_scenario, 7),
+                                           (build_epex_scenario, 0)],
+                         ids=["small-demo-0", "small-demo-7", "epex-0"])
+def test_materialize_tables(monkeypatch, builder, seed):
+    scenario = builder()
+    built = []
+    post_init = Schedule.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Schedule, "__post_init__", counting)
+    mat = materialize(scenario, seed)
+    assert built == []
+    monkeypatch.undo()
+
+    fleet = mat.fleet
+    w = scenario.horizon.window_index
+    assert fleet.rows.flags.c_contiguous
+    for aid, device, flex in zip(mat.device_ids, mat.devices, mat.flexibility):
+        for schedule, pattern in zip(flex.schedules, flex.on_patterns, strict=True):
+            assert schedule.power == tuple(device.p_el_on if v else 0.0 for v in pattern)
+        window = fleet.windows[fleet.position[aid]]
+        assert np.array_equal(window, flex.power[:, w])
+        # The decide step's per-row sums depend on this order bit for bit.
+        assert window.flags.f_contiguous
 
 
 def test_mix_seed_stable_and_distinct():
@@ -128,7 +159,8 @@ def test_with_param_leaf_kinds():
     assert with_param(sc, "network.reorder", False).network.reorder is False
     assert with_param(sc, "topology.family", "ring").topology.family == "ring"
     for path, value in [("topology.family", 3), ("network.reorder", 1), ("topology.k", 2.5),
-                        ("network.delay", 0.1), ("devices.0.model.demand.3", 1.0)]:
+                        ("network.delay", 0.1), ("devices.0.model.demand.3", 1.0),
+                        ("network.duplicate_probability", 10**400)]:
         with pytest.raises(StructuralError):
             with_param(sc, path, value)
 

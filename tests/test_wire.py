@@ -31,7 +31,7 @@ def messages(draw):
 
     def config(subset):
         return configuration(fleet, {
-            aid: (draw(st.integers(0, len(fleet.schedule_sets[fleet.position[aid]]) - 1)),
+            aid: (draw(st.integers(0, len(fleet.power[fleet.position[aid]]) - 1)),
                   draw(st.integers(0, 1000)))
             for aid in subset
         })
@@ -78,7 +78,7 @@ def test_encoding_deterministic(drawn):
 
 def test_map_ordering_is_canonical():
     fleet = make_fleet(PlanningHorizon(1, 1.0, (0,)), {"a": [[1.0]], "b": [[1.0]]})
-    rec = lambda aid: SelectionRecord(aid, 0, fleet.schedule_sets[fleet.position[aid]][0], 0)
+    rec = lambda aid: SelectionRecord(aid, 0, fleet.schedule(fleet.position[aid], 0), 0)
     target = TargetProfile((0.0,))
     forward = SystemConfiguration.from_records(fleet, {"a": rec("a"), "b": rec("b")})
     backward = SystemConfiguration.from_records(fleet, {"b": rec("b"), "a": rec("a")})
