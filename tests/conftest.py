@@ -17,9 +17,8 @@ settings.load_profile("suite")
 
 def make_fleet(horizon, schedules):
     """Fleet over ``schedules``: agent id -> schedule rows (lists of floats)."""
-    return Fleet({aid: np.array(rows, dtype=np.float64) if rows else
-                  np.zeros((0, horizon.interval_count)) for aid, rows in schedules.items()},
-                 horizon)
+    return Fleet({aid: rows or np.zeros((0, horizon.interval_count))
+                  for aid, rows in schedules.items()}, horizon)
 
 
 def make_agents(horizon, schedules, neighbors=None):
