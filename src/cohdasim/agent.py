@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress, count
-from operator import add, gt
+from operator import gt
 
 import numpy as np
 
@@ -140,16 +140,20 @@ def _choose_index(
     order and summed left to right, unknown and own agents on a zero row.
     Zero rows change a partial sum at most in the sign of a zero, which the
     absolute values do not see, so the result is bitwise the one of the
-    left-to-right sum over the known records.
+    left-to-right sum over the known records. Each step writes into a
+    buffer of the step before; the per-row sums run over the window
+    matrix's Fortran order, as ``sum(axis=1)`` would.
     """
     fleet = state.fleet
-    pick = list(map(add, fleet.offsets, config.index))
     i = state.position
-    pick[i] = fleet.offsets[i] - 1
+    pick = np.fromiter(config.index, dtype=np.intp, count=len(config.index))
+    pick[i] = -1
+    pick += fleet.offsets
     others = np.add.accumulate(fleet.rows.take(pick, axis=0), axis=0)[-1]
-    gap = target.arr[fleet.horizon.window_index] - others
-    values = np.abs(state.window_matrix - gap).sum(axis=1)
-    idx = int(np.argmin(values))
+    gap = np.subtract(target.arr[fleet.horizon.window_index], others, out=others)
+    diff = np.subtract(fleet.windows[i], gap)
+    values = np.add.reduce(np.abs(diff, out=diff), axis=1)
+    idx = int(values.argmin())
     return idx, float(values[idx])
 
 
@@ -203,9 +207,9 @@ def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemCon
     Both must be over one fleet. Returns ``local`` itself when no remote
     record is newer.
     """
-    newer = list(compress(count(), map(gt, remote.version, local.version)))
-    if not newer:
+    if not any(map(gt, remote.version, local.version)):
         return local
+    newer = compress(count(), map(gt, remote.version, local.version))
     index, version = list(local.index), list(local.version)
     for i in newer:
         index[i] = remote.index[i]
@@ -278,7 +282,7 @@ def handle_message(
             config = _select(state, config, recorded)
 
     new_memory = WorkingMemory(memory.target, config, best)
-    new_state = replace(state, memory=new_memory, objective_calls=calls)
+    new_state = AgentState(state.agent_id, state.fleet, state.neighbors, new_memory, calls)
     return new_state, _publish(state, new_memory)
 
 

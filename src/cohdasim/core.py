@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import blake2b
-from itertools import accumulate, compress
+from itertools import compress
 from math import isfinite
 from operator import getitem
 from typing import Iterator, Mapping
@@ -159,16 +160,17 @@ class Fleet:
     is one window-row table: for each agent a zero row, then its window
     matrix, so that schedule ``s`` of the agent at place ``i`` is row
     ``offsets[i] + s`` and index -1 is a zero row. ``record_lengths`` are
-    the wire lengths of each agent's records, and ``key_parts[i][s]`` is
+    the wire lengths of each agent's records, ``config_length`` that of a
+    configuration that knows every agent, and ``key_parts[i][s]`` is
     what schedule ``s`` of agent ``i`` adds to a configuration key;
     ``key_parts[i][-1]`` is empty.
     """
 
     __slots__ = ("ids", "position", "horizon", "power", "windows", "rows", "offsets",
-                 "record_lengths", "key_parts")
+                 "record_lengths", "config_length", "key_parts")
 
     def __init__(self, power: Mapping[str, np.ndarray], horizon: PlanningHorizon):
-        from .wire import record_length  # the wire module imports this one
+        from .wire import EMPTY_CONFIG_LENGTH, record_length  # the wire module imports this one
 
         self.ids = tuple(sorted(power))
         self.position = {aid: i for i, aid in enumerate(self.ids)}
@@ -177,12 +179,14 @@ class Fleet:
         # Column indexing leaves these in Fortran order; the decide step's
         # per-row sums depend on that order bit for bit.
         self.windows = tuple(_frozen(table[:, horizon.window_index]) for table in self.power)
-        self.offsets = tuple(accumulate((len(t) + 1 for t in self.power), initial=1))[:-1]
+        sizes = np.array([len(t) + 1 for t in self.power], dtype=np.intp)
+        self.offsets = _frozen(1 + np.cumsum(sizes) - sizes)
         zero = np.zeros((1, len(horizon.product_window)), dtype=np.float64)
         blocks = [block for window in self.windows for block in (zero, window)]
         # C order, so that gathering rows reads each row in one piece.
         self.rows = _frozen(np.ascontiguousarray(np.concatenate(blocks or [zero])))
         self.record_lengths = tuple(record_length(aid, horizon.interval_count) for aid in self.ids)
+        self.config_length = EMPTY_CONFIG_LENGTH + sum(self.record_lengths)
         self.key_parts = tuple(
             tuple(_key_part(aid, s) for s in range(len(table))) + (b"",)
             for aid, table in zip(self.ids, self.power)
@@ -284,14 +288,19 @@ class Candidate:
     Candidates are the unit of the anytime solution: ``compare`` prefers
     larger ``size`` first, then smaller ``fitness``, then the smaller
     deterministic ``key`` so that there is a unique global winner no matter
-    in which order knowledge spreads.
+    in which order knowledge spreads. ``key`` is the configuration's
+    ``configuration_key``, computed on first read and kept on the instance;
+    most comparisons are decided by size or fitness and never read it.
     """
 
     configuration: Mapping[str, SelectionRecord]
     fitness: float
     size: int
     creator: str
-    key: int
+
+    @cached_property
+    def key(self) -> int:
+        return configuration_key(self.configuration)
 
 
 def selection_items(config: Mapping[str, SelectionRecord]) -> tuple[tuple[str, int], ...]:
@@ -320,14 +329,10 @@ def configuration_key(config: Mapping[str, SelectionRecord]) -> int:
 
 
 def make_candidate(config: Mapping[str, SelectionRecord], fitness: float, creator: str) -> Candidate:
-    """Candidate over ``config``, with its size and key."""
-    return Candidate(
-        configuration=config,
-        fitness=float(fitness),
-        size=len(config),
-        creator=creator,
-        key=configuration_key(config),
-    )
+    """Candidate over ``config`` with its size; its key is computed when
+    first read."""
+    return Candidate(configuration=config, fitness=float(fitness), size=len(config),
+                     creator=creator)
 
 
 def compare(a: Candidate, b: Candidate) -> int:

@@ -32,6 +32,7 @@ from .simnet import (
     UniformDelay,
 )
 from .topology import Overlay
+from .wire import MAX_RECORDS, MAX_SCHEDULES
 
 __all__ = [
     "DeviceGroup",
@@ -63,6 +64,8 @@ class DeviceGroup:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise StructuralError("device group count must be at least 1")
+        if self.count > MAX_RECORDS:
+            raise StructuralError(f"device group count must be at most {MAX_RECORDS}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class SamplingSpec:
     def __post_init__(self) -> None:
         if self.count < 1 or self.attempt_factor < 1:
             raise StructuralError("sampling settings must be positive")
+        if self.count > MAX_SCHEDULES:
+            raise StructuralError(f"sampling count must be at most {MAX_SCHEDULES}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,8 @@ class Scenario:
         prefixes = [g.prefix for g in self.devices]
         if len(set(prefixes)) != len(prefixes):
             raise StructuralError("device group prefixes must be unique")
+        if self.device_count() > MAX_RECORDS:
+            raise StructuralError(f"scenario device count must be at most {MAX_RECORDS}")
         w = self.horizon.window_index
         if float(abs(self.target.arr[w]).sum()) == 0.0:
             raise DegenerateTargetError("target is all-zero on the product window")

@@ -108,7 +108,7 @@ class _Invalid(Exception):
         mark = None
         if isinstance(self.mapping, _MarkedDict):
             marks = self.mapping.key_marks
-            mark = marks.get(self.key) if self.key is not None else self.mapping.mark
+            mark = marks.get(self.key, self.mapping.mark)
         return ScenarioError(str(self), source if mark is None else f"{source}:{mark[0]}:{mark[1]}")
 
 
@@ -211,11 +211,11 @@ def _read(block, fields, ctx: str) -> dict:
     return values
 
 
-def _build(cls, values: dict, block):
+def _build(cls, values: dict, block, key=None):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise _Invalid(str(exc), block) from None
+        raise _Invalid(str(exc), block, key) from None
 
 
 def _dump(obj, fields) -> dict:
@@ -349,7 +349,8 @@ def _parse_device_group(block, horizon: PlanningHorizon) -> DeviceGroup:
     T = horizon.interval_count
     values["demand"] = _expand(values["demand"], T, block, "demand_kw", "devices[]")
     model = _build(DeviceModel, {f.attr: values.pop(f.attr) for f in _MODEL}, block)
-    return _build(DeviceGroup, {"count": 1, **values, "model": model}, block)
+    # A device group checks only its count.
+    return _build(DeviceGroup, {"count": 1, **values, "model": model}, block, "count")
 
 
 def _parse_scenario(data, name: str) -> Scenario:

@@ -22,7 +22,6 @@ from .core import (
     SelectionRecord,
     SystemConfiguration,
     TargetProfile,
-    configuration_key,
 )
 
 if TYPE_CHECKING:
@@ -33,10 +32,18 @@ __all__ = [
     "decode_message",
     "encoded_length",
     "record_length",
+    "EMPTY_CONFIG_LENGTH",
     "config_length",
+    "MAX_RECORDS",
+    "MAX_SCHEDULES",
 ]
 
 _FORMAT_VERSION = 1
+EMPTY_CONFIG_LENGTH = 4  # a configuration's record count
+# The most records a configuration can hold (its count is packed as "<I")
+# and the most schedules an agent can have (an index is packed as "<i").
+MAX_RECORDS = 2**32 - 1
+MAX_SCHEDULES = 2**31 - 1
 
 
 def _pack_str(s: str) -> bytes:
@@ -95,9 +102,11 @@ def record_length(agent_id: str, interval_count: int) -> int:
 
 
 def config_length(config: SystemConfiguration) -> int:
-    """Byte length of an encoded configuration: that of an empty one plus
-    the fleet's record length of each known agent."""
-    return 4 + sum(compress(config.fleet.record_lengths, config.known()))
+    """Byte length of an encoded configuration: the fleet's stored length
+    when it knows every agent, else from the known agents' record lengths."""
+    if -1 not in config.index:
+        return config.fleet.config_length
+    return EMPTY_CONFIG_LENGTH + sum(compress(config.fleet.record_lengths, config.known()))
 
 
 def encoded_length(msg: KnowledgeMessage) -> int:
@@ -164,5 +173,5 @@ def decode_message(data: bytes, fleet: Fleet) -> KnowledgeMessage:
     creator = r.take_str()
     fitness, size = r.take("<dI")
     best_config = _read_config(r, fleet)
-    best = Candidate(best_config, fitness, size, creator, configuration_key(best_config))
+    best = Candidate(best_config, fitness, size, creator)
     return KnowledgeMessage(sender, target, config, best)

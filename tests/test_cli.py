@@ -319,6 +319,11 @@ BAD_VALUES = [
     ("topology", "family", 7, "topology.family must be a string", "family:"),
     ("network", "duplicate_probability", 10**400, "duplicate_probability must be finite",
      "duplicate_"),
+    # Counts the wire format cannot encode: a configuration's record count is
+    # packed as "<I" and a schedule index as "<i".
+    ("sampling", "count", 2**31, "sampling count must be at most 2147483647", "count:"),
+    (("devices", 0), "count", 2**32, "device group count must be at most 4294967295",
+     "count:"),
 ]
 
 
@@ -336,7 +341,8 @@ def _located_error(path: Path, load=load_scenario) -> tuple[str, str]:
 def test_bad_values_rejected_with_location(tmp_path, section, key, value, message, line_text):
     path = _write_scenario(tmp_path)
     mapping = yaml.safe_load(path.read_text())
-    mapping[section][key] = value
+    block = mapping[section[0]][section[1]] if isinstance(section, tuple) else mapping[section]
+    block[key] = value
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
     reported, line = _located_error(path)
     assert message in reported
@@ -380,12 +386,13 @@ BAD_FACTORS = [
      "path"),
     # An integer beyond the float range, where a probability is read.
     ("network.duplicate_probability", [10**400], "must be finite", "values"),
+    ("devices.0.count", [2, 2**32], "device group count must be at most 4294967295", "values"),
 ]
 
 
 @pytest.mark.parametrize("factor, values, message, key", BAD_FACTORS,
                          ids=["non-integer-count", "delay-missing-key", "unknown-path",
-                              "section-path", "huge-probability"])
+                              "section-path", "huge-probability", "huge-count"])
 def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message, key):
     # The bad factor is the second one, so its keys are on lines 6 and 7.
     path = tmp_path / "design.yaml"

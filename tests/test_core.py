@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cohdasim import core
+from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
     DegenerateTargetError,
     PlanningHorizon,
@@ -19,6 +21,7 @@ from cohdasim.core import (
     selection_items,
     SystemConfiguration,
 )
+from cohdasim.wire import decode_message, encode_message
 
 from conftest import configuration, make_fleet, record
 
@@ -245,6 +248,42 @@ def test_configuration_round_trips_through_records(config):
 def test_configuration_key_from_the_table_equals_the_dict_key(config):
     assert configuration_key(config) == configuration_key(dict(config))
     assert make_candidate(config, 1.0, "a").size == len(dict(config))
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Arguments of every ``core.configuration_key`` call."""
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return configuration_key(config)
+
+    monkeypatch.setattr(core, "configuration_key", counting)
+    return calls
+
+
+def test_candidate_key_is_computed_on_first_read(key_calls):
+    config = configuration(_FLEET, {"a": (1, 0), "c\u00e9": (2, 3)})
+    cand = make_candidate(config, 1.0, "a")
+    assert key_calls == []
+    # Size or fitness decide these comparisons, so neither reads a key.
+    larger = make_candidate(configuration(_FLEET, {"a": (0, 0), "bb": (0, 0), "c\u00e9": (0, 0)}),
+                            9.0, "bb")
+    fitter = make_candidate(configuration(_FLEET, {"a": (0, 1), "bb": (0, 1)}), 0.5, "bb")
+    assert compare(larger, cand) > 0 and compare(cand, fitter) < 0
+    assert key_calls == []
+    assert cand.key == cand.key == configuration_key(dict(config))
+    assert key_calls == [config]
+
+
+def test_decoded_candidate_key_equals_the_sent_one(key_calls):
+    config = configuration(_FLEET, {"a": (1, 0), "bb": (0, 4)})
+    sent = KnowledgeMessage("a", TargetProfile((0.0, -1.0)), config,
+                            make_candidate(config, 2.5, "bb"))
+    decoded = decode_message(encode_message(sent), _FLEET)
+    assert key_calls == []
+    assert decoded.best.key == sent.best.key
 
 
 def test_from_records_rejects_records_off_the_table():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cohdasim import agent, core
 from cohdasim.core import Fleet, PlanningHorizon, StructuralError, TargetProfile
 from cohdasim.evaluation import (
     CapExceededError,
@@ -323,6 +324,25 @@ def test_design_points_arithmetic():
 def test_design_rejects_every_bad_factor_value(path, values, problem):
     with pytest.raises(StructuralError, match=f"factor '{path}' value .*{problem}"):
         ExperimentDesign(build_small_demo_scenario(), ((path, values),))
+
+
+def test_delivery_work_counts_on_small_demo(monkeypatch):
+    # The run is byte-deterministic, so these counts are exact. A change that
+    # computes candidate keys on the delivery path again, or decides more
+    # often, fails here. Before keys were computed on first read, this run
+    # made 1,489 key calls, one per decide.
+    calls = {"configuration_key": 0, "_choose_index": 0}
+    for module, name in ((core, "configuration_key"), (agent, "_choose_index")):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run = run_scenario_full(build_small_demo_scenario(), 0)
+    assert run.result.messages_sent == 5965
+    assert calls == {"configuration_key": 229, "_choose_index": 1489}
 
 
 def test_sweep_rows_and_determinism():

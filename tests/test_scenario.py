@@ -160,7 +160,8 @@ def test_with_param_leaf_kinds():
     assert with_param(sc, "topology.family", "ring").topology.family == "ring"
     for path, value in [("topology.family", 3), ("network.reorder", 1), ("topology.k", 2.5),
                         ("network.delay", 0.1), ("devices.0.model.demand.3", 1.0),
-                        ("network.duplicate_probability", 10**400)]:
+                        ("network.duplicate_probability", 10**400),
+                        ("sampling.count", 2**31), ("devices.0.count", 2**32)]:
         with pytest.raises(StructuralError):
             with_param(sc, path, value)
 
@@ -171,3 +172,12 @@ def test_device_group_validation():
         DeviceGroup("x", 0, sc.devices[0].model)
     with pytest.raises(StructuralError):
         dataclasses.replace(sc, devices=(sc.devices[0], sc.devices[0]))
+    # A configuration's record count is packed as "<I", a schedule index as "<i".
+    model = sc.devices[0].model
+    assert DeviceGroup("x", 2**32 - 1, model).count == 2**32 - 1
+    with pytest.raises(StructuralError, match="device group count"):
+        DeviceGroup("x", 2**32, model)
+    halves = (DeviceGroup("x", 2**31, model), DeviceGroup("y", 2**31, model))
+    with pytest.raises(StructuralError, match="scenario device count"):
+        dataclasses.replace(sc, devices=halves)
+    assert with_param(sc, "sampling.count", 2**31 - 1).sampling.count == 2**31 - 1

@@ -10,7 +10,13 @@ from cohdasim.core import (
     TargetProfile,
     make_candidate,
 )
-from cohdasim.wire import decode_message, encode_message, encoded_length
+from cohdasim.wire import (
+    _pack_config,
+    config_length,
+    decode_message,
+    encode_message,
+    encoded_length,
+)
 
 from conftest import configuration, make_fleet
 
@@ -68,6 +74,23 @@ def test_decode_refuses_records_off_the_table():
 def test_length_matches_real_encoding(drawn):
     msg, _ = drawn
     assert encoded_length(msg) == len(encode_message(msg))
+
+
+def test_config_length_of_a_full_and_a_partial_configuration():
+    # Ids of unequal byte length, so each agent's record has its own length.
+    fleet = make_fleet(PlanningHorizon(2, 1.0, (0,)), {
+        "a": [[1.0, 0.0]], "bbb": [[2.0, 1.0], [0.0, 0.5]], "c\u00e9\u00e9": [[0.0, 3.0]],
+    })
+    full = configuration(fleet, {"a": (0, 0), "bbb": (1, 2), "c\u00e9\u00e9": (0, 1)})
+    assert config_length(full) == fleet.config_length
+    for missing in fleet.ids:
+        partial = configuration(fleet, {aid: (0, 0) for aid in fleet.ids if aid != missing})
+        assert config_length(partial) < config_length(full)
+        for config in (full, partial):
+            msg = KnowledgeMessage("a", TargetProfile((0.0, 0.0)), config,
+                                   make_candidate(config, 0.0, "a"))
+            assert config_length(config) == len(_pack_config(config))
+            assert encoded_length(msg) == len(encode_message(msg))
 
 
 @given(messages())
