@@ -48,6 +48,7 @@ from .core import (
     TargetProfile,
     compare,
     make_candidate,
+    selection_items,
 )
 
 __all__ = [
@@ -290,5 +291,4 @@ def extract_assignment(state: AgentState) -> dict[str, int]:
     """Selection indices recorded in the best known candidate (commit step)."""
     if state.memory is None:
         raise NotStartedError(f"agent {state.agent_id!r} has not started")
-    best = state.memory.best
-    return {aid: rec.schedule_index for aid, rec in sorted(best.configuration.items())}
+    return dict(selection_items(state.memory.best.configuration))

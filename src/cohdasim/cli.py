@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,22 +22,21 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .core import Schedule, SelectionRecord, aggregate, coverage
+from .core import Schedule, aggregate, coverage
 from .evaluation import (
     CapExceededError,
+    EnumerationOracle,
     RunResult,
     SweepRow,
-    brute_force_optimum,
     design_points,
-    greedy_baseline,
+    greedy_assignment,
     run_scenario_full,
     run_sweep,
     summarize_rows,
-    uncontrolled_schedules,
-    worst_case_bound,
+    uncontrolled_configuration,
 )
 from .flexibility import simulate_tank
-from .scenario import Materialized, Scenario, materialize
+from .scenario import Scenario, materialize
 from .schema import ScenarioError, load_design, load_scenario, scenario_to_mapping
 from .simnet import snapshot_best
 
@@ -54,7 +54,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2) + "\n").encode())
+    _atomic_write(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode())
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -82,6 +82,8 @@ def result_record(result: RunResult) -> dict:
     record = dataclasses.asdict(result)
     record.pop("wall_time")
     record["best_improvement_curve"] = [list(p) for p in result.best_improvement_curve]
+    if math.isnan(result.coverage_energy_ratio):
+        record["coverage_energy_ratio"] = None  # the window target's energy sums to zero
     return record
 
 
@@ -98,15 +100,6 @@ def _write_series(path: Path, scenario: Scenario, **columns: Schedule) -> None:
             for t in range(horizon.interval_count)
         ),
     )
-
-
-def _uncontrolled_aggregate(mat: Materialized) -> Schedule:
-    """Sum of the devices' uncontrolled schedules, in ``core.aggregate`` order."""
-    config = {
-        aid: SelectionRecord(aid, 0, schedule)
-        for aid, schedule in zip(mat.device_ids, uncontrolled_schedules(mat))
-    }
-    return aggregate(config, mat.scenario.horizon)
 
 
 # --- commands ---------------------------------------------------------------
@@ -128,7 +121,7 @@ def cmd_run(args) -> int:
     record["seed"] = seed
 
     best = snapshot_best(run_out.states.values())
-    uncontrolled = _uncontrolled_aggregate(mat)
+    uncontrolled = aggregate(uncontrolled_configuration(mat), scenario.horizon)
     record["uncontrolled_coverage_l1"] = coverage(uncontrolled, scenario.target, scenario.horizon)
 
     _write_json(out / "result.json", record)
@@ -144,10 +137,13 @@ def cmd_run(args) -> int:
         uncontrolled_kw=uncontrolled,
     )
 
-    assignment = {aid: best.configuration[aid].schedule_index for aid in mat.device_ids}
+    config = best.configuration
     temp_rows = []
     for aid, device, flex in zip(mat.device_ids, mat.devices, mat.flexibility):
-        pattern = flex.on[assignment[aid]]
+        chosen = config.index[config.fleet.position[aid]]
+        if chosen < 0:  # a run stopped by a limit may commit a partial candidate
+            continue
+        pattern = flex.on[chosen]
         for point, temp in enumerate(simulate_tank(device, pattern, scenario.horizon)):
             temp_rows.append([aid, point, temp])
     _write_csv(out / "temperatures.csv", ["device_id", "point", "temp_c"], temp_rows)
@@ -262,21 +258,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
+    mat = materialize(scenario, args.seed)
     try:
-        optimum, opt_assignment = brute_force_optimum(scenario, args.seed, cap=args.cap)
-        worst = worst_case_bound(scenario, args.seed, cap=args.cap, method="exhaustive")
-        greedy, _ = greedy_baseline(scenario, args.seed)
+        oracle = EnumerationOracle(mat.fleet, scenario.target, args.cap)
     except CapExceededError as exc:
         print(f"enumeration refused: {exc}", file=sys.stderr)
         return 1
-    print(f"optimum fitness:   {optimum!r}")
-    print(f"optimum assignment: {opt_assignment}")
-    print(f"worst-case fitness: {worst!r}")
+    greedy, _ = greedy_assignment(mat)
+    print(f"optimum fitness:   {oracle.optimum!r}")
+    print(f"optimum assignment: {oracle.optimum_assignment}")
+    print(f"worst-case fitness: {oracle.worst!r}")
     print(f"greedy baseline:    {greedy!r}")
     if args.result:
         with open(args.result) as fh:
             achieved = json.load(fh)["final_fitness"]
-        gap = (achieved - optimum) / max(optimum, 1e-9)
+        gap = (achieved - oracle.optimum) / max(oracle.optimum, 1e-9)
         print(f"run fitness:        {achieved!r}")
         print(f"optimality gap:     {gap!r}")
     return 0
@@ -285,7 +281,8 @@ def cmd_oracle(args) -> int:
 def cmd_uncontrolled(args) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
-    uncontrolled = _uncontrolled_aggregate(materialize(scenario, args.seed))
+    uncontrolled = aggregate(uncontrolled_configuration(materialize(scenario, args.seed)),
+                             scenario.horizon)
     cov = coverage(uncontrolled, scenario.target, scenario.horizon)
     _write_json(
         out / "uncontrolled.json",

@@ -9,7 +9,7 @@ window.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from itertools import compress
@@ -273,9 +273,10 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
         return len(self.index) - self.index.count(-1)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SystemConfiguration) and other.fleet is self.fleet:
-            return self.index == other.index and self.version == other.version
-        return Mapping.__eq__(self, other)
+        """Equal to a configuration over the same fleet with the same index
+        and version arrays, and to nothing else."""
+        return (getattr(other, "fleet", None) is self.fleet
+                and self.index == other.index and self.version == other.version)
 
     def __repr__(self) -> str:
         return f"SystemConfiguration({dict(self)!r})"
@@ -288,27 +289,32 @@ class Candidate:
     Candidates are the unit of the anytime solution: ``compare`` prefers
     larger ``size`` first, then smaller ``fitness``, then the smaller
     deterministic ``key`` so that there is a unique global winner no matter
-    in which order knowledge spreads. ``key`` is the configuration's
-    ``configuration_key``, computed on first read and kept on the instance;
-    most comparisons are decided by size or fitness and never read it.
+    in which order knowledge spreads. ``size`` is the number of agents the
+    configuration knows, set from it on construction. ``key`` is the
+    configuration's ``configuration_key``, computed on first read and kept
+    on the instance; most comparisons are decided by size or fitness and
+    never read it.
     """
 
-    configuration: Mapping[str, SelectionRecord]
+    configuration: SystemConfiguration
     fitness: float
-    size: int
     creator: str
+    # Not a cached_property: every candidate's size is read, and the first
+    # read of one takes a lock before Python 3.12.
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", len(self.configuration))
 
     @cached_property
     def key(self) -> int:
         return configuration_key(self.configuration)
 
 
-def selection_items(config: Mapping[str, SelectionRecord]) -> tuple[tuple[str, int], ...]:
-    """Canonical (agent_id, schedule_index) pairs, sorted by agent id. A
-    ``SystemConfiguration`` reads them from its index array."""
-    if isinstance(config, SystemConfiguration):
-        return tuple(compress(zip(config.fleet.ids, config.index), config.known()))
-    return tuple((aid, config[aid].schedule_index) for aid in sorted(config))
+def selection_items(config: SystemConfiguration) -> tuple[tuple[str, int], ...]:
+    """Canonical (agent_id, schedule_index) pairs, sorted by agent id, read
+    from the index array."""
+    return tuple(compress(zip(config.fleet.ids, config.index), config.known()))
 
 
 def _key_part(agent_id: str, schedule_index: int) -> bytes:
@@ -317,22 +323,16 @@ def _key_part(agent_id: str, schedule_index: int) -> bytes:
     return struct.pack("<I", len(encoded)) + encoded + struct.pack("<q", schedule_index)
 
 
-def configuration_key(config: Mapping[str, SelectionRecord]) -> int:
+def configuration_key(config: SystemConfiguration) -> int:
     """Stable 64-bit blake2b digest of the sorted (agent_id, schedule_index)
-    pairs. A ``SystemConfiguration`` lays its bytes out from its fleet's
-    table."""
-    if isinstance(config, SystemConfiguration):
-        data = b"".join(map(getitem, config.fleet.key_parts, config.index))
-    else:
-        data = b"".join(_key_part(aid, config[aid].schedule_index) for aid in sorted(config))
+    pairs, laid out from the fleet's table."""
+    data = b"".join(map(getitem, config.fleet.key_parts, config.index))
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
-def make_candidate(config: Mapping[str, SelectionRecord], fitness: float, creator: str) -> Candidate:
-    """Candidate over ``config`` with its size; its key is computed when
-    first read."""
-    return Candidate(configuration=config, fitness=float(fitness), size=len(config),
-                     creator=creator)
+def make_candidate(config: SystemConfiguration, fitness: float, creator: str) -> Candidate:
+    """Candidate over ``config``; its key is computed when first read."""
+    return Candidate(configuration=config, fitness=float(fitness), creator=creator)
 
 
 def compare(a: Candidate, b: Candidate) -> int:
@@ -360,32 +360,26 @@ def compare(a: Candidate, b: Candidate) -> int:
     return 0
 
 
-def aggregate(config: Mapping[str, SelectionRecord], horizon: PlanningHorizon) -> Schedule:
-    """Element-wise sum of all selected schedules (zero profile if empty).
-
-    Summation runs in sorted agent-id order, which makes the result
-    independent of the map's insertion history. A ``SystemConfiguration``
-    adds its fleet's table rows, in the same order.
+def aggregate(config: SystemConfiguration, horizon: PlanningHorizon) -> Schedule:
+    """Element-wise sum of all selected schedules (zero profile if empty),
+    the fleet's table rows added in sorted agent-id order. ``horizon`` picks
+    the window the callers read and must have the fleet's interval count.
     """
-    if isinstance(config, SystemConfiguration):
-        fleet = config.fleet
-        parts = [(aid, table[s]) for aid, table, s in zip(fleet.ids, fleet.power, config.index)
-                 if s >= 0]
-    else:
-        parts = [(aid, config[aid].schedule.arr) for aid in sorted(config)]
+    fleet = config.fleet
+    if fleet.horizon.interval_count != horizon.interval_count:
+        raise StructuralError(
+            f"fleet horizon {fleet.horizon.interval_count} does not match horizon "
+            f"{horizon.interval_count}"
+        )
     total = np.zeros(horizon.interval_count, dtype=np.float64)
-    for aid, power in parts:
-        if len(power) != horizon.interval_count:
-            raise StructuralError(
-                f"schedule of {aid!r} has length {len(power)}, "
-                f"expected {horizon.interval_count}"
-            )
-        total += power
+    for table, s in zip(fleet.power, config.index):
+        if s >= 0:
+            total += table[s]
     return Schedule(tuple(total.tolist()))
 
 
 def objective(
-    config: Mapping[str, SelectionRecord],
+    config: SystemConfiguration,
     target: TargetProfile,
     horizon: PlanningHorizon,
 ) -> float:

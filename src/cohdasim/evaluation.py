@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Fleet, Schedule, StructuralError, TargetProfile, aggregate
+from .core import Fleet, StructuralError, SystemConfiguration, TargetProfile, aggregate
 from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 
@@ -31,11 +31,12 @@ __all__ = [
     "SweepRow",
     "run_scenario",
     "run_scenario_full",
-    "uncontrolled_schedules",
+    "uncontrolled_configuration",
     "EnumerationOracle",
     "brute_force_optimum",
     "worst_case_bound",
     "greedy_baseline",
+    "greedy_assignment",
     "design_points",
     "run_sweep",
     "summarize_rows",
@@ -137,10 +138,12 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> RunResult:
     return run_scenario_full(scenario, seed).result
 
 
-def uncontrolled_schedules(mat: Materialized) -> tuple[Schedule, ...]:
-    """Default pattern per device: the first schedule its repair sampler
-    drew. No coordination; the baseline the controlled run is compared to."""
-    return tuple(Schedule(flex.power[0].tolist()) for flex in mat.flexibility)
+def uncontrolled_configuration(mat: Materialized) -> SystemConfiguration:
+    """Every device on its default pattern, the first schedule its repair
+    sampler drew, at version 0. No coordination; the baseline the controlled
+    run is compared to."""
+    first = (0,) * len(mat.fleet)
+    return SystemConfiguration(mat.fleet, first, first)
 
 
 # --- enumeration oracles ---------------------------------------------------
@@ -278,9 +281,13 @@ def worst_case_bound(
 def greedy_baseline(scenario: Scenario, seed: int = 0) -> tuple[float, dict[str, int]]:
     """Agents choose once in id order, each minimizing the objective given
     its predecessors; no revision. Ties break to the lowest index."""
-    mat = materialize(scenario, seed)
-    w = scenario.horizon.window_index
-    target_w = scenario.target.arr[w]
+    return greedy_assignment(materialize(scenario, seed))
+
+
+def greedy_assignment(mat: Materialized) -> tuple[float, dict[str, int]]:
+    """``greedy_baseline`` of a materialized instance."""
+    w = mat.scenario.horizon.window_index
+    target_w = mat.scenario.target.arr[w]
     acc = np.zeros(len(w), dtype=np.float64)
     assignment: dict[str, int] = {}
     value = float(np.abs(acc - target_w).sum())

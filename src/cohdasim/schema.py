@@ -29,7 +29,7 @@ from .scenario import (
     TopologySpec,
     UnknownPathError,
 )
-from .simnet import DELAY_KINDS, NetworkModel, RunLimits, delay_from_mapping, delay_to_mapping
+from .simnet import ConstantDelay, ExponentialDelay, NetworkModel, RunLimits, UniformDelay
 
 __all__ = [
     "ScenarioError",
@@ -174,11 +174,18 @@ def _per_interval(value):
 
 def _delay(value):
     kind = value.get("kind") if isinstance(value, Mapping) else None
-    if not isinstance(kind, str) or kind not in DELAY_KINDS:
-        raise ValueError(f"needs kind: {' | '.join(DELAY_KINDS)}")
-    fields = [Field("kind", "kind", _name, True)]
-    fields += [Field(key, key, _number, True) for key in DELAY_KINDS[kind][1]]
-    return delay_from_mapping(_read(value, fields, "network.delay"))
+    if not isinstance(kind, str) or kind not in _DELAYS:
+        raise ValueError(f"needs kind: {' | '.join(_DELAYS)}")
+    cls, fields = _DELAYS[kind]
+    values = _read(value, (Field("kind", "kind", _name, True),) + fields, "network.delay")
+    del values["kind"]
+    return cls(**values)
+
+
+def _dump_delay(delay) -> dict:
+    kind, fields = next((kind, fields) for kind, (cls, fields) in _DELAYS.items()
+                        if isinstance(delay, cls))
+    return {"kind": kind, **_dump(delay, fields)}
 
 
 def _factor(block):
@@ -257,6 +264,14 @@ _MODEL = (
     Field("temp_initial_c", "temp_initial", _number, True),
 )
 
+# Delay models: the file's delay kind -> (dataclass, fields after ``kind``).
+_DELAYS = {
+    "constant": (ConstantDelay, (Field("seconds", "seconds", _number, True),)),
+    "uniform": (UniformDelay, (Field("low_s", "low", _number, True),
+                               Field("high_s", "high", _number, True))),
+    "exponential": (ExponentialDelay, (Field("mean_s", "mean", _number, True),)),
+}
+
 # Optional sections: Scenario attribute -> (dataclass, fields).
 _SECTIONS = {
     "topology": (TopologySpec, (
@@ -265,7 +280,7 @@ _SECTIONS = {
         Field("p", "p", _number),
     )),
     "network": (NetworkModel, (
-        Field("delay", "delay", _delay, True, dump=delay_to_mapping),
+        Field("delay", "delay", _delay, True, dump=_dump_delay),
         Field("drop_probability", "drop_probability", _number),
         Field("duplicate_probability", "duplicate_probability", _number),
         Field("reorder", "reorder", _boolean),
@@ -328,8 +343,14 @@ def _parse_horizon(block) -> PlanningHorizon:
     if "product_window" not in values:
         if hours is None or len(hours) != 2:
             raise _Invalid("horizon needs window_intervals or window_hours: [start, end)", block)
-        dt = values["interval_duration"]
-        values["product_window"] = range(round(hours[0] / dt), round(hours[1] / dt))
+        dt, count = values["interval_duration"], values["interval_count"]
+        if not dt > 0:
+            raise _Invalid("horizon.interval_hours must be positive", block, "interval_hours")
+        bounds = [h / dt for h in hours]
+        if not all(math.isfinite(b) and 0 <= round(b) <= count for b in bounds):
+            raise _Invalid(f"horizon.window_hours must lie within the {count} intervals of "
+                           f"{dt!r} h each", block, "window_hours")
+        values["product_window"] = range(*map(round, bounds))
     return _build(PlanningHorizon, values, block)
 
 

@@ -20,9 +20,9 @@ import heapq
 import itertools
 import random
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .agent import AgentState, NotStartedError, handle_message, handle_start
 from .core import Candidate, StructuralError, TargetProfile, compare
@@ -34,9 +34,6 @@ __all__ = [
     "UniformDelay",
     "ExponentialDelay",
     "DelayModel",
-    "DELAY_KINDS",
-    "delay_from_mapping",
-    "delay_to_mapping",
     "NetworkModel",
     "RunLimits",
     "TraceEvent",
@@ -92,39 +89,6 @@ class ExponentialDelay:
 
 
 DelayModel = Union[ConstantDelay, UniformDelay, ExponentialDelay]
-
-# Scenario-file kind of each delay model and its parameter keys, in the
-# order of the model's fields.
-DELAY_KINDS = {
-    "constant": (ConstantDelay, ("seconds",)),
-    "uniform": (UniformDelay, ("low_s", "high_s")),
-    "exponential": (ExponentialDelay, ("mean_s",)),
-}
-
-
-def delay_from_mapping(m: Mapping) -> DelayModel:
-    """Build a delay model from a plain mapping (scenario files, sweeps)."""
-    kind = m.get("kind")
-    if kind not in DELAY_KINDS:
-        raise StructuralError(f"unknown delay kind {kind!r}")
-    cls, keys = DELAY_KINDS[kind]
-    for key in m:
-        if key != "kind" and key not in keys:
-            raise StructuralError(f"unknown key {key!r} in {kind} delay")
-    values = []
-    for key in keys:
-        if key not in m:
-            raise StructuralError(f"missing key {key!r} in {kind} delay")
-        value = m[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise StructuralError(f"delay {key} must be a number, got {value!r}")
-        values.append(float(value))
-    return cls(*values)
-
-
-def delay_to_mapping(d: DelayModel) -> dict:
-    kind, keys = next((k, keys) for k, (cls, keys) in DELAY_KINDS.items() if isinstance(d, cls))
-    return {"kind": kind, **dict(zip(keys, astuple(d)))}
 
 
 @dataclass(frozen=True)

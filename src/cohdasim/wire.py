@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import struct
 from itertools import compress
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .agent import KnowledgeMessage
 from .core import (
     Candidate,
     Fleet,
     Schedule,
     SelectionRecord,
+    StructuralError,
     SystemConfiguration,
     TargetProfile,
 )
-
-if TYPE_CHECKING:
-    from .agent import KnowledgeMessage
 
 __all__ = [
     "encode_message",
@@ -160,9 +158,8 @@ def _read_config(r: _Reader, fleet: Fleet) -> SystemConfiguration:
 
 def decode_message(data: bytes, fleet: Fleet) -> KnowledgeMessage:
     """The message ``data`` encodes, its configurations over ``fleet``.
-    Raises ``StructuralError`` for a record that is not a table entry."""
-    from .agent import KnowledgeMessage  # the agent imports this module
-
+    Raises ``StructuralError`` for a record that is not a table entry and
+    for a best candidate whose size is not its record count."""
     r = _Reader(data)
     (version,) = r.take("<B")
     if version != _FORMAT_VERSION:
@@ -172,6 +169,7 @@ def decode_message(data: bytes, fleet: Fleet) -> KnowledgeMessage:
     config = _read_config(r, fleet)
     creator = r.take_str()
     fitness, size = r.take("<dI")
-    best_config = _read_config(r, fleet)
-    best = Candidate(best_config, fitness, size, creator)
+    best = Candidate(_read_config(r, fleet), fitness, creator)
+    if size != best.size:
+        raise StructuralError(f"best candidate of size {size} holds {best.size} records")
     return KnowledgeMessage(sender, target, config, best)

@@ -1,3 +1,6 @@
+import struct
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -42,6 +45,16 @@ def configuration(fleet, picks):
         for aid, (index, version) in picks.items()
     }
     return SystemConfiguration.from_records(fleet, records)
+
+
+def reference_key(config):
+    """``core.configuration_key`` of ``config``, computed from its records
+    one by one in sorted agent-id order."""
+    parts = []
+    for aid, rec in sorted(config.items()):
+        raw = aid.encode("utf-8")
+        parts.append(struct.pack("<I", len(raw)) + raw + struct.pack("<q", rec.schedule_index))
+    return int.from_bytes(blake2b(b"".join(parts), digest_size=8).digest(), "little")
 
 
 def record(agent_id, index, row, version=0):

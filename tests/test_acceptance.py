@@ -23,7 +23,7 @@ from cohdasim.evaluation import (
     EnumerationOracle,
     run_scenario_full,
     run_sweep,
-    uncontrolled_schedules,
+    uncontrolled_configuration,
 )
 from cohdasim.flexibility import DeviceModel, simulate_tank
 from cohdasim.scenario import (
@@ -71,8 +71,9 @@ def _epex_run(seed: int):
     scenario = build_epex_scenario()
     full = run_scenario_full(scenario, seed)
     unc_total = [0.0] * scenario.horizon.interval_count
-    for schedule in uncontrolled_schedules(full.materialized):
-        for t, v in enumerate(schedule.power):
+    uncontrolled = uncontrolled_configuration(full.materialized)
+    for aid in full.materialized.device_ids:
+        for t, v in enumerate(uncontrolled[aid].schedule.power):
             unc_total[t] += v
     unc_cov = coverage(Schedule(tuple(unc_total)), scenario.target, scenario.horizon)
     return full, unc_cov

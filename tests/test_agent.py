@@ -25,13 +25,12 @@ from cohdasim.core import (
     SystemConfiguration,
     TargetProfile,
     compare,
-    configuration_key,
     make_candidate,
     objective,
 )
 from cohdasim.wire import decode_message, encode_message, encoded_length
 
-from conftest import configuration, make_agent, make_agents, make_fleet
+from conftest import configuration, make_agent, make_agents, make_fleet, reference_key
 
 
 # --- handle_start -----------------------------------------------------------
@@ -459,9 +458,9 @@ def test_carried_state_matches_from_scratch(run):
             for who, aim, config, idx, value in decisions:
                 ref_idx, ref_value = _reference_choose(who, aim, config)
                 assert idx == ref_idx and _bits(value) == _bits(ref_value)
-            assert memory.best.key == configuration_key(dict(memory.best.configuration))
+            assert memory.best.key == reference_key(memory.best.configuration)
             for m in out:
-                assert m.best.key == configuration_key(dict(m.best.configuration))
+                assert m.best.key == reference_key(m.best.configuration)
                 assert encoded_length(m) == len(encode_message(m))
             _, idx, value = choose_schedule(state)
             ref_idx, ref_value = _reference_choose(state, target, memory.config)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cohdasim.cli import main
+from cohdasim.cli import _write_json, main
 from cohdasim.schema import (
+    _DELAYS,
     ScenarioError,
     load_design,
     load_scenario,
@@ -16,7 +17,6 @@ from cohdasim.schema import (
 )
 from cohdasim.core import StructuralError
 from cohdasim.scenario import BUILTIN_SCENARIOS, build_small_demo_scenario, build_toy2_scenario
-from cohdasim.simnet import DELAY_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "cohdasim" / "data"
@@ -132,6 +132,55 @@ def test_run_scenario_file_round_trips_through_cli(tmp_path):
     assert main(["run", str(path), "--out", str(out)]) == 0
     dumped = yaml.safe_load((out / "scenario.yaml").read_text())
     assert parse_scenario_mapping(dumped, "x") == load_scenario(str(path))
+
+
+def test_result_json_is_strict_json_when_the_window_energy_cancels(tmp_path):
+    # Window target energies -5 and +5 sum to zero: the energy ratio is undefined.
+    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping["horizon"] = {"intervals": 2, "interval_hours": 1.0, "window_intervals": [0, 1]}
+    mapping["target"] = {"power_kw": [-5.0, 5.0]}
+    for device in mapping["devices"]:
+        device["demand_kw"] = 0.0
+    path = tmp_path / "cancel.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    record = json.loads((out / "result.json").read_text(), parse_constant=refuse)
+    assert record["coverage_energy_ratio"] is None
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "nan.json", {"ratio": float("nan")})
+
+
+def test_run_stopped_before_every_device_is_selected(tmp_path):
+    # After one message the committed candidate selects a single device; the
+    # other device gets no temperature rows.
+    path = _write_scenario(tmp_path, limits={"max_sim_time_s": 1000.0, "max_messages": 1})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["terminated"] is False
+    with (out / "temperatures.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and len({row["device_id"] for row in rows}) == 1
+
+
+@pytest.mark.parametrize("hours, window, key", [
+    (1.0e-320, [0, 1], "window_hours"),  # the quotient 1 / 1e-320 overflows
+    (1.0, [0, 2], "window_hours"),  # one interval past the horizon
+    (1.0, [-1, 1], "window_hours"),
+    (0.0, [0, 1], "interval_hours"),
+], ids=["overflow", "past-the-end", "negative", "zero-interval"])
+def test_window_hours_checked_against_the_horizon(tmp_path, capsys, hours, window, key):
+    path = _write_scenario(
+        tmp_path, horizon={"intervals": 1, "interval_hours": hours, "window_hours": window})
+    reported, line = _located_error(path)
+    assert reported.startswith(f"horizon.{key} must")
+    assert line.strip().startswith(f"{key}:")
+    assert main(["validate", str(path)]) == 2
+    assert f"horizon.{key}" in capsys.readouterr().err
 
 
 def test_oracle_toy_file(tmp_path, capsys):
@@ -361,9 +410,10 @@ def test_bad_values_rejected_with_location(tmp_path, section, key, value, messag
     ],
 )
 def test_bad_delay_parameters_rejected(tmp_path, capsys, delay):
-    cls, keys = DELAY_KINDS[delay["kind"]]
+    cls, fields = _DELAYS[delay["kind"]]
+    keys = [f.key for f in fields]
     with pytest.raises(StructuralError):
-        cls(*(delay[key] for key in keys))
+        cls(**{f.attr: delay[f.key] for f in fields})
     path = _write_scenario(tmp_path)
     mapping = yaml.safe_load(path.read_text())
     mapping["network"]["delay"] = delay

@@ -23,7 +23,7 @@ from cohdasim.core import (
 )
 from cohdasim.wire import decode_message, encode_message
 
-from conftest import configuration, make_fleet, record
+from conftest import configuration, make_fleet, record, reference_key
 
 
 def test_horizon_validation():
@@ -46,47 +46,53 @@ def test_schedule_rejects_non_finite():
         TargetProfile((float("inf"),))
 
 
+def _config(horizon, rows):
+    """Configuration over a fleet of its own in which each agent has the one
+    schedule ``rows[agent_id]`` and selects it."""
+    fleet = make_fleet(horizon, {aid: [row] for aid, row in rows.items()})
+    return configuration(fleet, {aid: (0, 0) for aid in rows})
+
+
 def test_aggregate_empty_config_is_zero(horizon4):
-    assert aggregate({}, horizon4).power == (0.0, 0.0, 0.0, 0.0)
+    empty = SystemConfiguration.empty(make_fleet(horizon4, {"A": [[1.0, 2.0, 3.0, 4.0]]}))
+    assert aggregate(empty, horizon4).power == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_aggregate_two_agents():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
-    config = {
-        "A": record("A", 0, [-2.0, -2.0]),
-        "B": record("B", 0, [5.0, 0.0]),
-    }
+    config = _config(horizon, {"A": [-2.0, -2.0], "B": [5.0, 0.0]})
     assert aggregate(config, horizon).power == (3.0, -2.0)
 
 
 def test_aggregate_single_agent_identity(horizon4):
-    config = {"A": record("A", 0, [1.0, 2.0, 3.0, 4.0])}
+    config = _config(horizon4, {"A": [1.0, 2.0, 3.0, 4.0]})
     assert aggregate(config, horizon4).power == (1.0, 2.0, 3.0, 4.0)
 
 
 def test_aggregate_length_mismatch(horizon4):
+    config = _config(PlanningHorizon(1, 1.0, (0,)), {"A": [1.0]})
     with pytest.raises(StructuralError):
-        aggregate({"A": record("A", 0, [1.0])}, horizon4)
+        aggregate(config, horizon4)
 
 
 def test_aggregate_permutation_invariant():
     horizon = PlanningHorizon(3, 1.0, (0, 1, 2))
-    rows = {f"a{i}": record(f"a{i}", 0, [i * 0.7, -i, i / 3.0]) for i in range(6)}
-    forward = dict(sorted(rows.items()))
-    backward = dict(sorted(rows.items(), reverse=True))
+    rows = {f"a{i}": [i * 0.7, -i, i / 3.0] for i in range(6)}
+    forward = _config(horizon, dict(sorted(rows.items())))
+    backward = _config(horizon, dict(sorted(rows.items(), reverse=True)))
     assert aggregate(forward, horizon).power == aggregate(backward, horizon).power
 
 
 def test_objective_exact_match_is_zero():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
-    config = {"A": record("A", 0, [-1.0, 2.0])}
+    config = _config(horizon, {"A": [-1.0, 2.0]})
     target = TargetProfile((-1.0, 2.0))
     assert objective(config, target, horizon) == 0.0
 
 
 def test_objective_l1_on_window():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
-    config = {"A": record("A", 0, [-90.0, -110.0])}
+    config = _config(horizon, {"A": [-90.0, -110.0]})
     target = TargetProfile((-100.0, -100.0))
     assert objective(config, target, horizon) == 20.0
     narrow = PlanningHorizon(2, 1.0, (0,))
@@ -96,27 +102,31 @@ def test_objective_l1_on_window():
 def test_objective_ignores_values_outside_window():
     horizon = PlanningHorizon(3, 1.0, (1,))
     target = TargetProfile((0.0, 5.0, 0.0))
-    a = {"A": record("A", 0, [99.0, 5.0, -99.0])}
-    b = {"A": record("A", 0, [-1.0, 5.0, 123.0])}
+    a = _config(horizon, {"A": [99.0, 5.0, -99.0]})
+    b = _config(horizon, {"A": [-1.0, 5.0, 123.0]})
     assert objective(a, target, horizon) == objective(b, target, horizon) == 0.0
 
 
 def test_objective_length_mismatch():
     horizon = PlanningHorizon(2, 1.0, (0,))
     with pytest.raises(StructuralError):
-        objective({}, TargetProfile((1.0,)), horizon)
+        objective(_config(horizon, {"A": [1.0, 1.0]}), TargetProfile((1.0,)), horizon)
 
 
 def test_objective_pluggable_distance():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
-    config = {"A": record("A", 0, [3.0, 0.0])}
+    config = _config(horizon, {"A": [3.0, 0.0]})
     target = TargetProfile((0.0, 4.0))
     assert objective(config, target, horizon) == 7.0
 
 
+# Agents "a", "b" and "c", each with four schedules.
+_ABC = make_fleet(PlanningHorizon(1, 1.0, (0,)), {aid: [[0.0]] * 4 for aid in "abc"})
+
+
 def _cand(items, fitness, creator="x"):
-    config = {aid: record(aid, idx, [0.0]) for aid, idx in items}
-    return make_candidate(config, fitness, creator)
+    return make_candidate(configuration(_ABC, {aid: (idx, 0) for aid, idx in items}), fitness,
+                          creator)
 
 
 def test_compare_size_first():
@@ -143,10 +153,10 @@ def test_compare_key_breaks_ties_never_equal_for_distinct():
 
 
 def test_configuration_key_stable_and_order_independent():
-    c1 = {"a": record("a", 3, [0.0]), "b": record("b", 1, [0.0])}
-    c2 = {"b": record("b", 1, [1.0], version=9), "a": record("a", 3, [2.0])}
+    c1 = configuration(_ABC, {"a": (3, 0), "b": (1, 0)})
+    c2 = configuration(_ABC, {"b": (1, 9), "a": (3, 0)})
     # Key depends only on the sorted (agent, index) pairs.
-    assert configuration_key(c1) == configuration_key(c2)
+    assert configuration_key(c1) == configuration_key(c2) == reference_key(c1)
     assert selection_items(c1) == (("a", 3), ("b", 1))
 
 
@@ -209,10 +219,8 @@ def test_coverage_monotone_in_window_error(values, bump):
 def test_candidate_fitness_matches_recomputed_objective():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((-4.0, 1.0))
-    config = {
-        "A": record("A", 0, [-2.0, 0.0]),
-        "B": record("B", 1, [-1.0, 0.5]),
-    }
+    fleet = make_fleet(horizon, {"A": [[-2.0, 0.0]], "B": [[0.0, 0.0], [-1.0, 0.5]]})
+    config = configuration(fleet, {"A": (0, 0), "B": (1, 0)})
     fitness = objective(config, target, horizon)
     cand = make_candidate(config, fitness, "A")
     assert cand.size == 2
@@ -246,7 +254,7 @@ def test_configuration_round_trips_through_records(config):
 
 @given(fleet_configs)
 def test_configuration_key_from_the_table_equals_the_dict_key(config):
-    assert configuration_key(config) == configuration_key(dict(config))
+    assert configuration_key(config) == reference_key(config)
     assert make_candidate(config, 1.0, "a").size == len(dict(config))
 
 
@@ -273,7 +281,7 @@ def test_candidate_key_is_computed_on_first_read(key_calls):
     fitter = make_candidate(configuration(_FLEET, {"a": (0, 1), "bb": (0, 1)}), 0.5, "bb")
     assert compare(larger, cand) > 0 and compare(cand, fitter) < 0
     assert key_calls == []
-    assert cand.key == cand.key == configuration_key(dict(config))
+    assert cand.key == cand.key == reference_key(config)
     assert key_calls == [config]
 
 

@@ -17,7 +17,7 @@ from cohdasim.evaluation import (
     run_scenario_full,
     run_sweep,
     summarize_rows,
-    uncontrolled_schedules,
+    uncontrolled_configuration,
     worst_case_bound,
 )
 from cohdasim.scenario import (
@@ -285,10 +285,10 @@ def test_uncontrolled_first_sample_per_device():
 
     sc = build_small_demo_scenario()
     mat = materialize(sc, 1)
-    unc = uncontrolled_schedules(mat)
-    assert len(unc) == 12
-    for flex, schedule in zip(mat.flexibility, unc):
-        assert schedule == flex.schedules[0]
+    unc = uncontrolled_configuration(mat)
+    assert len(unc) == 12 and unc.fleet is mat.fleet
+    for aid, flex in zip(mat.device_ids, mat.flexibility):
+        assert unc[aid].schedule == flex.schedules[0] and unc[aid].version == 0
 
 
 def test_design_points_arithmetic():

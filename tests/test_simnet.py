@@ -13,10 +13,11 @@ from cohdasim.simnet import (
     RunLimits,
     UniformDelay,
     check_consistency,
-    delay_from_mapping,
     run,
     snapshot_best,
 )
+from cohdasim.scenario import build_toy2_scenario, with_param
+from cohdasim.schema import parse_scenario_mapping, scenario_to_mapping
 from cohdasim.topology import complete, ring
 
 from conftest import make_agent, make_agents
@@ -216,17 +217,19 @@ def test_check_consistency_detects_missing_agent(horizon1):
 
 
 def test_delay_mapping_round_trip():
+    # The scenario schema reads and writes the delay models.
+    base = build_toy2_scenario()
     for mapping in (
         {"kind": "constant", "seconds": 0.5},
         {"kind": "uniform", "low_s": 0.1, "high_s": 0.9},
         {"kind": "exponential", "mean_s": 0.2},
     ):
-        model = delay_from_mapping(mapping)
-        from cohdasim.simnet import delay_to_mapping
-
-        assert delay_to_mapping(model) == mapping
+        scenario = with_param(base, "network.delay", mapping)
+        dumped = scenario_to_mapping(scenario)
+        assert list(dumped["network"]["delay"].items()) == list(mapping.items())
+        assert parse_scenario_mapping(dumped) == scenario
     with pytest.raises(StructuralError):
-        delay_from_mapping({"kind": "nope"})
+        with_param(base, "network.delay", {"kind": "nope"})
     with pytest.raises(StructuralError):
         UniformDelay(2.0, 1.0)
     with pytest.raises(StructuralError):

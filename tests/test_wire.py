@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +70,23 @@ def test_decode_refuses_records_off_the_table():
                   {"a": [[1.0], [2.0]]}):
         with pytest.raises(StructuralError):
             decode_message(data, make_fleet(horizon, other))
+
+
+def test_decode_refuses_a_best_size_that_is_not_its_record_count():
+    horizon = PlanningHorizon(1, 1.0, (0,))
+    fleet = make_fleet(horizon, {"a": [[1.0]], "b": [[2.0]]})
+    full = configuration(fleet, {"a": (0, 0), "b": (0, 0)})
+    one = configuration(fleet, {"a": (0, 0)})
+    data = bytearray(encode_message(KnowledgeMessage("a", TargetProfile((0.0,)), full,
+                                                     make_candidate(one, 0.0, "a"))))
+    # The best candidate's size field comes just before its configuration,
+    # which ends the message.
+    offset = len(data) - config_length(one) - 4
+    assert struct.unpack_from("<I", data, offset) == (1,)
+    assert decode_message(bytes(data), fleet).best.size == 1
+    struct.pack_into("<I", data, offset, 99)
+    with pytest.raises(StructuralError):
+        decode_message(bytes(data), fleet)
 
 
 @given(messages())
