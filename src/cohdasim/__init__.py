@@ -20,9 +20,6 @@ from .core import (
 from .agent import (
     AgentState,
     KnowledgeMessage,
-    WorkingMemory,
-    choose_schedule,
-    extract_assignment,
     handle_message,
     handle_start,
 )

@@ -11,8 +11,9 @@ follows a three step rule:
                if the resulting candidate beats the best known one it
                becomes the new best, otherwise the agent conforms to the
                selection recorded for it inside the best candidate.
-3. publish  -- send the (possibly updated) belief and best candidate to
-               every neighbor, but only if something actually changed.
+3. publish  -- send the (possibly updated) target, belief and best
+               candidate to every neighbor, but only if something
+               actually changed.
 
 If the update step changes neither the configuration nor the best
 candidate, steps 2 and 3 are skipped entirely. This is a deliberate
@@ -20,7 +21,10 @@ reading: it makes a repeated message a no-op and rules out livelock by
 re-broadcast.
 
 An agent is a pure state transition function ``(state, event) -> (state,
-messages)``; all state types are immutable values.
+message)``; all state types are immutable values. An agent's memory is the
+knowledge message it last published, so one value is both what it knows
+and what it sends to every neighbor; a handler returns ``None`` instead of
+a message for a delivery that changed nothing.
 
 Every agent of a run references one ``Fleet``: the sorted agent ids, each
 agent's power table and its window rows, and what a record adds to a key
@@ -48,45 +52,30 @@ from .core import (
     TargetProfile,
     compare,
     make_candidate,
-    selection_items,
 )
 
 __all__ = [
-    "ConfigurationError",
     "NotStartedError",
-    "WorkingMemory",
     "KnowledgeMessage",
     "AgentState",
     "handle_start",
     "handle_message",
-    "choose_schedule",
-    "extract_assignment",
 ]
 
 
-class ConfigurationError(ValueError):
-    """The agent is set up in a way that cannot run (e.g. no schedules)."""
-
-
 class NotStartedError(RuntimeError):
-    """An operation needs working memory, but the agent never started."""
-
-
-@dataclass(frozen=True)
-class WorkingMemory:
-    """An agent's local knowledge: target, believed selections, best found."""
-
-    target: TargetProfile
-    config: SystemConfiguration
-    best: Candidate
+    """An operation needs an agent's memory, but the agent never started."""
 
 
 @dataclass(frozen=True)
 class KnowledgeMessage:
-    """The only message agents exchange: the sender's full belief.
+    """The only message agents exchange, and an agent's memory: target,
+    believed selections and best candidate found.
 
-    Carries the target profile so that an agent receiving knowledge before
-    an explicit start can initialize itself from the message.
+    An agent's memory is the message it last published, whose ``sender``
+    is the agent itself. Carries the target profile so that an agent
+    receiving knowledge before an explicit start can initialize itself
+    from the message.
     """
 
     sender: str
@@ -99,17 +88,18 @@ class KnowledgeMessage:
 class AgentState:
     """Complete agent state between events.
 
-    ``neighbors`` fixes the fan-out of every publish; emitted message lists
-    are parallel to it (entry i goes to ``neighbors[i]``).
-    ``objective_calls`` counts objective evaluations: every run of the
-    choose step adds exactly the number of own schedules. The window matrix
-    and the horizon are the fleet's.
+    ``neighbors`` are the agents every publish goes to, in send order; they
+    are the topology the kernel routes on. ``memory`` is the message the
+    agent last published, ``None`` before it starts. ``objective_calls``
+    counts objective evaluations: every run of the choose step adds exactly
+    the number of own schedules. The window matrix and the horizon are the
+    fleet's.
     """
 
     agent_id: str
     fleet: Fleet
     neighbors: tuple[str, ...]
-    memory: WorkingMemory | None = None
+    memory: KnowledgeMessage | None = None
     objective_calls: int = 0
 
     def __post_init__(self) -> None:
@@ -167,39 +157,26 @@ def _select(state: AgentState, config: SystemConfiguration, idx: int) -> SystemC
     return SystemConfiguration(config.fleet, index, version)
 
 
-def _publish(state: AgentState, memory: WorkingMemory) -> list[KnowledgeMessage]:
-    """One knowledge message per neighbor, parallel to ``state.neighbors``."""
-    message = KnowledgeMessage(state.agent_id, memory.target, memory.config, memory.best)
-    return [message] * len(state.neighbors)
-
-
-def _boot_memory(state: AgentState, target: TargetProfile) -> tuple[WorkingMemory, int]:
-    """Initial working memory: best own schedule against an otherwise empty
+def _boot_memory(state: AgentState, target: TargetProfile) -> KnowledgeMessage:
+    """Initial memory: best own schedule against an otherwise empty
     configuration, version counter starting at zero."""
-    if len(state.window_matrix) == 0:
-        raise ConfigurationError(f"agent {state.agent_id!r} has no schedules")
     if len(target) != state.horizon.interval_count:
         raise StructuralError("target length does not match agent horizon")
     empty = SystemConfiguration.empty(state.fleet)
     idx, value = _choose_index(state, target, empty)
     config = _select(state, empty, idx)
     best = make_candidate(config, value, state.agent_id)
-    return WorkingMemory(target, config, best), len(state.window_matrix)
+    return KnowledgeMessage(state.agent_id, target, config, best)
 
 
 def handle_start(
     state: AgentState, target: TargetProfile
-) -> tuple[AgentState, list[KnowledgeMessage]]:
-    """Initialize (or re-initialize) working memory and announce it.
-
-    Emits one knowledge message per neighbor, parallel to
-    ``state.neighbors``.
-    """
-    memory, calls = _boot_memory(state, target)
-    new_state = replace(
-        state, memory=memory, objective_calls=state.objective_calls + calls
-    )
-    return new_state, _publish(state, memory)
+) -> tuple[AgentState, KnowledgeMessage]:
+    """Initialize (or re-initialize) the memory and announce it: the
+    returned message is the new memory, sent to every neighbor."""
+    memory = _boot_memory(state, target)
+    calls = state.objective_calls + len(state.window_matrix)
+    return replace(state, memory=memory, objective_calls=calls), memory
 
 
 def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemConfiguration:
@@ -218,26 +195,13 @@ def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemCon
     return SystemConfiguration(local.fleet, tuple(index), tuple(version))
 
 
-def choose_schedule(state: AgentState) -> tuple[AgentState, int, float]:
-    """Re-optimize the own selection against the current believed
-    configuration. Returns the updated state (objective call counter
-    advanced by the number of own schedules), the chosen index and its objective
-    value. Does not modify the selection itself.
-    """
-    memory = state.memory
-    if memory is None:
-        raise NotStartedError(f"agent {state.agent_id!r} has not started")
-    idx, value = _choose_index(state, memory.target, memory.config)
-    new_state = replace(
-        state, objective_calls=state.objective_calls + len(state.window_matrix)
-    )
-    return new_state, idx, value
-
-
 def handle_message(
     state: AgentState, msg: KnowledgeMessage
-) -> tuple[AgentState, list[KnowledgeMessage]]:
-    """Apply the update / decide / publish rule to one received message."""
+) -> tuple[AgentState, KnowledgeMessage | None]:
+    """Apply the update / decide / publish rule to one received message.
+
+    Returns the new state and its memory, which goes to every neighbor, or
+    the unchanged state and ``None`` when the message taught nothing."""
     if len(msg.target) != state.horizon.interval_count:
         raise StructuralError("message target length does not match agent horizon")
     for config in (msg.config, msg.best.configuration):
@@ -245,15 +209,13 @@ def handle_message(
             raise StructuralError("message configuration is not over the agent's fleet")
 
     calls = state.objective_calls
-    just_started = False
-    if state.memory is None:
+    memory = state.memory
+    just_started = memory is None
+    if just_started:
         # Implicit start: a message arriving first initializes the agent
         # from the carried target, then is processed normally.
-        memory, boot_calls = _boot_memory(state, msg.target)
-        calls += boot_calls
-        just_started = True
-    else:
-        memory = state.memory
+        memory = _boot_memory(state, msg.target)
+        calls += len(state.window_matrix)
 
     config = _merge(memory.config, msg.config)
     best = memory.best
@@ -263,7 +225,7 @@ def handle_message(
 
     if config is memory.config and not (best_changed or just_started):
         # Fixed point: the message taught us nothing, stay silent.
-        return state, []
+        return state, None
 
     # Decide: re-optimize own selection against the merged belief.
     idx, value = _choose_index(state, memory.target, config)
@@ -282,13 +244,5 @@ def handle_message(
         if recorded >= 0 and recorded != own:
             config = _select(state, config, recorded)
 
-    new_memory = WorkingMemory(memory.target, config, best)
-    new_state = AgentState(state.agent_id, state.fleet, state.neighbors, new_memory, calls)
-    return new_state, _publish(state, new_memory)
-
-
-def extract_assignment(state: AgentState) -> dict[str, int]:
-    """Selection indices recorded in the best known candidate (commit step)."""
-    if state.memory is None:
-        raise NotStartedError(f"agent {state.agent_id!r} has not started")
-    return dict(selection_items(state.memory.best.configuration))
+    new_memory = KnowledgeMessage(state.agent_id, memory.target, config, best)
+    return AgentState(state.agent_id, state.fleet, state.neighbors, new_memory, calls), new_memory

@@ -24,6 +24,7 @@ import yaml
 
 from .core import Schedule, aggregate, coverage
 from .evaluation import (
+    DEFAULT_CAP,
     CapExceededError,
     EnumerationOracle,
     RunResult,
@@ -328,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_oracle = sub.add_parser("oracle", help="optimum / worst / greedy bounds")
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--cap", type=int, default=10_000_000)
+    p_oracle.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_oracle.add_argument("--result", help="result.json of a run, to report the gap")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -47,13 +47,8 @@ class DegenerateTargetError(ValueError):
     """The target is all-zero on the product window, coverage is undefined."""
 
 
-def _cached_array(obj, values) -> np.ndarray:
-    # Read-only ndarray view of a value tuple, stashed on the instance.
-    arr = obj.__dict__.get("_arr")
-    if arr is None:
-        arr = np.asarray(values, dtype=np.float64)
-        arr.setflags(write=False)
-        obj.__dict__["_arr"] = arr
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
     return arr
 
 
@@ -81,14 +76,9 @@ class PlanningHorizon:
             raise StructuralError("product_window index out of range")
         object.__setattr__(self, "product_window", window)
 
-    @property
+    @cached_property
     def window_index(self) -> np.ndarray:
-        arr = self.__dict__.get("_widx")
-        if arr is None:
-            arr = np.asarray(self.product_window, dtype=np.intp)
-            arr.setflags(write=False)
-            self.__dict__["_widx"] = arr
-        return arr
+        return _frozen(np.array(self.product_window, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -106,9 +96,9 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.power)
 
-    @property
+    @cached_property
     def arr(self) -> np.ndarray:
-        return _cached_array(self, self.power)
+        return _frozen(np.array(self.power, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -126,9 +116,9 @@ class TargetProfile:
     def __len__(self) -> int:
         return len(self.power)
 
-    @property
+    @cached_property
     def arr(self) -> np.ndarray:
-        return _cached_array(self, self.power)
+        return _frozen(np.array(self.power, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -143,11 +133,6 @@ class SelectionRecord:
     schedule_index: int
     schedule: Schedule
     version: int = 0
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 class Fleet:
@@ -204,14 +189,16 @@ class Fleet:
 
 
 def _power_table(table, horizon: PlanningHorizon) -> np.ndarray:
-    """A read-only C-order copy of ``table``, which must hold one row of
-    ``interval_count`` finite values per schedule."""
+    """A read-only C-order copy of ``table``, which must hold at least one
+    schedule, one row of ``interval_count`` finite values each."""
     power = _frozen(np.array(table, dtype=np.float64, order="C"))
     if power.ndim != 2 or power.shape[1] != horizon.interval_count:
         raise StructuralError(
             f"schedule table of shape {power.shape} does not match horizon "
             f"{horizon.interval_count}"
         )
+    if len(power) == 0:
+        raise StructuralError("schedule table holds no schedule")
     if not np.isfinite(power).all():
         raise StructuralError("schedule contains non-finite power values")
     return power

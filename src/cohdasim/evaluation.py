@@ -103,7 +103,6 @@ def run_scenario_full(
     mat = materialize(scenario, seed)
     states, events, stats = run(
         mat.agents,
-        mat.overlay,
         scenario.target,
         network=scenario.network,
         seed=mat.network_seed,
@@ -165,9 +164,7 @@ class EnumerationOracle:
         self._target_w = target.arr[w]
         self._mats = fleet.windows
         sizes = [m.shape[0] for m in self._mats]
-        if any(s == 0 for s in sizes):
-            raise StructuralError("empty schedule set")
-        total = math.prod(sizes) if sizes else 1
+        total = math.prod(sizes)
         if total > cap:
             raise CapExceededError(total, cap)
         self.sizes = sizes
@@ -279,8 +276,10 @@ def worst_case_bound(
 
 
 def greedy_baseline(scenario: Scenario, seed: int = 0) -> tuple[float, dict[str, int]]:
-    """Agents choose once in id order, each minimizing the objective given
-    its predecessors; no revision. Ties break to the lowest index."""
+    """Agents choose once in the scenario's device order (its groups in
+    file order, each group's devices by number), each minimizing the
+    objective given its predecessors; no revision. Ties break to the
+    lowest index."""
     return greedy_assignment(materialize(scenario, seed))
 
 

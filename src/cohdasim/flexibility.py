@@ -169,26 +169,25 @@ def sample_feasible_schedules(
     count: int,
     horizon: PlanningHorizon,
     seed: int,
-    attempt_budget: int | None = None,
+    attempt_budget: int,
 ) -> FlexibilitySet:
     """Sample exactly ``count`` distinct feasible on-patterns for a device.
 
     Patterns are proposed interval-by-interval with probability 0.5 and
     repaired at the temperature bounds; exact duplicates are rejected.
     Deterministic under ``seed``. Raises ``SamplingError`` (reporting how
-    many were found) if the budget runs out first.
+    many were found) if ``attempt_budget`` proposals run out first.
     """
     if count < 1:
         raise StructuralError("count must be at least 1")
     if len(device.demand) != horizon.interval_count:
         raise StructuralError("device demand length does not match horizon")
-    budget = attempt_budget if attempt_budget is not None else max(_BATCH, 50 * count)
     rng = np.random.default_rng(seed)
     rows: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
-    while attempts < budget and len(rows) < count:
-        batch = min(_BATCH, budget - attempts)
+    while attempts < attempt_budget and len(rows) < count:
+        batch = min(_BATCH, attempt_budget - attempts)
         attempts += batch
         coins = rng.random((batch, horizon.interval_count)) < 0.5
         on, feasible = _repair_batch(device, coins, horizon)

@@ -248,7 +248,7 @@ def with_param(scenario: Scenario, path: str, value) -> Scenario:
     return _set_path(scenario, path.split("."), value)
 
 
-def build_epex_scenario(seed: int = 0) -> Scenario:
+def build_epex_scenario() -> Scenario:
     """EPEX-style Peakload block scenario.
 
     123 devices at a typical medium-voltage node: 111 geothermal heat pumps
@@ -306,12 +306,12 @@ def build_epex_scenario(seed: int = 0) -> Scenario:
         topology=TopologySpec("small_world", k=4, p=0.1),
         network=NetworkModel(delay=UniformDelay(0.01, 0.2)),
         sampling=SamplingSpec(count=200),
-        seeds=SeedBlock(sampling=seed, topology=seed, network=seed),
+        seeds=SeedBlock(0, 0, 0),
         limits=RunLimits(max_sim_time=86_400.0, max_messages=2_000_000),
     )
 
 
-def build_toy2_scenario(seed: int = 0) -> Scenario:
+def build_toy2_scenario() -> Scenario:
     """Two single-device groups over one interval; small enough that the
     optimum (-2 plus -3 matching a -5 kW target) is obvious by hand."""
     horizon = PlanningHorizon(1, 1.0, (0,))
@@ -337,12 +337,12 @@ def build_toy2_scenario(seed: int = 0) -> Scenario:
         topology=TopologySpec("ring"),
         network=NetworkModel(delay=ConstantDelay(1.0)),
         sampling=SamplingSpec(count=2),
-        seeds=SeedBlock(sampling=seed, topology=seed, network=seed),
+        seeds=SeedBlock(0, 0, 0),
         limits=RunLimits(max_sim_time=1000.0, max_messages=100_000),
     )
 
 
-def build_small_demo_scenario(seed: int = 0) -> Scenario:
+def build_small_demo_scenario() -> Scenario:
     """Twelve-device demonstration scenario on an hourly 12 interval day."""
     T = 12
     horizon = PlanningHorizon(T, 1.0, tuple(range(3, 9)))
@@ -369,7 +369,7 @@ def build_small_demo_scenario(seed: int = 0) -> Scenario:
         topology=TopologySpec("small_world", k=4, p=0.1),
         network=NetworkModel(delay=ConstantDelay(0.05)),
         sampling=SamplingSpec(count=16),
-        seeds=SeedBlock(sampling=seed, topology=seed, network=seed),
+        seeds=SeedBlock(0, 0, 0),
         limits=RunLimits(max_sim_time=10_000.0, max_messages=500_000),
     )
 

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence, Union
 
 from .agent import AgentState, NotStartedError, handle_message, handle_start
 from .core import Candidate, StructuralError, TargetProfile, compare
-from .topology import Overlay
 from .wire import encoded_length
 
 __all__ = [
@@ -182,14 +181,14 @@ def _delivery_time(
 
 def run(
     agents: Sequence[AgentState],
-    overlay: Overlay,
     target: TargetProfile,
     network: NetworkModel = NetworkModel(),
     seed: int = 0,
     limits: RunLimits = RunLimits(),
     trace: EventTrace | None = None,
 ) -> tuple[dict[str, AgentState], EventTrace, SimClockStats]:
-    """Drive the agents to quiescence over the given overlay.
+    """Drive the agents to quiescence. Each agent's messages go to its
+    ``neighbors``, which must be distinct other agents of the run.
 
     Returns the final agent states, the event trace and clock stats. Events
     are appended to ``trace`` when it is given, and the returned trace is
@@ -199,8 +198,13 @@ def run(
     states: dict[str, AgentState] = {a.agent_id: a for a in agents}
     if len(states) != len(agents):
         raise StructuralError("duplicate agent ids")
-    if set(states) != set(overlay.node_ids):
-        raise StructuralError("overlay does not cover exactly the agent ids")
+    for a in agents:
+        others = set(a.neighbors)
+        if len(others) != len(a.neighbors) or a.agent_id in others or not others.issubset(states):
+            raise StructuralError(
+                f"neighbors {a.neighbors!r} of agent {a.agent_id!r} are not distinct "
+                "other agents of the run"
+            )
 
     rng = random.Random(seed)
     seq = itertools.count()
@@ -225,9 +229,9 @@ def run(
         deliveries += 1
         state = states[aid]
         if msg is None:
-            new_state, outputs = handle_start(state, target)
+            new_state, out = handle_start(state, target)
         else:
-            new_state, outputs = handle_message(state, msg)
+            new_state, out = handle_message(state, msg)
         if trace is not None:
             if msg is None:
                 detail = {"msg": "start", "to": aid}
@@ -235,7 +239,7 @@ def run(
                 detail = {"msg": "knowledge", "to": aid, "from": msg.sender}
             detail["version"] = new_state.memory.config.version[new_state.position]
             trace.append(TraceEvent(at, "deliver", detail))
-        if new_state is state:
+        if out is None:
             # A knowledge delivery that taught nothing: no improvement,
             # nothing to send.
             noops += 1
@@ -252,10 +256,10 @@ def run(
                 leader = best
                 curve.append((at, best.fitness, best.size))
 
-        if not outputs:
+        if not new_state.neighbors:
             continue
-        size = encoded_length(outputs[0])
-        for recipient, out in zip(new_state.neighbors, outputs):
+        size = encoded_length(out)
+        for recipient in new_state.neighbors:
             if messages_sent >= limits.max_messages:
                 stop_reason = "max_messages"
                 break

@@ -1,7 +1,6 @@
 import struct
 from hashlib import blake2b
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -20,8 +19,7 @@ settings.load_profile("suite")
 
 def make_fleet(horizon, schedules):
     """Fleet over ``schedules``: agent id -> schedule rows (lists of floats)."""
-    return Fleet({aid: rows or np.zeros((0, horizon.interval_count))
-                  for aid, rows in schedules.items()}, horizon)
+    return Fleet(schedules, horizon)
 
 
 def make_agents(horizon, schedules, neighbors=None):

@@ -151,16 +151,16 @@ def _battery_case(index: int):
     }, horizon)
     agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids]
     target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
-    return agents, overlay, target, network
+    return agents, target, network
 
 
 def _battery_outcome(index: int) -> dict:
     """One randomized drop-free scenario, reduced to the facts the
     termination and anytime criteria assert on."""
-    agents, overlay, target, network = _battery_case(index)
+    agents, target, network = _battery_case(index)
     limits = RunLimits(max_sim_time=1.0e5, max_messages=2_000_000)
-    states, trace, stats = run(agents, overlay, target, network,
-                               seed=555 + index, limits=limits, trace=[])
+    states, trace, stats = run(agents, target, network, seed=555 + index, limits=limits,
+                               trace=[])
 
     per_agent: dict[str, tuple] = {}
     anytime_ok = True
@@ -428,7 +428,7 @@ def test_criterion_7_efficiency_metrics_hand_trace():
     fleet = Fleet({"A": [[-1.0], [-2.0]], "B": [[-1.0], [-3.0]]}, horizon)
     agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ("A", "B")]
     network = NetworkModel(delay=ConstantDelay(1.0))
-    states, trace, stats = run(agents, overlay, target, network, seed=0, trace=[])
+    states, trace, stats = run(agents, target, network, seed=0, trace=[])
 
     messages = sum(1 for ev in trace if ev.kind == "publish")
     calls = {aid: states[aid].objective_calls for aid in states}

@@ -9,15 +9,12 @@ from hypothesis import given, strategies as st
 from cohdasim import agent as agent_module
 from cohdasim.agent import (
     AgentState,
-    ConfigurationError,
     NotStartedError,
-    choose_schedule,
-    extract_assignment,
     handle_message,
     handle_start,
+    _choose_index,
     _merge,
     KnowledgeMessage,
-    WorkingMemory,
 )
 from cohdasim.core import (
     PlanningHorizon,
@@ -27,7 +24,9 @@ from cohdasim.core import (
     compare,
     make_candidate,
     objective,
+    selection_items,
 )
+from cohdasim.simnet import snapshot_best
 from cohdasim.wire import decode_message, encode_message, encoded_length
 
 from conftest import configuration, make_agent, make_agents, make_fleet, reference_key
@@ -44,32 +43,27 @@ def test_start_selects_enumerated_best(horizon1):
     assert best_idx == 1
 
     agent = make_agent("A", rows, horizon1, neighbors=("B", "C"))
-    state, msgs = handle_start(agent, target)
+    state, msg = handle_start(agent, target)
     assert state.memory.best.fitness == 0.0
     assert state.memory.config["A"].schedule_index == 1
     assert state.memory.config["A"].version == 0
-    assert len(msgs) == 2
-    assert all(m.sender == "A" and m.target == target for m in msgs)
+    # The one message for every neighbor is the new memory.
+    assert msg is state.memory
+    assert msg.sender == "A" and msg.target == target
     assert state.objective_calls == 2
 
 
 def test_start_single_option(horizon1):
     agent = make_agent("A", [[0.0]], horizon1)
-    state, msgs = handle_start(agent, TargetProfile((3.0,)))
+    state, msg = handle_start(agent, TargetProfile((3.0,)))
     assert state.memory.config["A"].schedule_index == 0
-    assert msgs == []
+    assert msg is state.memory
 
 
 def test_start_identical_schedules_lowest_index(horizon1):
     agent = make_agent("A", [[1.5], [1.5]], horizon1)
     state, _ = handle_start(agent, TargetProfile((1.5,)))
     assert state.memory.config["A"].schedule_index == 0
-
-
-def test_start_empty_schedule_set(horizon1):
-    agent = make_agent("A", [], horizon1)
-    with pytest.raises(ConfigurationError):
-        handle_start(agent, TargetProfile((0.0,)))
 
 
 def test_start_target_length_mismatch(horizon1):
@@ -153,24 +147,28 @@ def test_merge_associative_on_conflict_free_inputs(pa, pb, pc):
     assert left == right
 
 
-# --- choose_schedule --------------------------------------------------------
+# --- the decide step ---------------------------------------------------------
 
 
 def test_choose_fills_gap(horizon1):
+    target = TargetProfile((-100.0,))
     agents = make_agents(horizon1, {"A": [[-2.0], [0.0]], "X": [[-98.0]]})
-    state, _ = handle_start(agents["A"], TargetProfile((-100.0,)))
+    state, _ = handle_start(agents["A"], target)
+    assert state.memory.config["A"].schedule_index == 0
     config = _merge(state.memory.config, configuration(state.fleet, {"X": (0, 0)}))
-    state = dataclasses.replace(state, memory=dataclasses.replace(state.memory, config=config))
-    state2, idx, value = choose_schedule(state)
-    assert idx == 0 and value == 0.0
+    assert _choose_index(state, target, config) == (0, 0.0)
+    # A message that teaches X's record runs the decide step once: one
+    # evaluation per own schedule.
+    best = make_candidate(config, 0.0, "X")
+    state2, _ = handle_message(state, KnowledgeMessage("X", target, config, best))
     assert state2.objective_calls == state.objective_calls + 2
 
 
 def test_choose_all_identical_lowest_index(horizon1):
+    target = TargetProfile((0.0,))
     agent = make_agent("A", [[1.0], [1.0], [1.0]], horizon1)
-    state, _ = handle_start(agent, TargetProfile((0.0,)))
-    _, idx, _ = choose_schedule(state)
-    assert idx == 0
+    state, _ = handle_start(agent, target)
+    assert _choose_index(state, target, state.memory.config) == (0, 1.0)
 
 
 def test_choose_zero_target_minimal_magnitude():
@@ -178,16 +176,26 @@ def test_choose_zero_target_minimal_magnitude():
     rows = [[3.0, -3.0], [1.0, 1.0], [-2.0, 0.5]]
     # Enumeration oracle: the row with minimal L1 magnitude wins.
     expect = min(range(3), key=lambda i: sum(abs(v) for v in rows[i]))
+    target = TargetProfile((0.0, 0.0))
     agent = make_agent("A", rows, horizon)
-    state, _ = handle_start(agent, TargetProfile((0.0, 0.0)))
-    _, idx, _ = choose_schedule(state)
+    state, _ = handle_start(agent, target)
+    idx, _ = _choose_index(state, target, state.memory.config)
     assert idx == expect == 1
 
 
 def test_choose_requires_memory(horizon1):
-    agent = make_agent("A", [[0.0]], horizon1)
-    with pytest.raises(NotStartedError):
-        choose_schedule(agent)
+    # The decide step runs against a memory only: a delivery to an agent
+    # that has not started boots it from the carried target first, and then
+    # decides and announces itself even when the message teaches nothing.
+    target = TargetProfile((0.0,))
+    agent = make_agent("A", [[1.0], [0.0]], horizon1)
+    assert agent.memory is None
+    empty = SystemConfiguration.empty(agent.fleet)
+    state, msg = handle_message(agent, KnowledgeMessage("B", target, empty,
+                                                        make_candidate(empty, 0.0, "B")))
+    assert msg is state.memory and msg.sender == "A" and msg.target == target
+    assert selection_items(msg.config) == (("A", 1),)
+    assert state.objective_calls == 4  # the boot's choose, then the decide's
 
 
 # --- handle_message ---------------------------------------------------------
@@ -204,7 +212,7 @@ def test_message_identical_to_memory_is_silent(horizon1):
     echo_config = SystemConfiguration.from_records(state.fleet, dict(state.memory.config))
     echo = KnowledgeMessage("B", target, echo_config, state.memory.best)
     state2, out = handle_message(state, echo)
-    assert out == []
+    assert out is None and state2 is state
     assert state2.memory == state.memory
     assert state2.objective_calls == state.objective_calls  # step 2 skipped
 
@@ -219,7 +227,7 @@ def test_message_with_larger_best_replaces_and_publishes(horizon1):
     msg = KnowledgeMessage("B", target, remote_config, remote_best)
     state2, out = handle_message(state, msg)
     assert state2.memory.best.size == 3  # own candidate over the merged view wins
-    assert len(out) == len(state.neighbors)
+    assert out is state2.memory
     assert compare(state2.memory.best, remote_best) > 0
     # The decide step ran: exactly one evaluation per own schedule.
     assert state2.objective_calls == state.objective_calls + len(state.window_matrix)
@@ -241,18 +249,18 @@ def test_two_agent_quiescence_matches_enumeration(horizon1):
     agents = make_agents(horizon1, {"A": rows_a, "B": rows_b}, {"A": ("B",), "B": ("A",)})
     state_a, out_a = handle_start(agents["A"], target)
     state_b, out_b = handle_start(agents["B"], target)
-    inbox = [("B", out_a[0]), ("A", out_b[0])]
+    inbox = [("B", out_a), ("A", out_b)]
     states = {"A": state_a, "B": state_b}
     hops = 0
     while inbox and hops < 50:
         hops += 1
         to, msg = inbox.pop(0)
         states[to], out = handle_message(states[to], msg)
-        other = "A" if to == "B" else "B"
-        inbox.extend((other, m) for m in out)
+        if out is not None:
+            inbox.append(("A" if to == "B" else "B", out))
     assert hops < 50
     for state in states.values():
-        assert extract_assignment(state) == {"A": 0, "B": 1}
+        assert selection_items(state.memory.best.configuration) == (("A", 0), ("B", 1))
         assert state.memory.best.fitness == 0.0
 
 
@@ -286,7 +294,7 @@ def test_implicit_start_on_first_message(horizon1):
     assert state.memory is not None
     assert state.memory.target == target
     assert "A" in state.memory.config and "B" in state.memory.config
-    assert len(out) == 1  # started agents announce themselves
+    assert out is state.memory  # started agents announce themselves
     # Boot choose plus decide choose.
     assert state.objective_calls == 4
 
@@ -308,7 +316,7 @@ def test_adopt_realigns_with_best(horizon1):
     else:
         # Own candidate with the same size but better fitness won instead.
         assert state2.memory.best.fitness <= remote_best.fitness
-    assert len(out) == 1
+    assert out is state2.memory
 
 
 def _message_from(fleet, target, sender, index, version, extra=None):
@@ -459,10 +467,10 @@ def test_carried_state_matches_from_scratch(run):
                 ref_idx, ref_value = _reference_choose(who, aim, config)
                 assert idx == ref_idx and _bits(value) == _bits(ref_value)
             assert memory.best.key == reference_key(memory.best.configuration)
-            for m in out:
-                assert m.best.key == reference_key(m.best.configuration)
-                assert encoded_length(m) == len(encode_message(m))
-            _, idx, value = choose_schedule(state)
+            if out is not None:
+                assert out is memory
+                assert encoded_length(out) == len(encode_message(out))
+            idx, value = _choose_index(state, target, memory.config)
             ref_idx, ref_value = _reference_choose(state, target, memory.config)
             assert idx == ref_idx and _bits(value) == _bits(ref_value)
 
@@ -514,7 +522,7 @@ def _deliveries(draw):
 
     state, _ = handle_start(AgentState("a0", fleet, ("a1",)), target)
     local_best = make_candidate(local, float(draw(st.integers(0, 9))), "a0")
-    state = dataclasses.replace(state, memory=WorkingMemory(target, local, local_best))
+    state = dataclasses.replace(state, memory=KnowledgeMessage("a0", target, local, local_best))
     if draw(st.booleans()):
         best = local_best
     else:
@@ -537,24 +545,29 @@ def test_merge_equals_dict_reference(delivery):
 
     new_state, out = handle_message(state, msg)
     if merged is local and compare(msg.best, state.memory.best) <= 0:
-        assert new_state is state and out == []
+        assert new_state is state and out is None
     # The message's bytes, decoded over the fleet, are handled the same way.
     decoded = decode_message(encode_message(msg), state.fleet)
     assert handle_message(state, decoded) == (new_state, out)
 
 
-# --- extract_assignment -------------------------------------------------------
+# --- the committed selections ----------------------------------------------------
 
 
 def test_extract_after_start_is_singleton(horizon1):
     state = _started(make_agent("A", [[0.0]], horizon1), TargetProfile((1.0,)))
-    assert extract_assignment(state) == {"A": 0}
+    assert selection_items(state.memory.best.configuration) == (("A", 0),)
 
 
 def test_extract_before_start_raises(horizon1):
-    agent = make_agent("A", [[0.0]], horizon1)
+    # The commit step reads the started agents only, and refuses when none
+    # has started.
+    agents = make_agents(horizon1, {"A": [[0.0]], "B": [[0.0]]})
+    assert agents["A"].memory is None
     with pytest.raises(NotStartedError):
-        extract_assignment(agent)
+        snapshot_best(agents.values())
+    started = _started(agents["B"], TargetProfile((1.0,)))
+    assert snapshot_best([agents["A"], started]) is started.memory.best
 
 
 def test_schedule_set_validates_lengths(horizon1):

@@ -84,3 +84,25 @@ def test_worker_correctness_checks_pass(worker, monkeypatch, tmp_path):
     rep = worker.run_cli(m, ROOT, "fleet", 0, tmp_path, None)
     assert rep["failed"] == 0, rep["failures"]
     assert rep["outputs"]["messages"] > 0
+
+
+def test_worker_traced_repetition(worker, monkeypatch, tmp_path):
+    # The traced repetition: spans on, then the per-layer metrics, which
+    # unpack ``run``'s return value and count the trace's events by kind.
+    # The run collects its trace here, so that the kinds are read.
+    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy2_scenario.yaml"))
+    m = worker.import_package(ROOT)
+    original = m.cli.run_scenario_full
+    monkeypatch.setattr(m.cli, "run_scenario_full",
+                        lambda scenario, seed=0: original(scenario, seed, trace=[]))
+    tracer = worker.Tracer()
+    rep = worker.run_cli(m, ROOT, "fleet", 0, tmp_path, tracer)
+    assert rep["failed"] == 0, rep["failures"]
+    metrics = worker.layer_metrics(tracer, rep["helpers"], rep)
+    [(_, trace, stats)] = tracer.observed["evaluation.run"]
+    assert metrics["agent.deliveries"] == stats.deliveries > 0
+    assert metrics["agent.noop_deliveries"] == stats.noop_deliveries
+    assert metrics["simnet.trace_events"] == len(trace) > 0
+    assert metrics["simnet.duplicates"] == stats.duplicates
+    assert metrics["simnet.drops"] == stats.drops
+    assert metrics["wire.bytes_per_msg"] == stats.message_bytes / stats.messages

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from cohdasim import core
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
     DegenerateTargetError,
+    Fleet,
     PlanningHorizon,
     Schedule,
     StructuralError,
@@ -37,6 +39,24 @@ def test_horizon_validation():
         PlanningHorizon(4, 1.0, (4,))
     h = PlanningHorizon(4, 1.0, (2, 0, 2))
     assert h.product_window == (0, 2)
+
+
+def test_arrays_are_cached_and_read_only():
+    horizon = PlanningHorizon(3, 1.0, (2, 0))
+    schedule = Schedule((1.0, 2.0, 3.0))
+    target = TargetProfile((0.0, -1.0, 2.0))
+    for read in (lambda: horizon.window_index, lambda: schedule.arr, lambda: target.arr):
+        arr = read()
+        assert read() is arr and not arr.flags.writeable
+    assert horizon.window_index.tolist() == [0, 2]
+    assert schedule.arr.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_fleet_refuses_an_empty_schedule_table(horizon1):
+    # The one check for an agent without schedules: it could not boot, and
+    # the enumeration oracle would have no product to scan.
+    with pytest.raises(StructuralError, match="no schedule"):
+        Fleet({"A": np.zeros((0, 1)), "B": [[0.0]]}, horizon1)
 
 
 def test_schedule_rejects_non_finite():

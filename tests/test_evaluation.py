@@ -199,6 +199,21 @@ def test_greedy_on_scenarios_not_below_optimum():
         assert greedy >= opt - 1e-9
 
 
+def test_greedy_follows_the_device_order():
+    # Groups "b" then "a": the devices choose in that order, not by sorted
+    # id. b000 first takes -4.5 against -5, leaving a000 off (0.5); in id
+    # order a000 would take -3 first and b000 stay off (2.0).
+    toy = build_toy2_scenario()
+    b, a = (dataclasses.replace(g.model, p_el_on=p) for g, p in zip(toy.devices, (-4.5, -3.0)))
+    sc = dataclasses.replace(toy, target=TargetProfile((-5.0,)),
+                             devices=(dataclasses.replace(toy.devices[0], prefix="b", model=b),
+                                      dataclasses.replace(toy.devices[1], prefix="a", model=a)))
+    value, assignment = greedy_baseline(sc, 0)
+    assert value == 0.5
+    assert list(assignment) == ["b000", "a000"]
+    assert value == brute_force_optimum(sc, 0)[0]
+
+
 def test_greedy_single_agent_equals_brute_force():
     sc = build_toy2_scenario()
     import dataclasses

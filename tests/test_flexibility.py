@@ -95,7 +95,7 @@ def test_sampler_enumerates_everything_when_unconstrained():
         temp_max=1000.0,
         temp_initial=500.0,
     )
-    flex = sample_feasible_schedules(device, 8, horizon, seed=4)
+    flex = sample_feasible_schedules(device, 8, horizon, seed=4, attempt_budget=400)
     assert len(flex.schedules) == 8
     assert set(flex.on_patterns) == set(itertools.product((False, True), repeat=3))
 
@@ -103,7 +103,7 @@ def test_sampler_enumerates_everything_when_unconstrained():
 def test_sampler_count_one_always_feasible():
     horizon = PlanningHorizon(6, 0.25, (0,))
     device = _device(demand=(1.5,) * 6)
-    flex = sample_feasible_schedules(device, 1, horizon, seed=0)
+    flex = sample_feasible_schedules(device, 1, horizon, seed=0, attempt_budget=50)
     traj = simulate_tank(device, flex.on_patterns[0], horizon)
     assert all(device.temp_min <= v <= device.temp_max for v in traj)
 
@@ -111,11 +111,11 @@ def test_sampler_count_one_always_feasible():
 def test_sampler_deterministic_under_seed():
     horizon = PlanningHorizon(8, 0.25, (0,))
     device = _device(demand=(1.5,) * 8)
-    a = sample_feasible_schedules(device, 10, horizon, seed=11)
-    b = sample_feasible_schedules(device, 10, horizon, seed=11)
+    a = sample_feasible_schedules(device, 10, horizon, seed=11, attempt_budget=500)
+    b = sample_feasible_schedules(device, 10, horizon, seed=11, attempt_budget=500)
     assert a.on_patterns == b.on_patterns
     assert a.schedules == b.schedules
-    c = sample_feasible_schedules(device, 10, horizon, seed=12)
+    c = sample_feasible_schedules(device, 10, horizon, seed=12, attempt_budget=500)
     assert a.on_patterns != c.on_patterns
 
 
@@ -129,7 +129,7 @@ def test_sampler_exhaustion_reports_found():
         temp_initial=500.0,
     )
     with pytest.raises(SamplingError) as err:
-        sample_feasible_schedules(device, 10, horizon, seed=1)  # only 4 exist
+        sample_feasible_schedules(device, 10, horizon, seed=1, attempt_budget=500)  # only 4 exist
     assert err.value.found == 4
     assert err.value.requested == 10
 
@@ -148,7 +148,7 @@ def test_feasibility_soundness_and_power_consistency():
             temp_initial=60.0,
         ),
     ):
-        flex = sample_feasible_schedules(device, 25, horizon, seed=3)
+        flex = sample_feasible_schedules(device, 25, horizon, seed=3, attempt_budget=1250)
         assert len(set(flex.on_patterns)) == 25
         for pattern, schedule in zip(flex.on_patterns, flex.schedules):
             traj = simulate_tank(device, pattern, horizon)

@@ -30,7 +30,7 @@ def _agents(horizon, rows_by_id, overlay):
 def test_single_agent_quiesces_without_messages(horizon1):
     overlay = ring(["A"])
     agents = _agents(horizon1, {"A": [[1.0], [2.0]]}, overlay)
-    states, trace, stats = run(agents, overlay, TargetProfile((2.0,)), trace=[])
+    states, trace, stats = run(agents, TargetProfile((2.0,)), trace=[])
     assert stats.terminated
     assert stats.termination_time == 0.0
     assert sum(1 for ev in trace if ev.kind == "publish") == 0
@@ -44,7 +44,7 @@ def test_two_agents_complete_graph_consistent(horizon1):
         horizon1, {"A": [[1.0], [2.0]], "B": [[1.0], [3.0]]}, overlay
     )
     states, trace, stats = run(
-        agents, overlay, TargetProfile((4.0,)), NetworkModel(delay=ConstantDelay(0.5))
+        agents, TargetProfile((4.0,)), NetworkModel(delay=ConstantDelay(0.5))
     )
     assert stats.terminated
     assert check_consistency(states.values())
@@ -57,7 +57,7 @@ def test_full_drop_leaves_singletons(horizon1):
     overlay = complete(["A", "B", "C"])
     rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
     network = NetworkModel(delay=ConstantDelay(0.1), drop_probability=1.0)
-    states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
+    states, trace, stats = run(_agents(horizon1, rows, overlay),
                                TargetProfile((-3.0,)), network, trace=[])
     assert stats.terminated
     for state in states.values():
@@ -80,7 +80,7 @@ def test_determinism_bit_for_bit(horizon4):
 
     def one():
         agents = _agents(horizon4, rows, overlay)
-        return run(agents, overlay, target, network, seed=123, trace=[])
+        return run(agents, target, network, seed=123, trace=[])
 
     states1, trace1, stats1 = one()
     states2, trace2, stats2 = one()
@@ -90,7 +90,7 @@ def test_determinism_bit_for_bit(horizon4):
         a: s.memory.best.key for a, s in states2.items()
     }
 
-    _, trace3, _ = run(_agents(horizon4, rows, overlay), overlay, target, network, seed=124,
+    _, trace3, _ = run(_agents(horizon4, rows, overlay), target, network, seed=124,
                        trace=[])
     assert trace3 != trace1  # different seed, different disturbances
 
@@ -103,7 +103,7 @@ def test_snapshot_sequence_monotone_and_quiescent_consistency(horizon4):
     }
     target = TargetProfile((-2.0, -2.0, -2.0, -2.0))
     network = NetworkModel(delay=ExponentialDelay(0.05))
-    states, trace, stats = run(_agents(horizon4, rows, overlay), overlay, target,
+    states, trace, stats = run(_agents(horizon4, rows, overlay), target,
                                network, seed=5, trace=[])
     assert stats.terminated
     assert check_consistency(states.values())
@@ -136,7 +136,7 @@ def test_duplicates_and_reorder_still_consistent(horizon4):
     }
     target = TargetProfile((-2.0, -2.0, -2.0, -2.0))
     network = NetworkModel(delay=UniformDelay(0.0, 1.0), duplicate_probability=0.4)
-    states, trace, stats = run(_agents(horizon4, rows, overlay), overlay, target,
+    states, trace, stats = run(_agents(horizon4, rows, overlay), target,
                                network, seed=77, trace=[])
     assert stats.terminated
     assert check_consistency(states.values())
@@ -147,7 +147,7 @@ def test_bounded_delay_clips_samples(horizon1):
     overlay = complete(["A", "B"])
     rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
     network = NetworkModel(delay=ExponentialDelay(5.0), max_delay_bound=0.25)
-    states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
+    states, trace, stats = run(_agents(horizon1, rows, overlay),
                                TargetProfile((-2.0,)), network, seed=3, trace=[])
     assert stats.terminated
     deliveries = [ev for ev in trace if ev.kind == "deliver" and ev.payload["msg"] == "knowledge"]
@@ -168,7 +168,7 @@ def test_fifo_links_when_reorder_disabled(horizon4):
     }
     target = TargetProfile((-3.0, -3.0, -3.0, -3.0))
     network = NetworkModel(delay=UniformDelay(0.0, 1.0), reorder=False)
-    states, trace, stats = run(_agents(horizon4, rows, overlay), overlay, target, seed=9,
+    states, trace, stats = run(_agents(horizon4, rows, overlay), target, seed=9,
                                network=network)
     assert stats.terminated
     assert check_consistency(states.values())
@@ -178,7 +178,7 @@ def test_message_limit_flags_not_terminated(horizon1):
     overlay = complete(["A", "B", "C"])
     rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
     limits = RunLimits(max_sim_time=100.0, max_messages=3)
-    states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
+    states, trace, stats = run(_agents(horizon1, rows, overlay),
                                TargetProfile((-3.0,)), limits=limits, trace=[])
     assert not stats.terminated
     assert sum(1 for ev in trace if ev.kind == "publish") <= 3
@@ -189,16 +189,33 @@ def test_sim_time_limit_flags_not_terminated(horizon1):
     rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
     network = NetworkModel(delay=ConstantDelay(10.0))
     limits = RunLimits(max_sim_time=5.0, max_messages=1000)
-    states, trace, stats = run(_agents(horizon1, rows, overlay), overlay,
+    states, trace, stats = run(_agents(horizon1, rows, overlay),
                                TargetProfile((-2.0,)), network, limits=limits)
     assert not stats.terminated
 
 
-def test_overlay_must_cover_agents(horizon1):
-    overlay = ring(["A", "B"])
-    agents = _agents(horizon1, {"A": [[0.0]]}, ring(["A"]))
-    with pytest.raises(StructuralError):
-        run(agents, overlay, TargetProfile((0.0,)))
+def _no_event(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an event was delivered")
+
+    monkeypatch.setattr(simnet, "handle_start", refuse)
+
+
+def test_overlay_must_cover_agents(horizon1, monkeypatch):
+    # The agents' neighbor lists are the overlay: A's names B, which is not
+    # an agent of the run. It is refused before the first event.
+    _no_event(monkeypatch)
+    agents = _agents(horizon1, {"A": [[0.0]]}, ring(["A", "B"]))
+    with pytest.raises(StructuralError, match="not distinct other agents"):
+        run(agents, TargetProfile((0.0,)))
+
+
+@pytest.mark.parametrize("neighbors", [("A", "B"), ("B", "B")], ids=["self-loop", "duplicate"])
+def test_neighbors_must_be_distinct_other_agents(horizon1, monkeypatch, neighbors):
+    _no_event(monkeypatch)
+    agents = make_agents(horizon1, {"A": [[0.0]], "B": [[0.0]]}, {"A": neighbors, "B": ("A",)})
+    with pytest.raises(StructuralError, match="not distinct other agents"):
+        run(list(agents.values()), TargetProfile((0.0,)))
 
 
 def test_snapshot_before_start(horizon1):
@@ -211,7 +228,7 @@ def test_check_consistency_detects_missing_agent(horizon1):
     overlay = complete(["A", "B"])
     rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
     network = NetworkModel(delay=ConstantDelay(0.1), drop_probability=1.0)
-    states, _, _ = run(_agents(horizon1, rows, overlay), overlay,
+    states, _, _ = run(_agents(horizon1, rows, overlay),
                        TargetProfile((-2.0,)), network)
     assert not check_consistency(states.values())
 
@@ -247,7 +264,7 @@ def test_time_going_backwards_raises(horizon1):
     overlay = complete(["A", "B"])
     rows = {"A": [[-1.0], [0.0]], "B": [[-1.0], [0.0]]}
     with pytest.raises(StructuralError, match="went backwards"):
-        run(_agents(horizon1, rows, overlay), overlay, TargetProfile((-2.0,)),
+        run(_agents(horizon1, rows, overlay), TargetProfile((-2.0,)),
             NetworkModel(delay=_BackwardsDelay()))
 
 
@@ -264,7 +281,7 @@ def _lossy_run(horizon4, seed, reorder, trace=None):
     target = TargetProfile((-2.0, -3.0, -2.0, -1.0))
     network = NetworkModel(delay=UniformDelay(0.0, 0.5), drop_probability=0.15,
                            duplicate_probability=0.3, reorder=reorder)
-    return run(_agents(horizon4, rows, overlay), overlay, target, network, seed=seed,
+    return run(_agents(horizon4, rows, overlay), target, network, seed=seed,
                trace=trace)
 
 
@@ -362,7 +379,7 @@ def test_kernel_curve_matches_reference_fold(horizon4):
 def test_stop_reason(horizon1, limits, delay, reason):
     overlay = complete(["A", "B", "C"])
     rows = {aid: [[-1.0], [0.0]] for aid in "ABC"}
-    _, _, stats = run(_agents(horizon1, rows, overlay), overlay, TargetProfile((-3.0,)),
+    _, _, stats = run(_agents(horizon1, rows, overlay), TargetProfile((-3.0,)),
                       NetworkModel(delay=ConstantDelay(delay)), limits=limits)
     assert stats.stop_reason == reason
     assert stats.terminated == (reason == "quiescent")

@@ -138,7 +138,7 @@ def test_trace_byte_totals_match_reencoding():
     scenario = build_toy2_scenario()
     mat = materialize(scenario, 0)
     states, trace, stats = run(
-        mat.agents, mat.overlay, scenario.target, scenario.network,
+        mat.agents, scenario.target, scenario.network,
         mat.network_seed, scenario.limits, trace=[],
     )
     publishes = [ev for ev in trace if ev.kind == "publish"]
