@@ -6,7 +6,6 @@ from .core import (
     DegenerateTargetError,
     Fleet,
     PlanningHorizon,
-    Schedule,
     SelectionRecord,
     StructuralError,
     SystemConfiguration,

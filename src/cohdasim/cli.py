@@ -20,9 +20,10 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
 import yaml
 
-from .core import Schedule, aggregate, coverage
+from .core import aggregate, coverage
 from .evaluation import (
     DEFAULT_CAP,
     CapExceededError,
@@ -88,16 +89,17 @@ def result_record(result: RunResult) -> dict:
     return record
 
 
-def _write_series(path: Path, scenario: Scenario, **columns: Schedule) -> None:
+def _write_series(path: Path, scenario: Scenario, **columns: np.ndarray) -> None:
     """Per-interval plot table: the target, then each named power profile."""
     horizon = scenario.horizon
     window = set(horizon.product_window)
+    profiles = [profile.tolist() for profile in columns.values()]
     _write_csv(
         path,
         ["interval", "hour_start", "in_window", "target_kw", *columns],
         (
             [t, t * horizon.interval_duration, int(t in window), scenario.target.power[t]]
-            + [profile.power[t] for profile in columns.values()]
+            + [profile[t] for profile in profiles]
             for t in range(horizon.interval_count)
         ),
     )
@@ -257,8 +259,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _run_fitness(path: str) -> float:
+    """The finite ``final_fitness`` of the run result file at ``path``."""
+    try:
+        with open(path) as fh:
+            fitness = float(json.load(fh)["final_fitness"])
+        if not math.isfinite(fitness):
+            raise ValueError(f"final_fitness {fitness!r} is not finite")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"not a run result with a final_fitness: {exc!r}", path) from None
+    return fitness
+
+
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
+    achieved = None if args.result is None else _run_fitness(args.result)
     mat = materialize(scenario, args.seed)
     try:
         oracle = EnumerationOracle(mat.fleet, scenario.target, args.cap)
@@ -270,9 +285,7 @@ def cmd_oracle(args) -> int:
     print(f"optimum assignment: {oracle.optimum_assignment}")
     print(f"worst-case fitness: {oracle.worst!r}")
     print(f"greedy baseline:    {greedy!r}")
-    if args.result:
-        with open(args.result) as fh:
-            achieved = json.load(fh)["final_fitness"]
+    if achieved is not None:
         gap = (achieved - oracle.optimum) / max(oracle.optimum, 1e-9)
         print(f"run fitness:        {achieved!r}")
         print(f"optimality gap:     {gap!r}")

@@ -23,7 +23,6 @@ __all__ = [
     "StructuralError",
     "DegenerateTargetError",
     "PlanningHorizon",
-    "Schedule",
     "TargetProfile",
     "SelectionRecord",
     "Fleet",
@@ -82,26 +81,6 @@ class PlanningHorizon:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Per-device power profile over the full horizon (kW per interval)."""
-
-    power: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        power = tuple(float(v) for v in self.power)
-        if not all(isfinite(v) for v in power):
-            raise StructuralError("schedule contains non-finite power values")
-        object.__setattr__(self, "power", power)
-
-    def __len__(self) -> int:
-        return len(self.power)
-
-    @cached_property
-    def arr(self) -> np.ndarray:
-        return _frozen(np.array(self.power, dtype=np.float64))
-
-
-@dataclass(frozen=True)
 class TargetProfile:
     """Power profile the coalition has to deliver on the product window."""
 
@@ -123,15 +102,17 @@ class TargetProfile:
 
 @dataclass(frozen=True)
 class SelectionRecord:
-    """One agent's current schedule pick, tagged with a version counter.
+    """One agent's current schedule pick, tagged with a version counter: the
+    read view of one entry of a ``SystemConfiguration``.
 
-    ``version`` strictly increases every time the owning agent changes its
-    selection; it resolves conflicts when beliefs are merged.
+    ``schedule`` is the selected row of the agent's power table. ``version``
+    strictly increases every time the owning agent changes its selection;
+    it resolves conflicts when beliefs are merged.
     """
 
     agent_id: str
     schedule_index: int
-    schedule: Schedule
+    schedule: tuple[float, ...]
     version: int = 0
 
 
@@ -177,10 +158,6 @@ class Fleet:
             for aid, table in zip(self.ids, self.power)
         )
 
-    def schedule(self, position: int, index: int) -> Schedule:
-        """Schedule ``index`` of the agent at ``position``, built on read."""
-        return Schedule(self.power[position][index].tolist())
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -224,24 +201,6 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
         unknown = (-1,) * len(fleet)
         return cls(fleet, unknown, unknown)
 
-    @classmethod
-    def from_records(cls, fleet: Fleet, records: Mapping[str, SelectionRecord]) -> SystemConfiguration:
-        """The configuration holding ``records``, each of which must select
-        an entry of its agent's row in ``fleet``."""
-        index = [-1] * len(fleet)
-        version = [-1] * len(fleet)
-        for aid, rec in records.items():
-            i = fleet.position.get(aid)
-            if i is None or rec.agent_id != aid:
-                raise StructuralError(f"record for {aid!r} names no agent of the fleet")
-            if not 0 <= rec.schedule_index < len(fleet.power[i]) or rec.version < 0:
-                raise StructuralError(f"record of {aid!r} is out of range")
-            if rec.schedule != fleet.schedule(i, rec.schedule_index):
-                raise StructuralError(f"schedule of {aid!r} is not its table entry")
-            index[i] = rec.schedule_index
-            version[i] = rec.version
-        return cls(fleet, tuple(index), tuple(version))
-
     def known(self) -> Iterator[bool]:
         """Whether the configuration knows each agent, in fleet order."""
         return map((0).__le__, self.index)
@@ -251,7 +210,7 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
         if i is None or self.index[i] < 0:
             raise KeyError(aid)
         idx = self.index[i]
-        return SelectionRecord(aid, idx, self.fleet.schedule(i, idx), self.version[i])
+        return SelectionRecord(aid, idx, tuple(self.fleet.power[i][idx].tolist()), self.version[i])
 
     def __iter__(self) -> Iterator[str]:
         return compress(self.fleet.ids, self.known())
@@ -347,10 +306,11 @@ def compare(a: Candidate, b: Candidate) -> int:
     return 0
 
 
-def aggregate(config: SystemConfiguration, horizon: PlanningHorizon) -> Schedule:
-    """Element-wise sum of all selected schedules (zero profile if empty),
-    the fleet's table rows added in sorted agent-id order. ``horizon`` picks
-    the window the callers read and must have the fleet's interval count.
+def aggregate(config: SystemConfiguration, horizon: PlanningHorizon) -> np.ndarray:
+    """Element-wise sum of all selected schedules (zero profile if empty) as
+    a read-only array, the fleet's table rows added in sorted agent-id
+    order. ``horizon`` picks the window the callers read and must have the
+    fleet's interval count.
     """
     fleet = config.fleet
     if fleet.horizon.interval_count != horizon.interval_count:
@@ -362,7 +322,7 @@ def aggregate(config: SystemConfiguration, horizon: PlanningHorizon) -> Schedule
     for table, s in zip(fleet.power, config.index):
         if s >= 0:
             total += table[s]
-    return Schedule(tuple(total.tolist()))
+    return _frozen(total)
 
 
 def objective(
@@ -380,14 +340,15 @@ def objective(
         )
     agg = aggregate(config, horizon)
     w = horizon.window_index
-    return float(np.abs(agg.arr[w] - target.arr[w]).sum())
+    return float(np.abs(agg[w] - target.arr[w]).sum())
 
 
 def coverage(
-    delivered: Schedule, target: TargetProfile, horizon: PlanningHorizon
+    delivered: np.ndarray, target: TargetProfile, horizon: PlanningHorizon
 ) -> float:
-    """Share of the target realized on the window: 1 - normalized L1 error,
-    floored at zero. Requires a target with nonzero window magnitude.
+    """Share of the target realized on the window by the power profile
+    ``delivered``: 1 - normalized L1 error, floored at zero. Requires a
+    target with nonzero window magnitude.
     """
     if len(delivered) != horizon.interval_count or len(target) != horizon.interval_count:
         raise StructuralError("delivered/target length does not match horizon")
@@ -395,5 +356,5 @@ def coverage(
     denom = float(np.abs(target.arr[w]).sum())
     if denom == 0.0:
         raise DegenerateTargetError("target is all-zero on the product window")
-    err = float(np.abs(delivered.arr[w] - target.arr[w]).sum())
+    err = float(np.abs(delivered[w] - target.arr[w]).sum())
     return max(0.0, 1.0 - err / denom)

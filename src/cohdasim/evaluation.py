@@ -115,7 +115,7 @@ def run_scenario_full(
     denom = float(np.abs(target_w).sum())
     delivered = aggregate(best.configuration, scenario.horizon)
     energy_target = float(target_w.sum())
-    energy_delivered = float(delivered.arr[w].sum())
+    energy_delivered = float(delivered[w].sum())
     result = RunResult(
         final_fitness=best.fitness,
         coverage_l1=max(0.0, 1.0 - best.fitness / denom),

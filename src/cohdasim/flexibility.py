@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PlanningHorizon, Schedule, StructuralError
+from .core import PlanningHorizon, StructuralError
 
 __all__ = [
     "SamplingError",
@@ -99,9 +99,9 @@ class FlexibilitySet:
     power: np.ndarray
 
     @property
-    def schedules(self) -> tuple[Schedule, ...]:
-        """One ``Schedule`` per row of ``power``, built on read."""
-        return tuple(map(Schedule, self.power.tolist()))
+    def schedules(self) -> tuple[tuple[float, ...], ...]:
+        """One float tuple per row of ``power``, built on read."""
+        return tuple(map(tuple, self.power.tolist()))
 
     @property
     def on_patterns(self) -> tuple[tuple[bool, ...], ...]:

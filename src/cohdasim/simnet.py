@@ -120,8 +120,12 @@ class RunLimits:
     max_messages: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.max_sim_time <= 0 or self.max_messages <= 0:
-            raise StructuralError("run limits must be positive")
+        # A nan time limit would never trip: ``at > nan`` is always False.
+        seconds, count = self.max_sim_time, self.max_messages
+        if not (isfinite(seconds) and seconds > 0):
+            raise StructuralError(f"max_sim_time must be finite and positive, got {seconds!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+            raise StructuralError(f"max_messages must be a positive integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -310,13 +314,10 @@ def check_consistency(agents: Iterable[AgentState]) -> bool:
         return True
     if any(s.memory is None for s in states):
         return False
-    ids = {s.agent_id for s in states}
     reference = states[0].memory.best
     for s in states:
         best = s.memory.best
         if compare(best, reference) != 0:
-            return False
-        if not set(best.configuration).issuperset(ids):
             return False
         own = s.memory.config.index[s.position]
         if own < 0 or own != best.configuration.index[s.position]:

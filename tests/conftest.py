@@ -4,14 +4,9 @@ from hashlib import blake2b
 import pytest
 from hypothesis import settings
 
+from cohdasim import core
 from cohdasim.agent import AgentState
-from cohdasim.core import (
-    Fleet,
-    PlanningHorizon,
-    Schedule,
-    SelectionRecord,
-    SystemConfiguration,
-)
+from cohdasim.core import Fleet, PlanningHorizon, SelectionRecord, SystemConfiguration
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -37,12 +32,14 @@ def make_agent(agent_id, schedules, horizon, neighbors=()):
 
 def configuration(fleet, picks):
     """Configuration over ``fleet`` from ``{agent_id: (index, version)}``:
-    each record selects that entry of its agent's table row."""
-    records = {
-        aid: SelectionRecord(aid, index, fleet.schedule(fleet.position[aid], index), version)
-        for aid, (index, version) in picks.items()
-    }
-    return SystemConfiguration.from_records(fleet, records)
+    each agent selects that entry of its power table."""
+    index = [-1] * len(fleet)
+    version = [-1] * len(fleet)
+    for aid, (idx, ver) in picks.items():
+        i = fleet.position[aid]
+        assert 0 <= idx < len(fleet.power[i]) and ver >= 0
+        index[i], version[i] = idx, ver
+    return SystemConfiguration(fleet, tuple(index), tuple(version))
 
 
 def reference_key(config):
@@ -56,7 +53,17 @@ def reference_key(config):
 
 
 def record(agent_id, index, row, version=0):
-    return SelectionRecord(agent_id, index, Schedule(tuple(row)), version)
+    return SelectionRecord(agent_id, index, tuple(map(float, row)), version)
+
+
+@pytest.fixture
+def refuse_records(monkeypatch):
+    """Make building a ``SelectionRecord`` in ``cohdasim.core`` raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a selection record was built")
+
+    monkeypatch.setattr(core, "SelectionRecord", refuse)
 
 
 @pytest.fixture

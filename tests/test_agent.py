@@ -209,7 +209,8 @@ def _started(agent, target):
 def test_message_identical_to_memory_is_silent(horizon1):
     target = TargetProfile((-1.0,))
     state = _started(make_agent("A", [[-1.0], [0.0]], horizon1, ("N",)), target)
-    echo_config = SystemConfiguration.from_records(state.fleet, dict(state.memory.config))
+    echo_config = configuration(state.fleet, {aid: (r.schedule_index, r.version)
+                                              for aid, r in state.memory.config.items()})
     echo = KnowledgeMessage("B", target, echo_config, state.memory.best)
     state2, out = handle_message(state, echo)
     assert out is None and state2 is state
@@ -383,7 +384,7 @@ def _reference_choose(state, target, config):
     others = np.zeros(horizon.interval_count, dtype=np.float64)
     for aid in sorted(config):
         if aid != state.agent_id:
-            others += config[aid].schedule.arr
+            others += config[aid].schedule
     w = horizon.window_index
     values = np.abs(state.window_matrix - (target.arr[w] - others[w])).sum(axis=1)
     idx = int(np.argmin(values))
@@ -529,7 +530,8 @@ def _deliveries(draw):
         known = {**dict(local), **dict(remote)}
         best_ids = draw(st.lists(st.sampled_from(sorted(known)), unique=True, min_size=1))
         best = make_candidate(
-            SystemConfiguration.from_records(fleet, {aid: known[aid] for aid in best_ids}),
+            configuration(fleet, {aid: (known[aid].schedule_index, known[aid].version)
+                                  for aid in best_ids}),
             float(draw(st.integers(0, 9))), "s")
     return state, KnowledgeMessage("s", target, remote, best)
 

@@ -200,6 +200,18 @@ def test_oracle_gap_against_run(tmp_path, capsys):
     assert "optimality gap" in printed
 
 
+@pytest.mark.parametrize("content", [None, "{}", '{"final_fitness": "high"}', "[1]", "not json",
+                                     '{"final_fitness": NaN}'])
+def test_oracle_refuses_an_unreadable_result_before_enumerating(tmp_path, capsys, content):
+    path = tmp_path / "result.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["oracle", "toy-2", "--result", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+
+
 def test_oracle_refuses_epex(capsys):
     assert main(["oracle", "epex-peakload"]) == 1
     err = capsys.readouterr().err

@@ -11,7 +11,6 @@ from cohdasim.core import (
     DegenerateTargetError,
     Fleet,
     PlanningHorizon,
-    Schedule,
     StructuralError,
     TargetProfile,
     aggregate,
@@ -25,7 +24,7 @@ from cohdasim.core import (
 )
 from cohdasim.wire import decode_message, encode_message
 
-from conftest import configuration, make_fleet, record, reference_key
+from conftest import configuration, make_fleet, reference_key
 
 
 def test_horizon_validation():
@@ -43,13 +42,14 @@ def test_horizon_validation():
 
 def test_arrays_are_cached_and_read_only():
     horizon = PlanningHorizon(3, 1.0, (2, 0))
-    schedule = Schedule((1.0, 2.0, 3.0))
     target = TargetProfile((0.0, -1.0, 2.0))
-    for read in (lambda: horizon.window_index, lambda: schedule.arr, lambda: target.arr):
+    for read in (lambda: horizon.window_index, lambda: target.arr):
         arr = read()
         assert read() is arr and not arr.flags.writeable
     assert horizon.window_index.tolist() == [0, 2]
-    assert schedule.arr.tolist() == [1.0, 2.0, 3.0]
+    assert target.arr.tolist() == [0.0, -1.0, 2.0]
+    delivered = aggregate(_config(horizon, {"A": [1.0, 2.0, 3.0]}), horizon)
+    assert delivered.dtype == np.float64 and not delivered.flags.writeable
 
 
 def test_fleet_refuses_an_empty_schedule_table(horizon1):
@@ -59,11 +59,12 @@ def test_fleet_refuses_an_empty_schedule_table(horizon1):
         Fleet({"A": np.zeros((0, 1)), "B": [[0.0]]}, horizon1)
 
 
-def test_schedule_rejects_non_finite():
-    with pytest.raises(StructuralError):
-        Schedule((1.0, float("nan")))
-    with pytest.raises(StructuralError):
-        TargetProfile((float("inf"),))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fleet_and_target_reject_non_finite(horizon1, bad):
+    with pytest.raises(StructuralError, match="non-finite"):
+        Fleet({"A": [[0.0], [bad]], "B": [[0.0]]}, horizon1)
+    with pytest.raises(StructuralError, match="non-finite"):
+        TargetProfile((0.0, bad))
 
 
 def _config(horizon, rows):
@@ -75,18 +76,18 @@ def _config(horizon, rows):
 
 def test_aggregate_empty_config_is_zero(horizon4):
     empty = SystemConfiguration.empty(make_fleet(horizon4, {"A": [[1.0, 2.0, 3.0, 4.0]]}))
-    assert aggregate(empty, horizon4).power == (0.0, 0.0, 0.0, 0.0)
+    assert aggregate(empty, horizon4).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_aggregate_two_agents():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     config = _config(horizon, {"A": [-2.0, -2.0], "B": [5.0, 0.0]})
-    assert aggregate(config, horizon).power == (3.0, -2.0)
+    assert aggregate(config, horizon).tolist() == [3.0, -2.0]
 
 
 def test_aggregate_single_agent_identity(horizon4):
     config = _config(horizon4, {"A": [1.0, 2.0, 3.0, 4.0]})
-    assert aggregate(config, horizon4).power == (1.0, 2.0, 3.0, 4.0)
+    assert aggregate(config, horizon4).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_aggregate_length_mismatch(horizon4):
@@ -100,7 +101,7 @@ def test_aggregate_permutation_invariant():
     rows = {f"a{i}": [i * 0.7, -i, i / 3.0] for i in range(6)}
     forward = _config(horizon, dict(sorted(rows.items())))
     backward = _config(horizon, dict(sorted(rows.items(), reverse=True)))
-    assert aggregate(forward, horizon).power == aggregate(backward, horizon).power
+    assert aggregate(forward, horizon).tolist() == aggregate(backward, horizon).tolist()
 
 
 def test_objective_exact_match_is_zero():
@@ -201,38 +202,38 @@ def test_compare_total_order_on_random_triples(raw):
 def test_coverage_exact_match_is_one():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((-3.0, -4.0))
-    assert coverage(Schedule((-3.0, -4.0)), target, horizon) == 1.0
+    assert coverage(np.array([-3.0, -4.0]), target, horizon) == 1.0
 
 
 def test_coverage_all_zero_delivery_is_zero():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((-3.0, -4.0))
-    assert coverage(Schedule((0.0, 0.0)), target, horizon) == 0.0
+    assert coverage(np.zeros(2), target, horizon) == 0.0
 
 
 def test_coverage_reference_example():
     # -100 kW target on 12 one-hour intervals, delivered -99 kW each.
     horizon = PlanningHorizon(12, 1.0, tuple(range(12)))
     target = TargetProfile((-100.0,) * 12)
-    delivered = Schedule((-99.0,) * 12)
+    delivered = np.full(12, -99.0)
     assert coverage(delivered, target, horizon) == pytest.approx(0.99)
 
 
 def test_coverage_degenerate_target():
     horizon = PlanningHorizon(2, 1.0, (0,))
     with pytest.raises(DegenerateTargetError):
-        coverage(Schedule((1.0, 1.0)), TargetProfile((0.0, 5.0)), horizon)
+        coverage(np.ones(2), TargetProfile((0.0, 5.0)), horizon)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3), st.floats(0.1, 30))
 def test_coverage_monotone_in_window_error(values, bump):
     horizon = PlanningHorizon(3, 1.0, (0, 1, 2))
     target = TargetProfile((-10.0, -10.0, -10.0))
-    base = Schedule(tuple(values))
+    base = np.array(values)
     worse_values = list(values)
     # Push the first interval further away from the target.
     worse_values[0] += bump if worse_values[0] >= -10.0 else -bump
-    worse = Schedule(tuple(worse_values))
+    worse = np.array(worse_values)
     assert coverage(worse, target, horizon) <= coverage(base, target, horizon)
 
 
@@ -266,7 +267,10 @@ fleet_configs = st.fixed_dictionaries({}, optional={
 def test_configuration_round_trips_through_records(config):
     records = dict(config)
     assert list(records) == sorted(records)
-    again = SystemConfiguration.from_records(_FLEET, records)
+    for aid, rec in records.items():
+        assert rec.agent_id == aid
+        assert rec.schedule == tuple(_FLEET.power[_FLEET.position[aid]][rec.schedule_index])
+    again = configuration(_FLEET, {aid: (r.schedule_index, r.version) for aid, r in records.items()})
     assert again == config and dict(again) == records
     assert len(config) == len(records)
     assert all((aid in config) == (aid in records) for aid in (*_FLEET.ids, "zz"))
@@ -312,19 +316,3 @@ def test_decoded_candidate_key_equals_the_sent_one(key_calls):
     decoded = decode_message(encode_message(sent), _FLEET)
     assert key_calls == []
     assert decoded.best.key == sent.best.key
-
-
-def test_from_records_rejects_records_off_the_table():
-    config = configuration(_FLEET, {"a": (1, 0), "bb": (0, 2)})
-    good = dict(config)
-    assert SystemConfiguration.from_records(_FLEET, good) == config
-    bad = [
-        {**good, "a": record("a", 1, [2.0, -0.25])},  # not the table's schedule 1
-        {**good, "a": record("a", 0, [2.0, -0.5])},  # schedule 1 under index 0
-        {**good, "bb": record("bb", 1, [1.5, 0.0])},  # index out of range
-        {**good, "zz": record("zz", 0, [1.5, 0.0])},  # no agent of the fleet
-        {**good, "bb": record("a", 1, [2.0, -0.5])},  # filed under another id
-    ]
-    for records in bad:
-        with pytest.raises(StructuralError):
-            SystemConfiguration.from_records(_FLEET, records)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from cohdasim import agent, core
-from cohdasim.core import Fleet, PlanningHorizon, StructuralError, TargetProfile
+from cohdasim.cli import main
+from cohdasim.core import PlanningHorizon, StructuralError, TargetProfile
 from cohdasim.evaluation import (
     CapExceededError,
     ExperimentDesign,
@@ -25,6 +26,7 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     with_param,
 )
+from cohdasim.wire import decode_message, encode_message
 
 from conftest import make_fleet
 
@@ -174,7 +176,7 @@ def test_scenario_oracles_on_toy2():
     for aid, flex in zip(mat.device_ids, mat.flexibility):
         mat_flex[aid] = flex
     for aid, idx in assignment.items():
-        assert mat_flex[aid].schedules[idx].power[0] != 0.0
+        assert mat_flex[aid].schedules[idx][0] != 0.0
     assert worst_case_bound(sc, 0, method="exhaustive") == 5.0
 
 
@@ -282,17 +284,17 @@ def test_run_result_metric_consistency():
 
 
 @pytest.mark.parametrize("traced", [False, True])
-def test_no_schedule_is_built_on_the_delivery_path(monkeypatch, traced):
+def test_no_schedule_is_built_on_the_delivery_path(refuse_records, tmp_path, traced):
+    # Records are the read view of the tests: no run, CLI output or wire
+    # message builds one.
     expected = run_scenario(build_small_demo_scenario(), 0)
-
-    def refuse(fleet, position, index):
-        raise AssertionError("a schedule was built from the fleet table")
-
-    monkeypatch.setattr(Fleet, "schedule", refuse)
     full = run_scenario_full(build_small_demo_scenario(), 0, trace=[] if traced else None)
     assert full.result.terminated and full.result.consistent
     assert dataclasses.replace(full.result, wall_time=0.0) == dataclasses.replace(
         expected, wall_time=0.0)
+    for state in full.states.values():
+        assert decode_message(encode_message(state.memory), state.fleet) == state.memory
+    assert main(["run", "small-demo", "--out", str(tmp_path)] + ["--trace"] * traced) == 0
 
 
 def test_uncontrolled_first_sample_per_device():

@@ -153,6 +153,6 @@ def test_feasibility_soundness_and_power_consistency():
         for pattern, schedule in zip(flex.on_patterns, flex.schedules):
             traj = simulate_tank(device, pattern, horizon)
             assert all(device.temp_min <= v <= device.temp_max for v in traj)
-            assert schedule.power == tuple(
+            assert schedule == tuple(
                 device.p_el_on if on else 0.0 for on in pattern
             )

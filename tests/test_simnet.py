@@ -17,7 +17,7 @@ from cohdasim.simnet import (
     snapshot_best,
 )
 from cohdasim.scenario import build_toy2_scenario, with_param
-from cohdasim.schema import parse_scenario_mapping, scenario_to_mapping
+from cohdasim.schema import ScenarioError, parse_scenario_mapping, scenario_to_mapping
 from cohdasim.topology import complete, ring
 
 from conftest import make_agent, make_agents
@@ -251,6 +251,25 @@ def test_delay_mapping_round_trip():
         UniformDelay(2.0, 1.0)
     with pytest.raises(StructuralError):
         NetworkModel(drop_probability=1.5)
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_sim_time": float("nan")},  # ``at > nan`` is False: the limit would never trip
+    {"max_sim_time": float("inf")},
+    {"max_sim_time": 0.0},
+    {"max_messages": 2.5},
+    {"max_messages": True},
+    {"max_messages": 0},
+])
+def test_run_limits_refuse_values_the_file_reader_refuses(limits):
+    with pytest.raises(StructuralError):
+        RunLimits(**limits)
+    key = {"max_sim_time": "max_sim_time_s", "max_messages": "max_messages"}
+    mapping = scenario_to_mapping(build_toy2_scenario())
+    for name, value in limits.items():
+        mapping["limits"][key[name]] = value
+    with pytest.raises(ScenarioError):
+        parse_scenario_mapping(mapping)
 
 
 class _BackwardsDelay:

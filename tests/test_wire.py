@@ -1,17 +1,19 @@
 import struct
+from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
     PlanningHorizon,
-    SelectionRecord,
     StructuralError,
     SystemConfiguration,
     TargetProfile,
     make_candidate,
 )
+from cohdasim.scenario import build_small_demo_scenario, build_toy2_scenario, materialize
+from cohdasim.simnet import run
 from cohdasim.wire import (
     _pack_config,
     config_length,
@@ -20,7 +22,7 @@ from cohdasim.wire import (
     encoded_length,
 )
 
-from conftest import configuration, make_fleet
+from conftest import configuration, make_fleet, record
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -118,23 +120,8 @@ def test_encoding_deterministic(drawn):
     assert encode_message(msg) == encode_message(msg)
 
 
-def test_map_ordering_is_canonical():
-    fleet = make_fleet(PlanningHorizon(1, 1.0, (0,)), {"a": [[1.0]], "b": [[1.0]]})
-    rec = lambda aid: SelectionRecord(aid, 0, fleet.schedule(fleet.position[aid], 0), 0)
-    target = TargetProfile((0.0,))
-    forward = SystemConfiguration.from_records(fleet, {"a": rec("a"), "b": rec("b")})
-    backward = SystemConfiguration.from_records(fleet, {"b": rec("b"), "a": rec("a")})
-    best = make_candidate(forward, 0.0, "a")
-    m1 = KnowledgeMessage("a", target, forward, best)
-    m2 = KnowledgeMessage("a", target, backward, best)
-    assert encode_message(m1) == encode_message(m2)
-
-
 def test_trace_byte_totals_match_reencoding():
     # message_bytes_total accounted in the trace equals re-encoded sizes.
-    from cohdasim.scenario import build_toy2_scenario, materialize
-    from cohdasim.simnet import run
-
     scenario = build_toy2_scenario()
     mat = materialize(scenario, 0)
     states, trace, stats = run(
@@ -151,3 +138,129 @@ def test_trace_byte_totals_match_reencoding():
         )
         assert encoded_length(msg) == len(encode_message(msg))
     assert all(isinstance(s, int) and s > 0 for s in sizes)
+
+
+# --- the decoder accepts exactly the canonical encoding -------------------------
+
+_FLEET = make_fleet(PlanningHorizon(2, 1.0, (1,)), {
+    "a": [[0.0, 1.0], [2.0, -0.5]],
+    "bb": [[1.5, 0.0]],
+    "c\u00e9": [[0.0, 0.0], [3.0, 1e-17], [-2.0, 4.0]],
+})
+_KNOWN = configuration(_FLEET, {"a": (1, 0), "bb": (0, 2)})
+
+
+def _pack_records(records):
+    """A configuration's bytes from ``records``, one by one in the order
+    given: the reference layout of a configuration on the wire."""
+    parts = [struct.pack("<I", len(records))]
+    for rec in records:
+        raw = rec.agent_id.encode("utf-8")
+        parts += (struct.pack("<I", len(raw)), raw,
+                  struct.pack("<iI", rec.schedule_index, rec.version),
+                  struct.pack(f"<I{len(rec.schedule)}d", len(rec.schedule), *rec.schedule))
+    return b"".join(parts)
+
+
+def _with_config(records):
+    """A message over ``_FLEET`` whose believed configuration is the bytes
+    of ``records``; its best candidate knows no agent."""
+    empty = SystemConfiguration.empty(_FLEET)
+    data = encode_message(KnowledgeMessage("a", TargetProfile((0.0, -1.0)), empty,
+                                           make_candidate(empty, 0.0, "a")))
+    start = 1 + (4 + 1) + (4 + 8 * 2)  # format version, sender "a", target
+    return data[:start] + _pack_records(records) + data[start + config_length(empty):]
+
+
+def test_decode_refuses_crafted_records_off_the_table():
+    good = list(_KNOWN.values())
+    assert _pack_records(good) == _pack_config(_KNOWN)
+    assert decode_message(_with_config(good), _FLEET).config == _KNOWN
+    a, bb = good
+    bad = [
+        [record("a", 1, [2.0, -0.25]), bb],  # not the table's schedule 1
+        [record("a", 0, [2.0, -0.5]), bb],  # schedule 1 under index 0
+        [a, record("bb", 1, [1.5, 0.0])],  # index out of range
+        [a, bb, record("zz", 0, [1.5, 0.0])],  # no agent of the fleet
+        [a, a, bb],  # the same agent twice
+        [bb, a],  # out of fleet order
+        [record("a", 0, [-0.0, 1.0]), bb],  # the table's row up to the sign of a zero
+        [a, record("bb", 0, [1.5])],  # a row off the horizon
+    ]
+    for records in bad:
+        with pytest.raises(StructuralError):
+            decode_message(_with_config(records), _FLEET)
+
+
+def _replace(data, offset, fmt, *values):
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+# The best fitness comes 12 bytes before the best's configuration, which
+# ends the message.
+_FITNESS = -config_length(_KNOWN) - 12
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d + b"junk",
+    lambda d: d[:-1],
+    lambda d: d[:3],
+    lambda d: b"",
+    lambda d: _replace(d, 0, "<B", 2),  # another format version
+    lambda d: _replace(d, 5, "<B", 0xFF),  # the sender is not UTF-8
+    lambda d: _replace(d, 1, "<I", 2**32 - 1),  # a string longer than the message
+    lambda d: _replace(d, 7, "<I", 1),  # a target off the horizon
+    lambda d: _replace(d, len(d) + _FITNESS, "<d", float("nan")),
+    lambda d: _replace(d, len(d) + _FITNESS, "<d", float("inf")),
+], ids=["trailing", "truncated", "header-only", "empty", "version", "utf8", "long-string",
+        "target-length", "nan-fitness", "inf-fitness"])
+def test_decode_refuses_non_canonical_messages(mutate):
+    data = encode_message(KnowledgeMessage("bb", TargetProfile((0.0, -1.0)), _KNOWN,
+                                           make_candidate(_KNOWN, 2.5, "bb")))
+    assert encode_message(decode_message(data, _FLEET)) == data
+    with pytest.raises(StructuralError):
+        decode_message(mutate(data), _FLEET)
+
+
+@cache
+def _run_messages():
+    """Encodings of every agent's final memory in toy-2 and small-demo runs,
+    with the fleet of each run."""
+    out = []
+    for build in (build_toy2_scenario, build_small_demo_scenario):
+        scenario = build()
+        mat = materialize(scenario, 0)
+        states, _, _ = run(mat.agents, scenario.target, scenario.network,
+                           mat.network_seed, scenario.limits)
+        out += [(encode_message(state.memory), mat.fleet) for state in states.values()]
+    return out
+
+
+@st.composite
+def mutated_messages(draw):
+    """An encoding of a run's message with bytes flipped, cut or appended."""
+    data, fleet = draw(st.sampled_from(_run_messages()))
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "flip":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        data = bytes(out)
+    elif kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    else:
+        data += draw(st.binary(min_size=1, max_size=16))
+    return data, fleet
+
+
+@settings(max_examples=400)
+@given(mutated_messages())
+def test_decoder_accepts_only_canonical_bytes(drawn):
+    data, fleet = drawn
+    try:
+        decoded = decode_message(data, fleet)
+    except StructuralError:
+        return
+    assert encode_message(decoded) == data
