@@ -137,9 +137,8 @@ def _choose_index(
     """
     fleet = state.fleet
     i = state.position
-    pick = np.fromiter(config.index, dtype=np.intp, count=len(config.index))
-    pick[i] = -1
-    pick += fleet.offsets
+    pick = np.add(fleet.offsets, np.frombuffer(config.index, np.intc))
+    pick[i] = fleet.offsets[i] - 1
     others = np.add.accumulate(fleet.rows.take(pick, axis=0), axis=0)[-1]
     gap = np.subtract(target.arr[fleet.horizon.window_index], others, out=others)
     diff = np.subtract(fleet.windows[i], gap)
@@ -152,8 +151,9 @@ def _select(state: AgentState, config: SystemConfiguration, idx: int) -> SystemC
     """``config`` with the own selection set to schedule ``idx``, one version
     above the old own record, or version 0 for the first."""
     i = state.position
-    index = config.index[:i] + (idx,) + config.index[i + 1 :]
-    version = config.version[:i] + (config.version[i] + 1,) + config.version[i + 1 :]
+    index, version = config.index[:], config.version[:]
+    index[i] = idx
+    version[i] += 1
     return SystemConfiguration(config.fleet, index, version)
 
 
@@ -188,11 +188,11 @@ def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemCon
     if not any(map(gt, remote.version, local.version)):
         return local
     newer = compress(count(), map(gt, remote.version, local.version))
-    index, version = list(local.index), list(local.version)
+    index, version = local.index[:], local.version[:]
     for i in newer:
         index[i] = remote.index[i]
         version[i] = remote.version[i]
-    return SystemConfiguration(local.fleet, tuple(index), tuple(version))
+    return SystemConfiguration(local.fleet, index, version)
 
 
 def handle_message(

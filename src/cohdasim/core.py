@@ -9,13 +9,14 @@ window.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from itertools import compress
 from math import isfinite
 from operator import getitem
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -166,9 +167,15 @@ class Fleet:
 
 
 def _power_table(table, horizon: PlanningHorizon) -> np.ndarray:
-    """A read-only C-order copy of ``table``, which must hold at least one
-    schedule, one row of ``interval_count`` finite values each."""
-    power = _frozen(np.array(table, dtype=np.float64, order="C"))
+    """``table`` as a read-only float64 C-order array, which must hold at
+    least one schedule, one row of ``interval_count`` finite values each.
+    A read-only float64 C-order array that owns its memory, as the
+    flexibility sampler returns, is shared; anything else is copied."""
+    if (isinstance(table, np.ndarray) and table.dtype == np.float64
+            and table.flags.c_contiguous and table.flags.owndata and not table.flags.writeable):
+        power = table
+    else:
+        power = _frozen(np.array(table, dtype=np.float64, order="C"))
     if power.ndim != 2 or power.shape[1] != horizon.interval_count:
         raise StructuralError(
             f"schedule table of shape {power.shape} does not match horizon "
@@ -181,25 +188,43 @@ def _power_table(table, horizon: PlanningHorizon) -> np.ndarray:
     return power
 
 
+def _int_array(typecode: str, values: Iterable[int], name: str) -> array:
+    """``values`` as an array of ``typecode``: the array itself when it has
+    that typecode, else a converted copy."""
+    if type(values) is array and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        raise StructuralError(f"a {name} is out of range of array({typecode!r})") from None
+
+
 class SystemConfiguration(Mapping[str, SelectionRecord]):
     """Read-only map from agent id to selection record over one ``Fleet``.
 
-    Backed by two int tuples in fleet order: each agent's schedule index and
-    version, both -1 for an agent the configuration does not know. Records
-    are built only when read. Configurations are immutable values.
+    Backed by two arrays in fleet order, one entry per agent: each agent's
+    schedule index, an ``array('i')``, and version, an ``array('q')``, which
+    holds the wire's uint32 versions. Both are -1 for an agent the
+    configuration does not know. Records are built only when read.
+    Configurations are immutable values: the constructor takes over arrays
+    of these typecodes as they are, converts any other int sequence, and
+    nothing writes into the arrays of a configuration once it is built.
     """
 
     __slots__ = ("fleet", "index", "version")
 
-    def __init__(self, fleet: Fleet, index: tuple[int, ...], version: tuple[int, ...]):
+    def __init__(self, fleet: Fleet, index: Iterable[int], version: Iterable[int]):
         self.fleet = fleet
-        self.index = index
-        self.version = version
+        self.index = _int_array("i", index, "schedule index")
+        self.version = _int_array("q", version, "version")
+        if not len(self.index) == len(self.version) == len(fleet.ids):
+            raise StructuralError(
+                f"a configuration over {len(fleet.ids)} agents needs as many indices and "
+                f"versions, got {len(self.index)} and {len(self.version)}")
 
     @classmethod
     def empty(cls, fleet: Fleet) -> SystemConfiguration:
-        unknown = (-1,) * len(fleet)
-        return cls(fleet, unknown, unknown)
+        return cls(fleet, array("i", (-1,)) * len(fleet), array("q", (-1,)) * len(fleet))
 
     def known(self) -> Iterator[bool]:
         """Whether the configuration knows each agent, in fleet order."""

@@ -225,6 +225,32 @@ def _build(cls, values: dict, block, key=None):
         raise _Invalid(str(exc), block, key) from None
 
 
+def _build_section(cls, fields, block, ctx: str):
+    """``cls`` from the fields set in ``block``. ``cls`` must have a default
+    for every field. When it refuses the values, the refusal is located at
+    the first key whose value it refuses alone, and a reason that starts
+    with the attribute names the key instead, as a reader's refusal does."""
+    values = _read(block, fields, ctx)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        refusal = _Invalid(str(exc), block)
+    for f in fields:
+        if f.attr not in values:
+            continue
+        try:
+            cls(**{f.attr: values[f.attr]})
+        except ValueError as exc:
+            reason = str(exc)
+            if reason.startswith(f.attr + " "):
+                message = f"{ctx}.{f.key}{reason[len(f.attr):]}"
+            else:
+                message = f"{ctx}.{f.key}: {reason}"
+            refusal = _Invalid(message, block, f.key)
+            break
+    raise refusal from None
+
+
 def _dump(obj, fields) -> dict:
     return {f.key: f.dump(getattr(obj, f.attr)) for f in fields}
 
@@ -393,7 +419,7 @@ def _parse_scenario(data, name: str) -> Scenario:
     }
     for key, (cls, fields) in _SECTIONS.items():
         if data.get(key) is not None:
-            values[key] = _build(cls, _read(data[key], fields, key), data[key])
+            values[key] = _build_section(cls, fields, data[key], key)
     return _build(Scenario, values, data)
 
 

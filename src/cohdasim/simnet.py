@@ -1,11 +1,15 @@
 """Deterministic discrete-event kernel delivering knowledge messages.
 
 The kernel broadcasts the optimization target to every agent at time zero,
-then processes an event queue keyed by (simulated time, sequence number),
-which makes simultaneous events deterministic. Message transmissions are
-individually subjected to the configured network disturbances (drop,
-duplicate, randomized delay) using a single seeded generator, so identical
-(scenario, seed) pairs replay bit-for-bit.
+then runs the queued events in (simulated time, scheduling order), which
+makes simultaneous events deterministic. The queue is a heap of the
+distinct pending times, each mapped to its events in the order they were
+scheduled. Under a constant delay most in-flight messages share a few
+times, so a delivery takes its event from its time's list rather than
+from a heap of all events (Brown, "Calendar Queues", CACM 31(10), 1988).
+Message transmissions are individually subjected to the configured network
+disturbances (drop, duplicate, randomized delay) using a single seeded
+generator, so identical (scenario, seed) pairs replay bit-for-bit.
 
 A run ends at quiescence (empty queue) or when a limit trips; the latter is
 flagged on the returned clock stats instead of raising, preserving the
@@ -17,14 +21,19 @@ deliveries and records the global improvement curve itself; it builds
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 import time
 from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Sequence, Union
 
-from .agent import AgentState, NotStartedError, handle_message, handle_start
+from .agent import (
+    AgentState,
+    KnowledgeMessage,
+    NotStartedError,
+    handle_message,
+    handle_start,
+)
 from .core import Candidate, StructuralError, TargetProfile, compare
 from .wire import encoded_length
 
@@ -211,9 +220,27 @@ def run(
             )
 
     rng = random.Random(seed)
-    seq = itertools.count()
-    # (time, seq, recipient, message); a start event carries no message.
-    heap: list[tuple] = [(0.0, next(seq), aid, None) for aid in sorted(states)]
+    # The event queue: a heap of the distinct pending delivery times, and
+    # for each time its events in scheduling order, flat: recipient,
+    # message, recipient, message, ... (a start event carries no message).
+    # A time's first event is kept as a pair, the smallest container, since
+    # under random delays most times hold one event; a second event makes
+    # it a list.
+    times: list[float] = []
+    due: dict[float, tuple | list] = {}
+
+    def schedule(at: float, recipient: str, msg: KnowledgeMessage | None) -> None:
+        events = due.get(at)
+        if events is None:
+            due[at] = (recipient, msg)
+            heapq.heappush(times, at)
+        elif type(events) is tuple:
+            due[at] = [*events, recipient, msg]
+        else:
+            events += recipient, msg
+
+    for aid in sorted(states):
+        schedule(0.0, aid, None)
     last_on_link: dict[tuple[str, str], float] = {}
     messages_sent = bytes_sent = drops = duplicates = deliveries = noops = 0
     curve: list[tuple[float, float, int]] = []
@@ -222,14 +249,27 @@ def run(
     now = 0.0
     started = time.perf_counter()
 
-    while heap:
-        at, _, aid, msg = heapq.heappop(heap)
-        if at < now:
-            raise StructuralError(f"simulated time went backwards: event at {at!r} after {now!r}")
-        if at > limits.max_sim_time:
-            stop_reason = "max_sim_time"
-            break
-        now = at
+    events: list = []  # the events at ``now`` not yet run, the next one last
+    while events or times:
+        if not events:
+            at = heapq.heappop(times)
+            if at < now:
+                raise StructuralError(
+                    f"simulated time went backwards: event at {at!r} after {now!r}")
+            if at > limits.max_sim_time:
+                stop_reason = "max_sim_time"
+                break
+            now = at
+            # Taken off the queue whole: an event scheduled for ``at`` while
+            # these run opens a new entry for ``at``, which runs after them.
+            # Reversed, so that popping from the end releases each event as
+            # it runs.
+            events = due.pop(at)
+            if type(events) is tuple:
+                events = list(events)
+            events.reverse()
+        aid = events.pop()
+        msg = events.pop()
         deliveries += 1
         state = states[aid]
         if msg is None:
@@ -278,15 +318,14 @@ def run(
                     trace.append(TraceEvent(at, "drop", {"from": aid, "to": recipient}))
                 continue
             link = (aid, recipient)
-            deliver_at = _delivery_time(network, rng, at, link, last_on_link)
-            heapq.heappush(heap, (deliver_at, next(seq), recipient, out))
+            schedule(_delivery_time(network, rng, at, link, last_on_link), recipient, out)
             if rng.random() < network.duplicate_probability:
                 duplicates += 1
                 dup_at = _delivery_time(network, rng, at, link, last_on_link)
                 if trace is not None:
                     detail = {"from": aid, "to": recipient, "deliver_at": dup_at}
                     trace.append(TraceEvent(at, "duplicate", detail))
-                heapq.heappush(heap, (dup_at, next(seq), recipient, out))
+                schedule(dup_at, recipient, out)
         if stop_reason != "quiescent":
             break
 

@@ -149,7 +149,7 @@ def _read_config(r: _Reader, fleet: Fleet) -> SystemConfiguration:
             raise StructuralError(f"schedule of {aid!r} is not its table entry")
         index[i], version[i] = idx, ver
         first = i + 1
-    return SystemConfiguration(fleet, tuple(index), tuple(version))
+    return SystemConfiguration(fleet, index, version)
 
 
 def decode_message(data: bytes, fleet: Fleet) -> KnowledgeMessage:

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,17 @@ def _write_scenario(tmp_path, name="sc.yaml", **edits):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
     return path
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ok = subprocess.run([sys.executable, "-m", "cohdasim", "validate", "toy-2"], env=env,
+                        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("OK: 'toy-2', 2 devices")
+    bad = subprocess.run([sys.executable, "-m", "cohdasim", "validate", "no-such"], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "no such scenario" in bad.stderr
 
 
 def test_missing_file_nonzero_exit(capsys):
@@ -408,6 +422,32 @@ def test_bad_values_rejected_with_location(tmp_path, section, key, value, messag
     reported, line = _located_error(path)
     assert message in reported
     assert line_text in line
+
+
+# Values that every reader accepts and the section's dataclass refuses:
+# (section, key, bad value, the whole reported message).
+SECTION_REFUSALS = [
+    ("limits", "max_messages", 0, "limits.max_messages must be a positive integer, got 0"),
+    ("limits", "max_sim_time_s", -1.0,
+     "limits.max_sim_time_s must be finite and positive, got -1.0"),
+    ("network", "duplicate_probability", 1.5, "network.duplicate_probability must be in [0, 1]"),
+    ("network", "drop_probability", -0.5, "network.drop_probability must be in [0, 1]"),
+    ("network", "max_delay_s", -1.0,
+     "network.max_delay_s: delay max_delay_bound must be finite and non-negative, got -1.0"),
+    ("sampling", "attempt_factor", 0, "sampling.attempt_factor: sampling settings must be positive"),
+    ("topology", "family", "star", "topology.family: unknown topology family 'star'"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", SECTION_REFUSALS)
+def test_section_refusal_reported_at_its_key(tmp_path, section, key, value, message):
+    path = _write_scenario(tmp_path)
+    mapping = yaml.safe_load(path.read_text())
+    mapping[section][key] = value
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    reported, line = _located_error(path)
+    assert reported == message
+    assert line.strip().startswith(f"{key}:")
 
 
 @pytest.mark.parametrize(

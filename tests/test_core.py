@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -274,6 +275,51 @@ def test_configuration_round_trips_through_records(config):
     assert again == config and dict(again) == records
     assert len(config) == len(records)
     assert all((aid in config) == (aid in records) for aid in (*_FLEET.ids, "zz"))
+
+
+@pytest.mark.parametrize("convert", [tuple, list, iter, lambda v: array("l", v)])
+def test_configuration_converts_int_sequences_to_its_arrays(convert):
+    config = SystemConfiguration(_FLEET, convert([1, -1, 2]), convert([0, -1, 2**32 - 1]))
+    assert (config.index.typecode, config.version.typecode) == ("i", "q")
+    assert config.index.tolist() == [1, -1, 2] and config.version.tolist() == [0, -1, 2**32 - 1]
+    assert config == configuration(_FLEET, {"a": (1, 0), "c\u00e9": (2, 2**32 - 1)})
+
+
+def test_configuration_takes_over_arrays_of_its_typecodes():
+    index, version = array("i", [0, 0, -1]), array("q", [3, 1, -1])
+    config = SystemConfiguration(_FLEET, index, version)
+    assert config.index is index and config.version is version
+
+
+@pytest.mark.parametrize("index, version", [
+    ([2**31, -1, -1], [0, -1, -1]),
+    ([-2**31 - 1, -1, -1], [0, -1, -1]),
+    ([0, -1, -1], [2**63, -1, -1]),
+])
+def test_configuration_refuses_entries_out_of_array_range(index, version):
+    with pytest.raises(StructuralError, match="out of range"):
+        SystemConfiguration(_FLEET, index, version)
+
+
+@pytest.mark.parametrize("index, version", [([0], [0]), ([0, 0, 0], [0, 0]), ([0] * 4, [0] * 4)])
+def test_configuration_refuses_arrays_that_are_not_one_entry_per_agent(index, version):
+    with pytest.raises(StructuralError, match="3 agents"):
+        SystemConfiguration(_FLEET, index, version)
+
+
+def test_power_table_shares_a_frozen_float64_table_and_copies_others(horizon1):
+    frozen = np.array([[1.0], [2.0]])
+    frozen.setflags(write=False)
+    writable = np.array([[1.0], [2.0]])
+    view = writable[:]
+    view.setflags(write=False)
+    fleet = Fleet({"a": frozen, "b": writable, "c": view, "d": [[1.0]]}, horizon1)
+    assert fleet.power[0] is frozen
+    for table in (writable, view):
+        assert not any(np.shares_memory(power, table) for power in fleet.power)
+    writable[0, 0] = 9.0
+    assert fleet.power[1].tolist() == fleet.power[2].tolist() == [[1.0], [2.0]]
+    assert not any(power.flags.writeable for power in fleet.power)
 
 
 @given(fleet_configs)

@@ -92,6 +92,8 @@ def test_materialize_tables(refuse_records, builder, seed):
     for aid, device, flex in zip(mat.device_ids, mat.devices, mat.flexibility):
         for schedule, pattern in zip(flex.schedules, flex.on_patterns, strict=True):
             assert schedule == tuple(device.p_el_on if v else 0.0 for v in pattern)
+        # The fleet shares the sampler's read-only power matrix.
+        assert fleet.power[fleet.position[aid]] is flex.power
         window = fleet.windows[fleet.position[aid]]
         assert np.array_equal(window, flex.power[:, w])
         # The decide step's per-row sums depend on this order bit for bit.

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import defaultdict
+from hashlib import blake2b
 
 import pytest
 
@@ -402,3 +403,79 @@ def test_stop_reason(horizon1, limits, delay, reason):
                       NetworkModel(delay=ConstantDelay(delay)), limits=limits)
     assert stats.stop_reason == reason
     assert stats.terminated == (reason == "quiescent")
+
+
+# --- event order at shared times ----------------------------------------------
+
+# Deliveries of a three-agent complete graph, seed 0, as produced by a kernel
+# whose queue was a heap of (time, sequence number) entries: per delivery
+# time, the deliveries in order, each "sender, recipient, the recipient's own
+# version after it" ("-" sends a start event). The digest covers every event
+# of the trace.
+_ORDER_PINS = {
+    "zero-delay": (NetworkModel(delay=ConstantDelay(0.0)), "4904a6b7f82128a1", {
+        0.0: "-A0 -B0 -C0 AB1 AC1 BA1 BC2 CA2 CB2 BA2 BC2 CA2 CB2 AB2 AC3 CA2 CB2 AB2 AC4 BA2 "
+             "BC4 AB2 AC4 CA2 CB2 AB2 AC4 BA3 BC5 BA3 BC5 CA3 CB2 AB2 AC5 BA3 BC5 BA3 BC5 CA3 "
+             "CB2 AB2 AC5 CA3 CB2 AB2 AC5 CA3 CB2 AB2 AC5 BA3 BC5 AB2 AC5 BA3 BC5 BA3 BC5 CA3 "
+             "CB2 AB2 AC5 BA3 BC5",
+    }),
+    "fifo-duplicates": (
+        NetworkModel(delay=ConstantDelay(0.05), duplicate_probability=0.3, reorder=False),
+        "360ae293431d54bc", {
+            0.0: "-A0 -B0 -C0",
+            0.05: "AB1 AC1 AC1 BA1 BC2 CA2 CB2",
+            0.1: "BA2 BC2 BC2 CA2 CB2 AB2 AC3 CA2 CA2 CB2 AB2 AC4 BA2 BC4 BC4",
+            0.15000000000000002: "AB2 AC4 CA2 CB2 CB2 AB2 AC4 BA3 BC5 BA3 BC5 CA3 CB2 AB2 AC5 "
+                                 "BA3 BC5 BA3 BA3 BC5 BC5 CA3 CB2 CB2 AB2 AC5 CA3 CB2",
+            0.2: "AB2 AB2 AC5 CA3 CB2 AB2 AC5 BA3 BA3 BC5 AB2 AC5 BA3 BA3 BC5",
+            0.25: "BA3 BA3 BC5 CA3 CB2 AB2 AB2 AC5 BA3 BC5",
+        }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORDER_PINS))
+def test_event_order_at_shared_times_is_pinned(horizon1, case):
+    # Every event here shares its delivery time with others. An event
+    # scheduled for the time being delivered (zero delay, a FIFO clamp, a
+    # duplicate) runs after the events already queued for that time.
+    network, digest, expected = _ORDER_PINS[case]
+    rows = {aid: [[-1.0], [0.0], [-2.0]] for aid in "ABC"}
+    trace = []
+    run(_agents(horizon1, rows, complete(list("ABC"))), TargetProfile((-3.0,)), network,
+        seed=0, trace=trace)
+    order = defaultdict(list)
+    for ev in trace:
+        if ev.kind == "deliver":
+            p = ev.payload
+            order[ev.time].append(f"{p.get('from', '-')}{p['to']}{p['version']}")
+    assert {t: " ".join(tokens) for t, tokens in order.items()} == expected
+    events = repr([(ev.time, ev.kind, ev.payload) for ev in trace]).encode()
+    assert blake2b(events, digest_size=8).hexdigest() == digest
+
+
+def test_no_handler_writes_into_a_configuration(horizon4, monkeypatch):
+    # The index and version arrays of every delivered message, and of every
+    # memory a handler returns, read the same bytes at the end of the run.
+    seen = []
+
+    def snapshot(msg):
+        for config in (msg.config, msg.best.configuration):
+            seen.append((config, bytes(config.index), bytes(config.version)))
+
+    def recording(handle):
+        def wrapped(state, event):
+            if not isinstance(event, TargetProfile):
+                snapshot(event)
+            new_state, out = handle(state, event)
+            snapshot(new_state.memory)
+            return new_state, out
+
+        return wrapped
+
+    monkeypatch.setattr(simnet, "handle_start", recording(simnet.handle_start))
+    monkeypatch.setattr(simnet, "handle_message", recording(simnet.handle_message))
+    for seed, reorder in ((1, False), (2, True)):
+        _, _, stats = _lossy_run(horizon4, seed, reorder)
+        assert stats.deliveries > 100
+    assert all(bytes(config.index) == index and bytes(config.version) == version
+               for config, index, version in seen)
