@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -106,6 +107,34 @@ def test_generated_overlays_always_connected(n, k, p, seed):
     overlay = small_world(_ids(n), k=k, p=p, seed=seed)
     _assert_well_formed(overlay)
     assert is_connected(overlay)
+
+
+def _epex_ids(n):
+    # The group order the EPEX builder expands (hp, chps, chpl), which is
+    # not the sorted order.
+    a, b = n // 2, n // 4
+    return ([f"hp{i:03d}" for i in range(a)] + [f"chps{i:03d}" for i in range(b)]
+            + [f"chpl{i:03d}" for i in range(n - a - b)])
+
+
+def test_small_world_adjacency_digest():
+    # Pins every adjacency of a grid, in both id orders. Rewiring keeps the
+    # edge count at n*k/2, so an overlay with more edges went through the
+    # connectivity repair; the grid reaches it 298 times.
+    digest = hashlib.sha256()
+    repaired = 0
+    for order in (_ids, _epex_ids):
+        for n in range(3, 41):
+            for k in (2, 4, 6):
+                if k >= n:
+                    continue
+                for p in (0.0, 0.5, 1.0):
+                    for seed in range(10):
+                        adjacency = small_world(order(n), k, p, seed).adjacency
+                        repaired += sum(map(len, adjacency.values())) // 2 > n * k // 2
+                        digest.update(repr(sorted(adjacency.items())).encode())
+    assert repaired == 298
+    assert digest.hexdigest() == "4299a2782669231e1c981142da235a2b704680ea1cc0586982351752164b937e"
 
 
 def test_ring_and_complete_connected_random_sizes():
