@@ -13,7 +13,6 @@ from .core import (
     aggregate,
     compare,
     coverage,
-    make_candidate,
     objective,
 )
 from .agent import (
@@ -22,7 +21,7 @@ from .agent import (
     handle_message,
     handle_start,
 )
-from .topology import Overlay, complete, ring, small_world
+from .topology import complete, ring, small_world
 from .simnet import (
     ConstantDelay,
     ExponentialDelay,

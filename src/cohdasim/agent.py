@@ -51,7 +51,6 @@ from .core import (
     SystemConfiguration,
     TargetProfile,
     compare,
-    make_candidate,
 )
 
 __all__ = [
@@ -165,7 +164,7 @@ def _boot_memory(state: AgentState, target: TargetProfile) -> KnowledgeMessage:
     empty = SystemConfiguration.empty(state.fleet)
     idx, value = _choose_index(state, target, empty)
     config = _select(state, empty, idx)
-    best = make_candidate(config, value, state.agent_id)
+    best = Candidate(config, value, state.agent_id)
     return KnowledgeMessage(state.agent_id, target, config, best)
 
 
@@ -233,7 +232,7 @@ def handle_message(
     own = config.index[state.position]
     chosen = config if own == idx else _select(state, config, idx)
 
-    candidate = make_candidate(chosen, value, state.agent_id)
+    candidate = Candidate(chosen, value, state.agent_id)
     if compare(candidate, best) > 0:
         best = candidate
         config = chosen

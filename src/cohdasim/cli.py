@@ -113,7 +113,8 @@ def cmd_run(args) -> int:
     seed = args.seed
     out = Path(args.out)
     if args.trace:
-        run_out = run_scenario_full(scenario, seed, trace=[])
+        trace = []
+        run_out = run_scenario_full(scenario, seed, trace=trace)
     else:
         run_out = run_scenario_full(scenario, seed)
     result = run_out.result
@@ -124,7 +125,7 @@ def cmd_run(args) -> int:
     record["seed"] = seed
 
     best = snapshot_best(run_out.states.values())
-    uncontrolled = aggregate(uncontrolled_configuration(mat), scenario.horizon)
+    uncontrolled = aggregate(uncontrolled_configuration(mat))
     record["uncontrolled_coverage_l1"] = coverage(uncontrolled, scenario.target, scenario.horizon)
 
     _write_json(out / "result.json", record)
@@ -136,7 +137,7 @@ def cmd_run(args) -> int:
     _write_series(
         out / "series.csv",
         scenario,
-        controlled_kw=aggregate(best.configuration, scenario.horizon),
+        controlled_kw=aggregate(best.configuration),
         uncontrolled_kw=uncontrolled,
     )
 
@@ -146,14 +147,14 @@ def cmd_run(args) -> int:
         chosen = config.index[config.fleet.position[aid]]
         if chosen < 0:  # a run stopped by a limit may commit a partial candidate
             continue
-        pattern = flex.on[chosen]
+        pattern = flex.power[chosen] != 0
         for point, temp in enumerate(simulate_tank(device, pattern, scenario.horizon)):
             temp_rows.append([aid, point, temp])
     _write_csv(out / "temperatures.csv", ["device_id", "point", "temp_c"], temp_rows)
 
     _atomic_write(out / "scenario.yaml", yaml.safe_dump(scenario_to_mapping(scenario), sort_keys=False).encode())
     if args.trace:
-        _write_jsonl(out / "trace.jsonl", trace_records(run_out.trace))
+        _write_jsonl(out / "trace.jsonl", trace_records(trace))
 
     print(
         f"{scenario.name} seed={seed}: fitness={result.final_fitness:.4f} "
@@ -234,9 +235,16 @@ def cmd_sweep(args) -> int:
             if next(reader, None) != header:
                 raise ScenarioError("existing results.csv does not match this design")
             for line in reader:
+                where = f"{results_path}:{reader.line_num}"
+                if len(line) != len(header):
+                    raise ScenarioError(f"row has {len(line)} cells, the header {len(header)}",
+                                        where)
                 i = index.get(tuple(line[:width]))
                 if i is not None and line[width] == "ok":
-                    rows[i] = _row_from_values(points[i], line[width:])
+                    try:
+                        rows[i] = _row_from_values(points[i], line[width:])
+                    except ValueError as exc:
+                        raise ScenarioError(f"ok row with a bad metric cell: {exc}", where) from None
 
     missing = [i for i, row in enumerate(rows) if row is None]
     for i, row in zip(missing, run_sweep(design, jobs=args.jobs, only=set(missing))):
@@ -295,8 +303,7 @@ def cmd_oracle(args) -> int:
 def cmd_uncontrolled(args) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
-    uncontrolled = aggregate(uncontrolled_configuration(materialize(scenario, args.seed)),
-                             scenario.horizon)
+    uncontrolled = aggregate(uncontrolled_configuration(materialize(scenario, args.seed)))
     cov = coverage(uncontrolled, scenario.target, scenario.horizon)
     _write_json(
         out / "uncontrolled.json",

@@ -34,7 +34,6 @@ __all__ = [
     "coverage",
     "selection_items",
     "configuration_key",
-    "make_candidate",
     "compare",
 ]
 
@@ -260,11 +259,11 @@ class Candidate:
     Candidates are the unit of the anytime solution: ``compare`` prefers
     larger ``size`` first, then smaller ``fitness``, then the smaller
     deterministic ``key`` so that there is a unique global winner no matter
-    in which order knowledge spreads. ``size`` is the number of agents the
-    configuration knows, set from it on construction. ``key`` is the
-    configuration's ``configuration_key``, computed on first read and kept
-    on the instance; most comparisons are decided by size or fitness and
-    never read it.
+    in which order knowledge spreads. ``fitness`` is stored as a float and
+    ``size``, the number of agents the configuration knows, is set from it
+    on construction. ``key`` is the configuration's ``configuration_key``,
+    computed on first read and kept on the instance; most comparisons are
+    decided by size or fitness and never read it.
     """
 
     configuration: SystemConfiguration
@@ -275,6 +274,7 @@ class Candidate:
     size: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fitness", float(self.fitness))
         object.__setattr__(self, "size", len(self.configuration))
 
     @cached_property
@@ -299,11 +299,6 @@ def configuration_key(config: SystemConfiguration) -> int:
     pairs, laid out from the fleet's table."""
     data = b"".join(map(getitem, config.fleet.key_parts, config.index))
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
-
-
-def make_candidate(config: SystemConfiguration, fitness: float, creator: str) -> Candidate:
-    """Candidate over ``config``; its key is computed when first read."""
-    return Candidate(configuration=config, fitness=float(fitness), creator=creator)
 
 
 def compare(a: Candidate, b: Candidate) -> int:
@@ -331,19 +326,13 @@ def compare(a: Candidate, b: Candidate) -> int:
     return 0
 
 
-def aggregate(config: SystemConfiguration, horizon: PlanningHorizon) -> np.ndarray:
-    """Element-wise sum of all selected schedules (zero profile if empty) as
-    a read-only array, the fleet's table rows added in sorted agent-id
-    order. ``horizon`` picks the window the callers read and must have the
-    fleet's interval count.
+def aggregate(config: SystemConfiguration) -> np.ndarray:
+    """Element-wise sum of all selected schedules over the fleet's horizon
+    (zero profile if empty) as a read-only array, the fleet's table rows
+    added in sorted agent-id order.
     """
     fleet = config.fleet
-    if fleet.horizon.interval_count != horizon.interval_count:
-        raise StructuralError(
-            f"fleet horizon {fleet.horizon.interval_count} does not match horizon "
-            f"{horizon.interval_count}"
-        )
-    total = np.zeros(horizon.interval_count, dtype=np.float64)
+    total = np.zeros(fleet.horizon.interval_count, dtype=np.float64)
     for table, s in zip(fleet.power, config.index):
         if s >= 0:
             total += table[s]
@@ -356,14 +345,16 @@ def objective(
     horizon: PlanningHorizon,
 ) -> float:
     """L1 distance between the aggregate of ``config`` and the target profile
-    on the product window. Zero exactly on window-exact matches.
+    on the product window of ``horizon``, which must have the fleet's
+    interval count. Zero exactly on window-exact matches.
     """
-    if len(target) != horizon.interval_count:
+    T = horizon.interval_count
+    if len(target) != T or config.fleet.horizon.interval_count != T:
         raise StructuralError(
-            f"target length {len(target)} does not match horizon "
-            f"{horizon.interval_count}"
+            f"target length {len(target)} and fleet horizon "
+            f"{config.fleet.horizon.interval_count} must both match horizon {T}"
         )
-    agg = aggregate(config, horizon)
+    agg = aggregate(config)
     w = horizon.window_index
     return float(np.abs(agg[w] - target.arr[w]).sum())
 

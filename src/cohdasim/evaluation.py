@@ -85,13 +85,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Full artifacts of one run, for callers that need more than metrics.
-    ``trace`` is empty unless the caller passed a list to collect it."""
+    """Full artifacts of one run, for callers that need more than metrics."""
 
     result: RunResult
     materialized: Materialized
     states: dict
-    trace: EventTrace
     stats: SimClockStats
 
 
@@ -101,7 +99,7 @@ def run_scenario_full(
     """Execute one scenario instance; kernel events are appended to
     ``trace`` when it is given."""
     mat = materialize(scenario, seed)
-    states, events, stats = run(
+    states, _, stats = run(
         mat.agents,
         scenario.target,
         network=scenario.network,
@@ -113,7 +111,7 @@ def run_scenario_full(
     w = scenario.horizon.window_index
     target_w = scenario.target.arr[w]
     denom = float(np.abs(target_w).sum())
-    delivered = aggregate(best.configuration, scenario.horizon)
+    delivered = aggregate(best.configuration)
     energy_target = float(target_w.sum())
     energy_delivered = float(delivered[w].sum())
     result = RunResult(
@@ -129,7 +127,7 @@ def run_scenario_full(
         objective_calls={aid: states[aid].objective_calls for aid in sorted(states)},
         best_improvement_curve=stats.improvement_curve,
     )
-    return ScenarioRun(result, mat, states, events, stats)
+    return ScenarioRun(result, mat, states, stats)
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> RunResult:
@@ -233,16 +231,12 @@ class EnumerationOracle:
         return float(values[0])
 
 
-def _oracle_for(mat: Materialized, cap: int) -> EnumerationOracle:
-    return EnumerationOracle(mat.fleet, mat.scenario.target, cap)
-
-
 def brute_force_optimum(
     scenario: Scenario, seed: int = 0, cap: int = DEFAULT_CAP
 ) -> tuple[float, dict[str, int]]:
     """Exhaustive minimum of the objective and one lexicographically lowest
     minimizer. Raises ``CapExceededError`` when the product exceeds ``cap``."""
-    oracle = _oracle_for(materialize(scenario, seed), cap)
+    oracle = EnumerationOracle(materialize(scenario, seed).fleet, scenario.target, cap)
     return oracle.optimum, oracle.optimum_assignment
 
 
@@ -260,7 +254,7 @@ def worst_case_bound(
     mat = materialize(scenario, seed)
     if method in ("auto", "exhaustive"):
         try:
-            return _oracle_for(mat, cap).worst
+            return EnumerationOracle(mat.fleet, scenario.target, cap).worst
         except CapExceededError:
             if method == "exhaustive":
                 raise

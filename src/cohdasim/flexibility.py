@@ -2,10 +2,11 @@
 
 Devices are two-state per interval: either off or running at their rated
 electrical power, while the thermal side charges a hot water tank that must
-stay inside its temperature band. A device's flexibility is a matrix of
-distinct feasible on/off patterns, one per row, sampled with a repair
-strategy so that tightly buffered devices still yield schedules, and the
-matching matrix of electrical power.
+stay inside its temperature band. A device's flexibility is the matrix of
+electrical power of its distinct feasible on/off patterns, one per row,
+sampled with a repair strategy so that tightly buffered devices still yield
+schedules. A device's power while on is never zero, so a row's on-pattern
+is its nonzero entries.
 """
 
 from __future__ import annotations
@@ -91,11 +92,10 @@ class DeviceModel:
 
 @dataclass(frozen=True, eq=False)
 class FlexibilitySet:
-    """Sampled flexibility of one device: ``on`` holds its distinct feasible
-    on-patterns, one bool row each, and ``power`` the electrical schedules
-    ``where(on, p_el_on, 0.0)`` in kW. Both matrices are read-only."""
+    """Sampled flexibility of one device: ``power`` holds the electrical
+    schedules of its distinct feasible on-patterns in kW, one read-only row
+    each, ``p_el_on`` where the device is on and 0.0 where it is off."""
 
-    on: np.ndarray
     power: np.ndarray
 
     @property
@@ -105,8 +105,9 @@ class FlexibilitySet:
 
     @property
     def on_patterns(self) -> tuple[tuple[bool, ...], ...]:
-        """One bool tuple per row of ``on``, built on read."""
-        return tuple(map(tuple, self.on.tolist()))
+        """One bool tuple per row of ``power``, true where it is nonzero,
+        built on read."""
+        return tuple(map(tuple, (self.power != 0).tolist()))
 
 
 def simulate_tank(
@@ -202,8 +203,6 @@ def sample_feasible_schedules(
                 break
     if len(rows) < count:
         raise SamplingError(count, len(rows), attempts)
-    on = np.array(rows)
-    power = np.where(on, device.p_el_on, 0.0)
-    on.setflags(write=False)
+    power = np.where(np.array(rows), device.p_el_on, 0.0)
     power.setflags(write=False)
-    return FlexibilitySet(on, power)
+    return FlexibilitySet(power)

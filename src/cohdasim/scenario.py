@@ -31,7 +31,6 @@ from .simnet import (
     RunLimits,
     UniformDelay,
 )
-from .topology import Overlay
 from .wire import MAX_RECORDS, MAX_SCHEDULES
 
 __all__ = [
@@ -77,6 +76,8 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if self.family not in ("ring", "small_world", "complete"):
             raise StructuralError(f"unknown topology family {self.family!r}")
+        if self.family == "small_world":
+            topology.check_small_world(self.k, self.p)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,6 @@ class Materialized:
     device_ids: tuple[str, ...]
     devices: tuple[DeviceModel, ...]
     flexibility: tuple[FlexibilitySet, ...]
-    overlay: Overlay
     agents: tuple[AgentState, ...]
     network_seed: int
 
@@ -167,7 +167,7 @@ def _expand_devices(scenario: Scenario) -> tuple[tuple[str, ...], tuple[DeviceMo
     return tuple(ids), tuple(models)
 
 
-def _build_overlay(spec: TopologySpec, ids: Sequence[str], seed: int) -> Overlay:
+def _neighbors(spec: TopologySpec, ids: Sequence[str], seed: int) -> dict[str, tuple[str, ...]]:
     if spec.family == "ring":
         return topology.ring(ids)
     if spec.family == "complete":
@@ -176,9 +176,9 @@ def _build_overlay(spec: TopologySpec, ids: Sequence[str], seed: int) -> Overlay
 
 
 def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
-    """Expand device groups, sample flexibility sets, build the overlay and
-    construct agents over one fleet table, all deterministically from
-    (scenario, run_seed)."""
+    """Expand device groups, sample flexibility sets, build the overlay's
+    neighbor lists and construct agents over one fleet table, all
+    deterministically from (scenario, run_seed)."""
     ids, models = _expand_devices(scenario)
     budget = scenario.sampling.attempt_factor * scenario.sampling.count
     flexibility = tuple(
@@ -191,17 +191,16 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
         )
         for index, model in enumerate(models)
     )
-    overlay = _build_overlay(
+    neighbors = _neighbors(
         scenario.topology, ids, mix_seed("topology", scenario.seeds.topology, run_seed)
     )
     fleet = Fleet({aid: flex.power for aid, flex in zip(ids, flexibility)}, scenario.horizon)
-    agents = tuple(AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids)
+    agents = tuple(AgentState(aid, fleet, neighbors[aid]) for aid in ids)
     return Materialized(
         scenario=scenario,
         device_ids=ids,
         devices=models,
         flexibility=flexibility,
-        overlay=overlay,
         agents=agents,
         network_seed=mix_seed("network", scenario.seeds.network, run_seed),
     )

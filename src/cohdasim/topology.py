@@ -1,6 +1,8 @@
 """Virtual communication overlays the heuristic gossips on.
 
-All generators produce undirected, loop-free, connected graphs. The
+An overlay is a map from each node id, in the given order, to the sorted
+tuple of its neighbors, the value ``AgentState.neighbors`` takes. All
+generators produce undirected, loop-free, connected graphs. The
 heuristic's dissemination argument needs connectivity, so the small-world
 generator repairs disconnected results deterministically.
 """
@@ -8,32 +10,14 @@ generator repairs disconnected results deterministically.
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-__all__ = ["ParameterError", "Overlay", "ring", "small_world", "complete", "is_connected"]
+__all__ = ["ParameterError", "ring", "small_world", "complete", "is_connected",
+           "check_small_world"]
 
 
 class ParameterError(ValueError):
     """Topology parameters are out of range for the requested node count."""
-
-
-@dataclass(frozen=True)
-class Overlay:
-    node_ids: tuple[str, ...]
-    adjacency: Mapping[str, tuple[str, ...]]
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
-    def edges(self) -> list[tuple[str, str]]:
-        seen = []
-        for a in self.node_ids:
-            for b in self.adjacency[a]:
-                if a < b:
-                    seen.append((a, b))
-        return seen
 
 
 def _check_ids(ids: Sequence[str]) -> tuple[str, ...]:
@@ -45,37 +29,44 @@ def _check_ids(ids: Sequence[str]) -> tuple[str, ...]:
     return ids
 
 
-def _build(ids: tuple[str, ...], edges: set[tuple[int, int]]) -> Overlay:
+def _neighbors(ids: tuple[str, ...], edges: set[tuple[int, int]]) -> dict[str, tuple[str, ...]]:
     adj: dict[str, list[str]] = {i: [] for i in ids}
     for a, b in edges:
         adj[ids[a]].append(ids[b])
         adj[ids[b]].append(ids[a])
-    return Overlay(ids, {k: tuple(sorted(v)) for k, v in adj.items()})
+    return {k: tuple(sorted(v)) for k, v in adj.items()}
 
 
 def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def ring(ids: Sequence[str]) -> Overlay:
+def ring(ids: Sequence[str]) -> dict[str, tuple[str, ...]]:
     """Cycle over the ids in the given order; n=1 has no edges."""
     ids = _check_ids(ids)
     n = len(ids)
-    edges: set[tuple[int, int]] = set()
-    if n > 1:
-        for i in range(n):
-            edges.add(_norm(i, (i + 1) % n))
-    return _build(ids, edges)
+    edges = {_norm(i, (i + 1) % n) for i in range(n)} if n > 1 else set()
+    return _neighbors(ids, edges)
 
 
-def complete(ids: Sequence[str]) -> Overlay:
+def complete(ids: Sequence[str]) -> dict[str, tuple[str, ...]]:
     ids = _check_ids(ids)
     n = len(ids)
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    return _build(ids, edges)
+    return _neighbors(ids, edges)
 
 
-def small_world(ids: Sequence[str], k: int, p: float, seed: int) -> Overlay:
+def check_small_world(k: int, p: float) -> None:
+    """Refuse a lattice degree ``k`` that is not an even integer of at least
+    2, or a rewire probability ``p`` outside [0, 1]. Whether ``k`` fits the
+    node count is checked when the overlay is built."""
+    if k < 2 or k % 2 != 0:
+        raise ParameterError(f"k must be a positive even integer, got {k!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must be a rewire probability in [0, 1], got {p!r}")
+
+
+def small_world(ids: Sequence[str], k: int, p: float, seed: int) -> dict[str, tuple[str, ...]]:
     """Watts-Strogatz construction: k-nearest-neighbor ring lattice with
     every lattice edge rewired with probability ``p``, followed by a
     deterministic connectivity repair. Identical seeds give identical
@@ -83,20 +74,13 @@ def small_world(ids: Sequence[str], k: int, p: float, seed: int) -> Overlay:
     """
     ids = _check_ids(ids)
     n = len(ids)
-    if k < 2 or k % 2 != 0:
-        raise ParameterError("k must be a positive even integer")
+    check_small_world(k, p)
     if k >= n:
         raise ParameterError(f"k={k} must be smaller than the node count {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("rewire probability must be in [0, 1]")
 
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            edges.add(_norm(i, (i + j) % n))
-
-    degree = {i: k for i in range(n)}
+    edges = {_norm(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)}
+    degree = [k] * n
     for i in range(n):
         for j in range(1, k // 2 + 1):
             if rng.random() >= p:
@@ -117,44 +101,39 @@ def small_world(ids: Sequence[str], k: int, p: float, seed: int) -> Overlay:
             degree[i] += 1
             degree[w] += 1
 
-    overlay = _build(ids, edges)
-    return _repair_connectivity(overlay)
+    _repair_connectivity(ids, edges)
+    return _neighbors(ids, edges)
 
 
-def _components(overlay: Overlay) -> list[list[str]]:
-    remaining = set(overlay.node_ids)
+def _components(adjacency: Mapping[Hashable, Iterable[Hashable]]) -> list[set]:
+    remaining = set(adjacency)
     components = []
     while remaining:
-        root = min(remaining)
+        root = remaining.pop()
         seen = {root}
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nbr in overlay.adjacency[node]:
+        queue = [root]
+        for node in queue:
+            for nbr in adjacency[node]:
                 if nbr not in seen:
                     seen.add(nbr)
                     queue.append(nbr)
-        components.append(sorted(seen))
+        components.append(seen)
         remaining -= seen
     return components
 
 
-def is_connected(overlay: Overlay) -> bool:
-    return len(_components(overlay)) <= 1
+def is_connected(neighbors: Mapping[str, Iterable[str]]) -> bool:
+    return len(_components(neighbors)) <= 1
 
 
-def _repair_connectivity(overlay: Overlay) -> Overlay:
-    """Join components by adding an edge between their lowest ids until the
-    graph is connected (components paired in lowest-id order)."""
-    components = _components(overlay)
-    if len(components) <= 1:
-        return overlay
-    index = {aid: i for i, aid in enumerate(overlay.node_ids)}
-    edges = {(index[a], index[b]) for a, b in overlay.edges()}
-    while len(components) > 1:
-        components.sort(key=lambda c: c[0])
-        a, b = components[0][0], components[1][0]
-        edges.add(_norm(index[a], index[b]))
-        merged = sorted(components[0] + components[1])
-        components = [merged] + components[2:]
-    return _build(overlay.node_ids, edges)
+def _repair_connectivity(ids: tuple[str, ...], edges: set[tuple[int, int]]) -> None:
+    """Join the components of the index graph ``edges`` in place: an edge
+    from the lowest id of the graph to the lowest id of every other
+    component."""
+    adjacency: dict[int, list[int]] = {i: [] for i in range(len(ids))}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    lowest = sorted((min(c, key=ids.__getitem__) for c in _components(adjacency)),
+                    key=ids.__getitem__)
+    edges.update(_norm(lowest[0], other) for other in lowest[1:])

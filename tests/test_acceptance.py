@@ -150,7 +150,7 @@ def _battery_case(index: int):
     fleet = Fleet({
         aid: [[rng.uniform(-4.0, 4.0) for _ in range(T)] for _ in range(m)] for aid in ids
     }, horizon)
-    agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ids]
+    agents = [AgentState(aid, fleet, overlay[aid]) for aid in ids]
     target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
     return agents, target, network
 
@@ -366,10 +366,9 @@ def test_criterion_6_determinism():
     mismatches = []
     for scenario, seed in _determinism_pairs():
         def run_once():
-            full = run_scenario_full(scenario, seed, trace=[])
-            trace_bytes = "\n".join(
-                json.dumps(r) for r in trace_records(full.trace)
-            ).encode()
+            trace = []
+            full = run_scenario_full(scenario, seed, trace=trace)
+            trace_bytes = "\n".join(json.dumps(r) for r in trace_records(trace)).encode()
             result_bytes = json.dumps(result_record(full.result)).encode()
             return trace_bytes, result_bytes
 
@@ -427,7 +426,7 @@ def test_criterion_7_efficiency_metrics_hand_trace():
     target = TargetProfile((-3.0,))
     overlay = ring(["A", "B"])
     fleet = Fleet({"A": [[-1.0], [-2.0]], "B": [[-1.0], [-3.0]]}, horizon)
-    agents = [AgentState(aid, fleet, overlay.adjacency[aid]) for aid in ("A", "B")]
+    agents = [AgentState(aid, fleet, overlay[aid]) for aid in ("A", "B")]
     network = NetworkModel(delay=ConstantDelay(1.0))
     states, trace, stats = run(agents, target, network, seed=0, trace=[])
 

@@ -17,12 +17,12 @@ from cohdasim.agent import (
     KnowledgeMessage,
 )
 from cohdasim.core import (
+    Candidate,
     PlanningHorizon,
     StructuralError,
     SystemConfiguration,
     TargetProfile,
     compare,
-    make_candidate,
     objective,
     selection_items,
 )
@@ -159,7 +159,7 @@ def test_choose_fills_gap(horizon1):
     assert _choose_index(state, target, config) == (0, 0.0)
     # A message that teaches X's record runs the decide step once: one
     # evaluation per own schedule.
-    best = make_candidate(config, 0.0, "X")
+    best = Candidate(config, 0.0, "X")
     state2, _ = handle_message(state, KnowledgeMessage("X", target, config, best))
     assert state2.objective_calls == state.objective_calls + 2
 
@@ -192,7 +192,7 @@ def test_choose_requires_memory(horizon1):
     assert agent.memory is None
     empty = SystemConfiguration.empty(agent.fleet)
     state, msg = handle_message(agent, KnowledgeMessage("B", target, empty,
-                                                        make_candidate(empty, 0.0, "B")))
+                                                        Candidate(empty, 0.0, "B")))
     assert msg is state.memory and msg.sender == "A" and msg.target == target
     assert selection_items(msg.config) == (("A", 1),)
     assert state.objective_calls == 4  # the boot's choose, then the decide's
@@ -224,7 +224,7 @@ def test_message_with_larger_best_replaces_and_publishes(horizon1):
                          {"A": ("N",)})
     state = _started(agents["A"], target)
     remote_config = configuration(state.fleet, {"B": (0, 0), "C": (1, 0)})
-    remote_best = make_candidate(remote_config, objective(remote_config, target, horizon1), "B")
+    remote_best = Candidate(remote_config, objective(remote_config, target, horizon1), "B")
     msg = KnowledgeMessage("B", target, remote_config, remote_best)
     state2, out = handle_message(state, msg)
     assert state2.memory.best.size == 3  # own candidate over the merged view wins
@@ -278,9 +278,9 @@ def test_message_over_another_fleet_is_refused(horizon1):
     state, _ = handle_start(make_agent("A", [[0.0]], horizon1), target)
     twin = make_fleet(horizon1, {"A": [[0.0]]})  # equal tables, another run
     foreign = configuration(twin, {"A": (0, 1)})
-    dict_best = make_candidate(dict(state.memory.config), 0.0, "B")
+    dict_best = Candidate(dict(state.memory.config), 0.0, "B")
     for config, best in [(foreign, state.memory.best),
-                         (state.memory.config, make_candidate(foreign, 0.0, "B")),
+                         (state.memory.config, Candidate(foreign, 0.0, "B")),
                          (state.memory.config, dict_best)]:
         with pytest.raises(StructuralError):
             handle_message(state, KnowledgeMessage("B", target, config, best))
@@ -308,7 +308,7 @@ def test_adopt_realigns_with_best(horizon1):
     # A remote best of larger size records index 0 for A; A cannot beat it
     # alone (size), so it must conform and bump its version.
     remote_config = configuration(state.fleet, {"A": (0, 0), "B": (0, 0)})
-    remote_best = make_candidate(remote_config, objective(remote_config, target, horizon1), "B")
+    remote_best = Candidate(remote_config, objective(remote_config, target, horizon1), "B")
     msg = KnowledgeMessage("B", target, remote_config, remote_best)
     state2, out = handle_message(state, msg)
     if compare(state2.memory.best, remote_best) == 0:
@@ -324,7 +324,7 @@ def _message_from(fleet, target, sender, index, version, extra=None):
     """A message whose config and best hold a record of ``sender`` and the
     ``extra`` picks."""
     config = configuration(fleet, {sender: (index, version), **(extra or {})})
-    best = make_candidate(config, objective(config, target, fleet.horizon), sender)
+    best = Candidate(config, objective(config, target, fleet.horizon), sender)
     return KnowledgeMessage(sender, target, config, best)
 
 
@@ -430,8 +430,8 @@ def _message_runs(draw):
     for _ in range(draw(st.integers(1, 12))):
         sender = draw(st.sampled_from([aid for aid in _IDS if aid != _OWN]))
         best_ids = draw(st.lists(st.sampled_from(_IDS), unique=True, min_size=1))
-        best = make_candidate(_draw_config(draw, fleet, best_ids), draw(st.floats(0.0, 50.0)),
-                              sender)
+        best = Candidate(_draw_config(draw, fleet, best_ids), draw(st.floats(0.0, 50.0)),
+                         sender)
         # In one step of four, swap the memory's config for another first.
         swap = None
         if draw(st.integers(0, 3)) == 0:
@@ -522,14 +522,14 @@ def _deliveries(draw):
                                    for aid, version in remote_versions.items()})
 
     state, _ = handle_start(AgentState("a0", fleet, ("a1",)), target)
-    local_best = make_candidate(local, float(draw(st.integers(0, 9))), "a0")
+    local_best = Candidate(local, float(draw(st.integers(0, 9))), "a0")
     state = dataclasses.replace(state, memory=KnowledgeMessage("a0", target, local, local_best))
     if draw(st.booleans()):
         best = local_best
     else:
         known = {**dict(local), **dict(remote)}
         best_ids = draw(st.lists(st.sampled_from(sorted(known)), unique=True, min_size=1))
-        best = make_candidate(
+        best = Candidate(
             configuration(fleet, {aid: (known[aid].schedule_index, known[aid].version)
                                   for aid in best_ids}),
             float(draw(st.integers(0, 9))), "s")

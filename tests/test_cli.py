@@ -293,6 +293,43 @@ def test_sweep_and_resume(tmp_path):
     assert (out / "summary.csv").read_bytes() == summary
 
 
+def _corrupt_short(cells):
+    return cells[:3]  # the factor, replication and seed cells only
+
+
+def _corrupt_metric(cells):
+    return cells[:4] + ["high"] + cells[5:]  # final_fitness of an ok row
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_short, "row has 3 cells, the header 14"),
+    (_corrupt_metric, "ok row with a bad metric cell: could not convert string to float: 'high'"),
+], ids=["short-row", "bad-metric"])
+def test_sweep_resume_refuses_a_damaged_row(tmp_path, capsys, corrupt, message):
+    design_path = tmp_path / "design.yaml"
+    design_path.write_text(
+        "base_scenario: toy-2\n"
+        "replications: 2\n"
+        "factors:\n"
+        "- path: network.duplicate_probability\n"
+        "  values: [0.0]\n"
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(design_path), "--out", str(out)]) == 0
+    results = out / "results.csv"
+    with results.open() as fh:
+        lines = list(csv.reader(fh))
+    assert [line[3] for line in lines[1:]] == ["ok", "ok"]
+    lines[2] = corrupt(lines[2])
+    with results.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
+    damaged = results.read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 2
+    assert capsys.readouterr().err == f"error: {results}:3: {message}\n"
+    assert results.read_bytes() == damaged
+
+
 def test_sweep_tables_byte_identical(tmp_path):
     design_path = tmp_path / "design.yaml"
     design_path.write_text(
@@ -448,6 +485,49 @@ def test_section_refusal_reported_at_its_key(tmp_path, section, key, value, mess
     reported, line = _located_error(path)
     assert reported == message
     assert line.strip().startswith(f"{key}:")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("k", 3, "topology.k must be a positive even integer, got 3"),
+    ("k", 0, "topology.k must be a positive even integer, got 0"),
+    ("p", 1.5, "topology.p must be a rewire probability in [0, 1], got 1.5"),
+])
+def test_small_world_parameters_refused_at_their_key(tmp_path, capsys, key, value, message):
+    path = _write_scenario(tmp_path, topology={"family": "small_world", "k": 2, key: value})
+    reported, line = _located_error(path)
+    assert reported == message
+    assert line.strip().startswith(f"{key}:")
+    lineno = path.read_text().splitlines().index(line) + 1
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_small_world_k_factor_refused_at_its_values(tmp_path, capsys):
+    path = tmp_path / "design.yaml"
+    path.write_text("base_scenario: small-demo\nreplications: 1\n"
+                    "factors:\n- path: topology.k\n  values: [4, 3]\n")
+    reported, line = _located_error(path, load_design)
+    assert reported == "factor 'topology.k' value 3: k must be a positive even integer, got 3"
+    assert line == "  values: [4, 3]"
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:5:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_small_world_k_against_the_device_count_is_refused_per_row(tmp_path):
+    # A design may change the device count and k in separate factors, so
+    # only building the overlay can compare them: the row records the error.
+    path = tmp_path / "design.yaml"
+    path.write_text("base_scenario: small-demo\nreplications: 1\n"
+                    "factors:\n- path: topology.k\n  values: [12]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    with (out / "results.csv").open() as fh:
+        [row] = csv.DictReader(fh)
+    assert row["status"] == "error"
+    assert row["error"] == "ParameterError: k=12 must be smaller than the node count 12"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from cohdasim import core
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
+    Candidate,
     DegenerateTargetError,
     Fleet,
     PlanningHorizon,
@@ -18,7 +19,6 @@ from cohdasim.core import (
     compare,
     configuration_key,
     coverage,
-    make_candidate,
     objective,
     selection_items,
     SystemConfiguration,
@@ -49,7 +49,7 @@ def test_arrays_are_cached_and_read_only():
         assert read() is arr and not arr.flags.writeable
     assert horizon.window_index.tolist() == [0, 2]
     assert target.arr.tolist() == [0.0, -1.0, 2.0]
-    delivered = aggregate(_config(horizon, {"A": [1.0, 2.0, 3.0]}), horizon)
+    delivered = aggregate(_config(horizon, {"A": [1.0, 2.0, 3.0]}))
     assert delivered.dtype == np.float64 and not delivered.flags.writeable
 
 
@@ -77,24 +77,25 @@ def _config(horizon, rows):
 
 def test_aggregate_empty_config_is_zero(horizon4):
     empty = SystemConfiguration.empty(make_fleet(horizon4, {"A": [[1.0, 2.0, 3.0, 4.0]]}))
-    assert aggregate(empty, horizon4).tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert aggregate(empty).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_aggregate_two_agents():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     config = _config(horizon, {"A": [-2.0, -2.0], "B": [5.0, 0.0]})
-    assert aggregate(config, horizon).tolist() == [3.0, -2.0]
+    assert aggregate(config).tolist() == [3.0, -2.0]
 
 
 def test_aggregate_single_agent_identity(horizon4):
     config = _config(horizon4, {"A": [1.0, 2.0, 3.0, 4.0]})
-    assert aggregate(config, horizon4).tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert aggregate(config).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_aggregate_length_mismatch(horizon4):
+def test_objective_refuses_a_fleet_of_another_horizon(horizon4):
     config = _config(PlanningHorizon(1, 1.0, (0,)), {"A": [1.0]})
-    with pytest.raises(StructuralError):
-        aggregate(config, horizon4)
+    assert aggregate(config).tolist() == [1.0]
+    with pytest.raises(StructuralError, match="fleet horizon"):
+        objective(config, TargetProfile((0.0,) * 4), horizon4)
 
 
 def test_aggregate_permutation_invariant():
@@ -102,7 +103,7 @@ def test_aggregate_permutation_invariant():
     rows = {f"a{i}": [i * 0.7, -i, i / 3.0] for i in range(6)}
     forward = _config(horizon, dict(sorted(rows.items())))
     backward = _config(horizon, dict(sorted(rows.items(), reverse=True)))
-    assert aggregate(forward, horizon).tolist() == aggregate(backward, horizon).tolist()
+    assert aggregate(forward).tolist() == aggregate(backward).tolist()
 
 
 def test_objective_exact_match_is_zero():
@@ -147,8 +148,8 @@ _ABC = make_fleet(PlanningHorizon(1, 1.0, (0,)), {aid: [[0.0]] * 4 for aid in "a
 
 
 def _cand(items, fitness, creator="x"):
-    return make_candidate(configuration(_ABC, {aid: (idx, 0) for aid, idx in items}), fitness,
-                          creator)
+    return Candidate(configuration(_ABC, {aid: (idx, 0) for aid, idx in items}), fitness,
+                     creator)
 
 
 def test_compare_size_first():
@@ -244,7 +245,7 @@ def test_candidate_fitness_matches_recomputed_objective():
     fleet = make_fleet(horizon, {"A": [[-2.0, 0.0]], "B": [[0.0, 0.0], [-1.0, 0.5]]})
     config = configuration(fleet, {"A": (0, 0), "B": (1, 0)})
     fitness = objective(config, target, horizon)
-    cand = make_candidate(config, fitness, "A")
+    cand = Candidate(config, fitness, "A")
     assert cand.size == 2
     assert math.isclose(cand.fitness, objective(config, target, horizon), abs_tol=1e-9)
 
@@ -325,7 +326,7 @@ def test_power_table_shares_a_frozen_float64_table_and_copies_others(horizon1):
 @given(fleet_configs)
 def test_configuration_key_from_the_table_equals_the_dict_key(config):
     assert configuration_key(config) == reference_key(config)
-    assert make_candidate(config, 1.0, "a").size == len(dict(config))
+    assert Candidate(config, 1.0, "a").size == len(dict(config))
 
 
 @pytest.fixture
@@ -343,12 +344,12 @@ def key_calls(monkeypatch):
 
 def test_candidate_key_is_computed_on_first_read(key_calls):
     config = configuration(_FLEET, {"a": (1, 0), "c\u00e9": (2, 3)})
-    cand = make_candidate(config, 1.0, "a")
+    cand = Candidate(config, 1.0, "a")
     assert key_calls == []
     # Size or fitness decide these comparisons, so neither reads a key.
-    larger = make_candidate(configuration(_FLEET, {"a": (0, 0), "bb": (0, 0), "c\u00e9": (0, 0)}),
-                            9.0, "bb")
-    fitter = make_candidate(configuration(_FLEET, {"a": (0, 1), "bb": (0, 1)}), 0.5, "bb")
+    larger = Candidate(configuration(_FLEET, {"a": (0, 0), "bb": (0, 0), "c\u00e9": (0, 0)}),
+                       9.0, "bb")
+    fitter = Candidate(configuration(_FLEET, {"a": (0, 1), "bb": (0, 1)}), 0.5, "bb")
     assert compare(larger, cand) > 0 and compare(cand, fitter) < 0
     assert key_calls == []
     assert cand.key == cand.key == reference_key(config)
@@ -358,7 +359,7 @@ def test_candidate_key_is_computed_on_first_read(key_calls):
 def test_decoded_candidate_key_equals_the_sent_one(key_calls):
     config = configuration(_FLEET, {"a": (1, 0), "bb": (0, 4)})
     sent = KnowledgeMessage("a", TargetProfile((0.0, -1.0)), config,
-                            make_candidate(config, 2.5, "bb"))
+                            Candidate(config, 2.5, "bb"))
     decoded = decode_message(encode_message(sent), _FLEET)
     assert key_calls == []
     assert decoded.best.key == sent.best.key

@@ -257,7 +257,8 @@ def test_run_scenario_toy_matches_brute_force():
 
 def test_run_result_metric_consistency():
     sc = build_small_demo_scenario()
-    full = run_scenario_full(sc, 2, trace=[])
+    trace = []
+    full = run_scenario_full(sc, 2, trace=trace)
     r = full.result
     w = sc.horizon.window_index
     denom = float(abs(sc.target.arr[w]).sum())
@@ -267,7 +268,7 @@ def test_run_result_metric_consistency():
     from cohdasim.simnet import snapshot_best
 
     best = snapshot_best(full.states.values())
-    delivered = aggregate(best.configuration, sc.horizon)
+    delivered = aggregate(best.configuration)
     assert coverage(delivered, sc.target, sc.horizon) == pytest.approx(
         r.coverage_l1, abs=1e-9
     )
@@ -276,9 +277,9 @@ def test_run_result_metric_consistency():
     sizes = [p[2] for p in r.best_improvement_curve]
     assert sizes == sorted(sizes)
     assert r.best_improvement_curve[-1][1] == r.final_fitness
-    assert r.messages_sent == sum(1 for ev in full.trace if ev.kind == "publish")
+    assert r.messages_sent == sum(1 for ev in trace if ev.kind == "publish")
     assert r.message_bytes_total == sum(
-        ev.payload["bytes"] for ev in full.trace if ev.kind == "publish"
+        ev.payload["bytes"] for ev in trace if ev.kind == "publish"
     )
     assert set(r.objective_calls) == set(full.states)
 

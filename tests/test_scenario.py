@@ -15,7 +15,7 @@ from cohdasim.scenario import (
     with_param,
 )
 from cohdasim.simnet import ConstantDelay, ExponentialDelay, UniformDelay
-from cohdasim.topology import is_connected
+from cohdasim.topology import is_connected, small_world
 
 
 def test_epex_scenario_shape():
@@ -60,10 +60,10 @@ def test_materialize_deterministic_and_connected():
     a = materialize(sc, 3)
     b = materialize(sc, 3)
     assert a.device_ids == b.device_ids
-    assert a.overlay.adjacency == b.overlay.adjacency
+    assert [x.neighbors for x in a.agents] == [y.neighbors for y in b.agents]
     assert all(x.on_patterns == y.on_patterns for x, y in zip(a.flexibility, b.flexibility))
     assert a.network_seed == b.network_seed
-    assert is_connected(a.overlay)
+    assert is_connected({x.agent_id: x.neighbors for x in a.agents})
     c = materialize(sc, 4)
     assert any(x.on_patterns != y.on_patterns for x, y in zip(a.flexibility, c.flexibility))
 
@@ -73,8 +73,10 @@ def test_materialize_ids_and_neighbors():
     mat = materialize(sc, 0)
     assert mat.device_ids[0] == "dev000"
     assert len(mat.device_ids) == 12
+    ids = [f"dev{i:03d}" for i in range(12)]
+    neighbors = small_world(ids, 4, 0.1, mix_seed("topology", sc.seeds.topology, 0))
     for agent in mat.agents:
-        assert agent.neighbors == mat.overlay.adjacency[agent.agent_id]
+        assert agent.neighbors == neighbors[agent.agent_id]
         assert len(agent.window_matrix) == sc.sampling.count
 
 

@@ -25,7 +25,7 @@ from conftest import make_agent, make_agents
 
 
 def _agents(horizon, rows_by_id, overlay):
-    return list(make_agents(horizon, rows_by_id, overlay.adjacency).values())
+    return list(make_agents(horizon, rows_by_id, overlay).values())
 
 
 def test_single_agent_quiesces_without_messages(horizon1):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohdasim.topology import (
-    Overlay,
     ParameterError,
+    check_small_world,
     complete,
     is_connected,
     ring,
@@ -18,29 +18,32 @@ def _ids(n):
     return [f"n{i:03d}" for i in range(n)]
 
 
-def _assert_well_formed(overlay: Overlay):
-    for node, neighbors in overlay.adjacency.items():
+def _edges(overlay):
+    return sorted((a, b) for a, neighbors in overlay.items() for b in neighbors if a < b)
+
+
+def _assert_well_formed(overlay):
+    for node, neighbors in overlay.items():
         assert node not in neighbors  # no self loops
-        assert len(set(neighbors)) == len(neighbors)
+        assert list(neighbors) == sorted(set(neighbors))
         for nbr in neighbors:
-            assert node in overlay.adjacency[nbr]  # symmetric
+            assert node in overlay[nbr]  # symmetric
 
 
 def test_ring_singleton():
     overlay = ring(["A"])
-    assert overlay.edge_count() == 0
+    assert overlay == {"A": ()}
     assert is_connected(overlay)
 
 
 def test_ring_three_nodes():
     overlay = ring(["A", "B", "C"])
-    assert sorted(overlay.edges()) == [("A", "B"), ("A", "C"), ("B", "C")]
+    assert _edges(overlay) == [("A", "B"), ("A", "C"), ("B", "C")]
 
 
 def test_ring_two_nodes_single_edge():
     overlay = ring(["A", "B"])
-    assert overlay.edges() == [("A", "B")]
-    assert overlay.edge_count() == 1
+    assert overlay == {"A": ("B",), "B": ("A",)}
 
 
 def test_ring_duplicate_ids():
@@ -49,29 +52,29 @@ def test_ring_duplicate_ids():
 
 
 def test_complete_counts():
-    assert complete(_ids(3)).edge_count() == 3
-    assert complete(_ids(1)).edge_count() == 0
-    assert complete(_ids(5)).edge_count() == 10
+    assert len(_edges(complete(_ids(3)))) == 3
+    assert len(_edges(complete(_ids(1)))) == 0
+    assert len(_edges(complete(_ids(5)))) == 10
 
 
 def test_small_world_p_zero_is_ring_lattice():
     ids = _ids(8)
     overlay = small_world(ids, k=2, p=0.0, seed=1)
-    assert sorted(overlay.edges()) == sorted(ring(ids).edges())
+    assert overlay == ring(ids)
     overlay4 = small_world(ids, k=4, p=0.0, seed=1)
     expected = set()
     for i in range(8):
         for j in (1, 2):
             a, b = i, (i + j) % 8
             expected.add((min(a, b), max(a, b)))
-    got = {(ids.index(a), ids.index(b)) for a, b in overlay4.edges()}
+    got = {(ids.index(a), ids.index(b)) for a, b in _edges(overlay4)}
     assert {(min(a, b), max(a, b)) for a, b in got} == expected
 
 
 def test_small_world_full_rewire_keeps_edge_count():
     # Rewiring replaces edges one for one; repair may only add.
     overlay = small_world(_ids(20), k=4, p=1.0, seed=42)
-    assert overlay.edge_count() >= 40
+    assert len(_edges(overlay)) >= 40
     assert is_connected(overlay)
     _assert_well_formed(overlay)
 
@@ -79,9 +82,9 @@ def test_small_world_full_rewire_keeps_edge_count():
 def test_small_world_deterministic_under_seed():
     a = small_world(_ids(30), k=4, p=0.3, seed=9)
     b = small_world(_ids(30), k=4, p=0.3, seed=9)
-    assert a.adjacency == b.adjacency
+    assert a == b
     c = small_world(_ids(30), k=4, p=0.3, seed=10)
-    assert a.adjacency != c.adjacency  # overwhelmingly likely
+    assert a != c  # overwhelmingly likely
 
 
 def test_small_world_parameter_errors():
@@ -91,6 +94,18 @@ def test_small_world_parameter_errors():
         small_world(_ids(4), k=4, p=0.1, seed=0)
     with pytest.raises(ParameterError):
         small_world(_ids(6), k=2, p=1.5, seed=0)
+
+
+@pytest.mark.parametrize("k, p", [(3, 0.1), (0, 0.1), (-2, 0.1), (2, -0.1), (2, 1.5),
+                                  (2, float("nan"))])
+def test_check_small_world_refuses(k, p):
+    with pytest.raises(ParameterError):
+        check_small_world(k, p)
+
+
+def test_check_small_world_leaves_the_node_count_to_the_build():
+    check_small_world(40, 1.0)
+    check_small_world(2, 0.0)
 
 
 @given(
@@ -130,7 +145,7 @@ def test_small_world_adjacency_digest():
                     continue
                 for p in (0.0, 0.5, 1.0):
                     for seed in range(10):
-                        adjacency = small_world(order(n), k, p, seed).adjacency
+                        adjacency = small_world(order(n), k, p, seed)
                         repaired += sum(map(len, adjacency.values())) // 2 > n * k // 2
                         digest.update(repr(sorted(adjacency.items())).encode())
     assert repaired == 298

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
+    Candidate,
     PlanningHorizon,
     StructuralError,
     SystemConfiguration,
     TargetProfile,
-    make_candidate,
 )
 from cohdasim.scenario import build_small_demo_scenario, build_toy2_scenario, materialize
 from cohdasim.simnet import run
@@ -48,7 +48,7 @@ def messages(draw):
 
     cfg = config(ids)
     best_ids = ids[: draw(st.integers(1, len(ids)))]
-    best = make_candidate(config(best_ids), draw(st.floats(0, 1e9)), best_ids[0])
+    best = Candidate(config(best_ids), draw(st.floats(0, 1e9)), best_ids[0])
     target = TargetProfile(tuple(draw(finite) for _ in range(T)))
     return KnowledgeMessage(ids[0], target, cfg, best), fleet
 
@@ -66,7 +66,7 @@ def test_decode_refuses_records_off_the_table():
     fleet = make_fleet(horizon, {"a": [[1.0], [2.0]], "b": [[3.0]]})
     config = configuration(fleet, {"a": (1, 4), "b": (0, 0)})
     data = encode_message(KnowledgeMessage("a", TargetProfile((0.0,)), config,
-                                           make_candidate(config, 0.0, "a")))
+                                           Candidate(config, 0.0, "a")))
     assert decode_message(data, fleet).config == config
     for other in ({"a": [[1.0], [2.5]], "b": [[3.0]]}, {"a": [[1.0]], "b": [[3.0]]},
                   {"a": [[1.0], [2.0]]}):
@@ -80,7 +80,7 @@ def test_decode_refuses_a_best_size_that_is_not_its_record_count():
     full = configuration(fleet, {"a": (0, 0), "b": (0, 0)})
     one = configuration(fleet, {"a": (0, 0)})
     data = bytearray(encode_message(KnowledgeMessage("a", TargetProfile((0.0,)), full,
-                                                     make_candidate(one, 0.0, "a"))))
+                                                     Candidate(one, 0.0, "a"))))
     # The best candidate's size field comes just before its configuration,
     # which ends the message.
     offset = len(data) - config_length(one) - 4
@@ -109,7 +109,7 @@ def test_config_length_of_a_full_and_a_partial_configuration():
         assert config_length(partial) < config_length(full)
         for config in (full, partial):
             msg = KnowledgeMessage("a", TargetProfile((0.0, 0.0)), config,
-                                   make_candidate(config, 0.0, "a"))
+                                   Candidate(config, 0.0, "a"))
             assert config_length(config) == len(_pack_config(config))
             assert encoded_length(msg) == len(encode_message(msg))
 
@@ -167,7 +167,7 @@ def _with_config(records):
     of ``records``; its best candidate knows no agent."""
     empty = SystemConfiguration.empty(_FLEET)
     data = encode_message(KnowledgeMessage("a", TargetProfile((0.0, -1.0)), empty,
-                                           make_candidate(empty, 0.0, "a")))
+                                           Candidate(empty, 0.0, "a")))
     start = 1 + (4 + 1) + (4 + 8 * 2)  # format version, sender "a", target
     return data[:start] + _pack_records(records) + data[start + config_length(empty):]
 
@@ -218,7 +218,7 @@ _FITNESS = -config_length(_KNOWN) - 12
         "target-length", "nan-fitness", "inf-fitness"])
 def test_decode_refuses_non_canonical_messages(mutate):
     data = encode_message(KnowledgeMessage("bb", TargetProfile((0.0, -1.0)), _KNOWN,
-                                           make_candidate(_KNOWN, 2.5, "bb")))
+                                           Candidate(_KNOWN, 2.5, "bb")))
     assert encode_message(decode_message(data, _FLEET)) == data
     with pytest.raises(StructuralError):
         decode_message(mutate(data), _FLEET)
