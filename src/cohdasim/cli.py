@@ -209,6 +209,9 @@ def _row_from_values(point: tuple, values: list[str]) -> SweepRow:
     """Inverse of ``_sweep_row_values`` for an ``ok`` row of results.csv. Only
     the tabulated metrics survive: no wall time, curve or per-agent calls."""
     fitness, cov, ratio, terminated, consistent, sim_time, messages, nbytes, calls = values[1:10]
+    if not {terminated, consistent} <= {"0", "1"}:
+        raise ValueError(f"terminated and consistent must be 0 or 1, "
+                         f"got {terminated!r}, {consistent!r}")
     result = RunResult(
         float(fitness), float(cov), float(ratio), terminated == "1", consistent == "1",
         float(sim_time), 0.0, int(messages), int(nbytes), {"total": int(calls)}, (),
@@ -233,18 +236,17 @@ def cmd_sweep(args) -> int:
         with results_path.open() as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
-                raise ScenarioError("existing results.csv does not match this design")
+                raise ScenarioError("header does not match this design", f"{results_path}:1")
             for line in reader:
                 where = f"{results_path}:{reader.line_num}"
                 if len(line) != len(header):
-                    raise ScenarioError(f"row has {len(line)} cells, the header {len(header)}",
-                                        where)
+                    raise ScenarioError(f"row has {len(line)} cells, header {len(header)}", where)
                 i = index.get(tuple(line[:width]))
                 if i is not None and line[width] == "ok":
                     try:
                         rows[i] = _row_from_values(points[i], line[width:])
                     except ValueError as exc:
-                        raise ScenarioError(f"ok row with a bad metric cell: {exc}", where) from None
+                        raise ScenarioError(f"ok row, bad metric cell: {exc}", where) from None
 
     missing = [i for i, row in enumerate(rows) if row is None]
     for i, row in zip(missing, run_sweep(design, jobs=args.jobs, only=set(missing))):

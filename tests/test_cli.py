@@ -301,11 +301,18 @@ def _corrupt_metric(cells):
     return cells[:4] + ["high"] + cells[5:]  # final_fitness of an ok row
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_corrupt_short, "row has 3 cells, the header 14"),
-    (_corrupt_metric, "ok row with a bad metric cell: could not convert string to float: 'high'"),
-], ids=["short-row", "bad-metric"])
-def test_sweep_resume_refuses_a_damaged_row(tmp_path, capsys, corrupt, message):
+def _corrupt_flag(cells):
+    return cells[:7] + ["yes"] + cells[8:]  # terminated of an ok row
+
+
+@pytest.mark.parametrize("row, corrupt, message", [
+    (0, _corrupt_short, "header does not match this design"),
+    (2, _corrupt_short, "row has 3 cells, header 14"),
+    (2, _corrupt_metric, "ok row, bad metric cell: could not convert string to float: 'high'"),
+    (2, _corrupt_flag, "ok row, bad metric cell: terminated and consistent must be 0 or 1, "
+                       "got 'yes', '1'"),
+], ids=["header", "short-row", "bad-metric", "bad-flag"])
+def test_sweep_resume_refuses_a_damaged_row(tmp_path, capsys, row, corrupt, message):
     design_path = tmp_path / "design.yaml"
     design_path.write_text(
         "base_scenario: toy-2\n"
@@ -320,13 +327,13 @@ def test_sweep_resume_refuses_a_damaged_row(tmp_path, capsys, corrupt, message):
     with results.open() as fh:
         lines = list(csv.reader(fh))
     assert [line[3] for line in lines[1:]] == ["ok", "ok"]
-    lines[2] = corrupt(lines[2])
+    lines[row] = corrupt(lines[row])
     with results.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
     damaged = results.read_bytes()
     capsys.readouterr()
     assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 2
-    assert capsys.readouterr().err == f"error: {results}:3: {message}\n"
+    assert capsys.readouterr().err == f"error: {results}:{row + 1}: {message}\n"
     assert results.read_bytes() == damaged
 
 

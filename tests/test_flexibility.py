@@ -35,6 +35,10 @@ def test_device_validation():
         _device(p_el_on=2.0)  # heat pump must be a load
     with pytest.raises(StructuralError):
         _device(kind="chp")  # chp must generate
+    # A row's on-pattern is its nonzero power entries, which needs these.
+    for kind, p_el_on in [("heat_pump", 0.0), ("heat_pump", -0.0), ("chp", 0.0)]:
+        with pytest.raises(StructuralError):
+            _device(kind=kind, p_el_on=p_el_on)
     with pytest.raises(StructuralError):
         _device(tank_capacity=0.0)
     with pytest.raises(StructuralError):
