@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -31,6 +31,7 @@ from .evaluation import (
     RunResult,
     SweepRow,
     design_points,
+    factor_cell,
     greedy_assignment,
     run_scenario_full,
     run_sweep,
@@ -165,58 +166,46 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _factor_cell(value) -> str:
-    if isinstance(value, Mapping):
-        return json.dumps(value, sort_keys=True)
-    return repr(value) if isinstance(value, float) else str(value)
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {cell!r}")
+    return cell == "1"
 
 
-_RESULT_COLUMNS = [
-    "status",
-    "final_fitness",
-    "coverage_l1",
-    "coverage_energy_ratio",
-    "terminated",
-    "consistent",
-    "termination_sim_time_s",
-    "messages_sent",
-    "message_bytes_total",
-    "objective_calls_total",
-    "error",
-]
+# The metric columns of results.csv: header, RunResult attribute, cell reader.
+_METRICS = (
+    ("final_fitness", "final_fitness", float),
+    ("coverage_l1", "coverage_l1", float),
+    ("coverage_energy_ratio", "coverage_energy_ratio", float),
+    ("terminated", "terminated", _flag),
+    ("consistent", "consistent", _flag),
+    ("termination_sim_time_s", "termination_sim_time", float),
+    ("messages_sent", "messages_sent", int),
+    ("message_bytes_total", "message_bytes_total", int),
+    ("objective_calls_total", "objective_calls_total", int),
+)
+_RESULT_COLUMNS = ["status", *(header for header, _, _ in _METRICS), "error"]
 
 
 def _sweep_row_values(row: SweepRow) -> list:
     if row.result is None:
-        return ["error"] + [""] * 9 + [row.error or ""]
-    r = row.result
-    return [
-        "ok",
-        repr(r.final_fitness),
-        repr(r.coverage_l1),
-        repr(r.coverage_energy_ratio),
-        int(r.terminated),
-        int(r.consistent),
-        repr(r.termination_sim_time),
-        r.messages_sent,
-        r.message_bytes_total,
-        sum(r.objective_calls.values()),
-        "",
-    ]
+        return ["error", *("" for _ in _METRICS), row.error or ""]
+    values = (getattr(row.result, attr) for _, attr, _ in _METRICS)
+    return ["ok", *(int(v) if isinstance(v, bool) else repr(v) for v in values), ""]
 
 
 def _row_from_values(point: tuple, values: list[str]) -> SweepRow:
-    """Inverse of ``_sweep_row_values`` for an ``ok`` row of results.csv. Only
-    the tabulated metrics survive: no wall time, curve or per-agent calls."""
-    fitness, cov, ratio, terminated, consistent, sim_time, messages, nbytes, calls = values[1:10]
-    if not {terminated, consistent} <= {"0", "1"}:
-        raise ValueError(f"terminated and consistent must be 0 or 1, "
-                         f"got {terminated!r}, {consistent!r}")
-    result = RunResult(
-        float(fitness), float(cov), float(ratio), terminated == "1", consistent == "1",
-        float(sim_time), 0.0, int(messages), int(nbytes), {"total": int(calls)}, (),
-    )
-    return SweepRow(*point, result)
+    """The ``ok`` row of results.csv whose cells after ``point``'s are
+    ``values``: its metrics only, no wall time, curve or per-agent calls."""
+    metrics = {}
+    for (header, attr, read), cell in zip(_METRICS, values[1:]):
+        try:
+            metrics[attr] = read(cell)
+        except ValueError as exc:
+            raise ValueError(f"{header}: {exc}") from None
+    calls = {"total": metrics.pop("objective_calls_total")}
+    return SweepRow(*point, RunResult(**metrics, wall_time=0.0, objective_calls=calls,
+                                      best_improvement_curve=()))
 
 
 def cmd_sweep(args) -> int:
@@ -227,7 +216,7 @@ def cmd_sweep(args) -> int:
     header = factor_paths + ["replication", "seed"] + _RESULT_COLUMNS
     points = design_points(design)
     # Leading results.csv cells of each design point; they identify its row.
-    leads = [[_factor_cell(v) for v in f.values()] + [rep, seed] for f, rep, seed in points]
+    leads = [[factor_cell(v) for v in f.values()] + [rep, seed] for f, rep, seed in points]
     rows: list[SweepRow | None] = [None] * len(points)
 
     if args.resume and results_path.exists():
@@ -255,7 +244,7 @@ def cmd_sweep(args) -> int:
 
     stats = ("mean", "sd", "min", "max", "ci_low", "ci_high")
     summary_rows = [
-        [_factor_cell(entry["factors"].get(p, "")) for p in factor_paths]
+        [factor_cell(entry["factors"].get(p, "")) for p in factor_paths]
         + [entry["metric"], entry["n"]]
         + ["" if entry[k] is None else repr(entry[k]) for k in stats]
         for entry in summarize_rows(rows)

@@ -11,6 +11,7 @@ replications and common random numbers per replication index.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -38,6 +39,7 @@ __all__ = [
     "greedy_baseline",
     "greedy_assignment",
     "design_points",
+    "factor_cell",
     "run_sweep",
     "summarize_rows",
     "SUMMARY_METRICS",
@@ -81,6 +83,10 @@ class RunResult:
     message_bytes_total: int
     objective_calls: dict[str, int]
     best_improvement_curve: tuple[tuple[float, float, int], ...]
+
+    @property
+    def objective_calls_total(self) -> int:
+        return sum(self.objective_calls.values())
 
 
 @dataclass(frozen=True)
@@ -179,56 +185,42 @@ class EnumerationOracle:
         self._suffix = suffix
         self._scan()
 
-    def _prefix_sum(self, prefix_idx: tuple[int, ...]) -> np.ndarray:
+    def _values(self, prefix_idx: tuple[int, ...]) -> np.ndarray:
+        """The objective of ``prefix_idx`` completed by each row of the suffix
+        block: the one float path of the scan and of ``value_of``."""
         acc = np.zeros(self._suffix.shape[1], dtype=np.float64)
         for i, j in enumerate(prefix_idx):
             acc = acc + self._mats[i][j]
-        return acc
+        return np.abs((acc + self._suffix) - self._target_w).sum(axis=1)
 
     def _scan(self) -> None:
         best_val = math.inf
         worst_val = -math.inf
         best_idx: tuple[int, ...] = ()
         worst_idx: tuple[int, ...] = ()
-        suffix_sizes = tuple(self.sizes[self._split :])
+        suffix_sizes = self.sizes[self._split :]
         for prefix_idx in itertools.product(*(range(s) for s in self.sizes[: self._split])):
-            values = np.abs(
-                (self._prefix_sum(prefix_idx) + self._suffix) - self._target_w
-            ).sum(axis=1)
+            values = self._values(prefix_idx)
             j_min = int(np.argmin(values))
             j_max = int(np.argmax(values))
             v_min = float(values[j_min])
             v_max = float(values[j_max])
             if v_min < best_val:
                 best_val = v_min
-                best_idx = prefix_idx + self._unravel(j_min, suffix_sizes)
+                best_idx = prefix_idx + tuple(map(int, np.unravel_index(j_min, suffix_sizes)))
             if v_max > worst_val:
                 worst_val = v_max
-                worst_idx = prefix_idx + self._unravel(j_max, suffix_sizes)
+                worst_idx = prefix_idx + tuple(map(int, np.unravel_index(j_max, suffix_sizes)))
         self.optimum = best_val
         self.optimum_assignment = dict(zip(self.agent_ids, best_idx))
         self.worst = worst_val
         self.worst_assignment = dict(zip(self.agent_ids, worst_idx))
 
-    @staticmethod
-    def _unravel(flat: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-        if not sizes:
-            return ()
-        return tuple(int(v) for v in np.unravel_index(flat, sizes))
-
     def value_of(self, assignment: Mapping[str, int]) -> float:
-        """Objective of one assignment, computed exactly as during the scan."""
+        """Objective of one assignment: its entry of the block the scan read."""
         idx = tuple(assignment[aid] for aid in self.agent_ids)
-        prefix_idx = idx[: self._split]
-        suffix_sizes = tuple(self.sizes[self._split :])
-        flat = 0
-        for size, j in zip(suffix_sizes, idx[self._split :]):
-            flat = flat * size + j
-        row = self._suffix[flat]
-        values = np.abs((self._prefix_sum(prefix_idx) + row[None, :]) - self._target_w).sum(
-            axis=1
-        )
-        return float(values[0])
+        values = self._values(idx[: self._split])
+        return float(values[np.ravel_multi_index(idx[self._split :], self.sizes[self._split :])])
 
 
 def brute_force_optimum(
@@ -297,6 +289,13 @@ def greedy_assignment(mat: Materialized) -> tuple[float, dict[str, int]]:
 # --- experiment sweeps ------------------------------------------------------
 
 
+def factor_cell(value) -> str:
+    """A factor value as a results.csv cell, which identifies its design cell."""
+    if isinstance(value, Mapping):
+        return json.dumps(value, sort_keys=True)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class ExperimentDesign:
     """Full factorial design over dotted scenario parameter paths."""
@@ -312,6 +311,10 @@ class ExperimentDesign:
         for path, values in self.factors:
             if not values:
                 raise StructuralError(f"factor {path!r} has no values")
+            cells = [factor_cell(value) for value in values]
+            repeated = [cell for i, cell in enumerate(cells) if cell in cells[:i]]
+            if repeated:
+                raise StructuralError(f"factor {path!r} repeats the value {repeated[0]}")
             # Fail early on unresolvable paths and values that cannot run.
             for value in values:
                 try:
@@ -331,7 +334,7 @@ class SweepRow:
     error: str | None = None
 
     def key(self) -> tuple:
-        return (tuple(repr(v) for v in self.factors.values()), self.replication)
+        return (tuple(map(factor_cell, self.factors.values())), self.replication)
 
 
 def design_points(design: ExperimentDesign) -> list[tuple[dict[str, object], int, int]]:
@@ -392,8 +395,6 @@ SUMMARY_METRICS = (
 def _metric(row: SweepRow, name: str) -> float | None:
     if row.result is None:
         return None
-    if name == "objective_calls_total":
-        return float(sum(row.result.objective_calls.values()))
     return float(getattr(row.result, name))
 
 

@@ -110,14 +110,20 @@ class FlexibilitySet:
         return tuple(map(tuple, (self.power != 0).tolist()))
 
 
+def _next_temps(device: DeviceModel, temp, t: int, k: float):
+    """Tank temperature after interval ``t`` from ``temp`` (a float or an
+    array), on and off: the one step of ``simulate_tank`` and of the repair,
+    so a pattern that the repair marks feasible re-simulates in the band."""
+    loss = device.loss_rate * (temp - device.ambient)
+    next_on = temp + ((device.thermal_on - device.demand[t]) - loss) * k
+    next_off = temp + ((0.0 - device.demand[t]) - loss) * k
+    return next_on, next_off
+
+
 def simulate_tank(
     device: DeviceModel, on: Sequence[bool] | np.ndarray, horizon: PlanningHorizon
 ) -> tuple[float, ...]:
-    """Tank temperature trajectory (length T+1) for one on/off pattern.
-
-    Per interval: temp += (thermal_on*on - demand - loss_rate*(temp-ambient))
-    * interval_duration / tank_capacity.
-    """
+    """Tank temperature trajectory (length T+1) for one on/off pattern."""
     T = horizon.interval_count
     if len(on) != T:
         raise StructuralError(f"pattern length {len(on)} does not match horizon {T}")
@@ -127,9 +133,8 @@ def simulate_tank(
     temp = device.temp_initial
     trajectory = [temp]
     for t, state in enumerate(on):
-        loss = device.loss_rate * (temp - device.ambient)
-        flux = (device.thermal_on if state else 0.0) - device.demand[t] - loss
-        temp = temp + flux * k
+        next_on, next_off = _next_temps(device, temp, t, k)
+        temp = next_on if state else next_off
         trajectory.append(temp)
     return tuple(trajectory)
 
@@ -143,9 +148,6 @@ def _repair_batch(
     corrective state is forced (off when overheating, on when underheating).
     Returns the pattern matrix and a feasibility mask; rows stay infeasible
     only when even the corrective state violates a bound.
-
-    The arithmetic mirrors ``simulate_tank`` operation-for-operation, so a
-    row marked feasible here re-simulates inside the band exactly.
     """
     batch, T = coins.shape
     k = horizon.interval_duration / device.tank_capacity
@@ -153,9 +155,7 @@ def _repair_batch(
     on = np.zeros((batch, T), dtype=bool)
     feasible = np.ones(batch, dtype=bool)
     for t in range(T):
-        loss = device.loss_rate * (temp - device.ambient)
-        next_on = temp + ((device.thermal_on - device.demand[t]) - loss) * k
-        next_off = temp + ((0.0 - device.demand[t]) - loss) * k
+        next_on, next_off = _next_temps(device, temp, t, k)
         choose = coins[:, t].copy()
         choose[next_on > device.temp_max] = False
         choose[next_off < device.temp_min] = True

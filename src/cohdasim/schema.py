@@ -420,7 +420,13 @@ def _parse_scenario(data, name: str) -> Scenario:
     for key, (cls, fields) in _SECTIONS.items():
         if data.get(key) is not None:
             values[key] = _build_section(cls, fields, data[key], key)
-    return _build(Scenario, values, data)
+    scenario = _build(Scenario, values, data)
+    # A design factor leaves k to the run: another factor may change the count.
+    spec, count = scenario.topology, scenario.device_count()
+    if spec.family == "small_world" and spec.k >= count:
+        raise _Invalid(f"topology.k must be smaller than the device count {count}, "
+                       f"got {spec.k}", data.get("topology") or data, "k")
+    return scenario
 
 
 def parse_scenario_mapping(data: Mapping, source: str = "<scenario>") -> Scenario:

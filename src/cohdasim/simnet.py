@@ -223,19 +223,14 @@ def run(
     # The event queue: a heap of the distinct pending delivery times, and
     # for each time its events in scheduling order, flat: recipient,
     # message, recipient, message, ... (a start event carries no message).
-    # A time's first event is kept as a pair, the smallest container, since
-    # under random delays most times hold one event; a second event makes
-    # it a list.
     times: list[float] = []
-    due: dict[float, tuple | list] = {}
+    due: dict[float, list] = {}
 
     def schedule(at: float, recipient: str, msg: KnowledgeMessage | None) -> None:
         events = due.get(at)
         if events is None:
-            due[at] = (recipient, msg)
+            due[at] = [recipient, msg]
             heapq.heappush(times, at)
-        elif type(events) is tuple:
-            due[at] = [*events, recipient, msg]
         else:
             events += recipient, msg
 
@@ -265,8 +260,6 @@ def run(
             # Reversed, so that popping from the end releases each event as
             # it runs.
             events = due.pop(at)
-            if type(events) is tuple:
-                events = list(events)
             events.reverse()
         aid = events.pop()
         msg = events.pop()

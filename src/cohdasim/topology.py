@@ -130,10 +130,6 @@ def _repair_connectivity(ids: tuple[str, ...], edges: set[tuple[int, int]]) -> N
     """Join the components of the index graph ``edges`` in place: an edge
     from the lowest id of the graph to the lowest id of every other
     component."""
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(ids))}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    lowest = sorted((min(c, key=ids.__getitem__) for c in _components(adjacency)),
-                    key=ids.__getitem__)
-    edges.update(_norm(lowest[0], other) for other in lowest[1:])
+    lowest = sorted(min(c) for c in _components(_neighbors(ids, edges)))
+    root = ids.index(lowest[0])
+    edges.update(_norm(root, ids.index(other)) for other in lowest[1:])

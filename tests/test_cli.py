@@ -308,9 +308,9 @@ def _corrupt_flag(cells):
 @pytest.mark.parametrize("row, corrupt, message", [
     (0, _corrupt_short, "header does not match this design"),
     (2, _corrupt_short, "row has 3 cells, header 14"),
-    (2, _corrupt_metric, "ok row, bad metric cell: could not convert string to float: 'high'"),
-    (2, _corrupt_flag, "ok row, bad metric cell: terminated and consistent must be 0 or 1, "
-                       "got 'yes', '1'"),
+    (2, _corrupt_metric, "ok row, bad metric cell: final_fitness: could not convert string "
+                         "to float: 'high'"),
+    (2, _corrupt_flag, "ok row, bad metric cell: terminated: must be 0 or 1, got 'yes'"),
 ], ids=["header", "short-row", "bad-metric", "bad-flag"])
 def test_sweep_resume_refuses_a_damaged_row(tmp_path, capsys, row, corrupt, message):
     design_path = tmp_path / "design.yaml"
@@ -518,6 +518,38 @@ def test_small_world_k_factor_refused_at_its_values(tmp_path, capsys):
     reported, line = _located_error(path, load_design)
     assert reported == "factor 'topology.k' value 3: k must be a positive even integer, got 3"
     assert line == "  values: [4, 3]"
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:5:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_small_world_k_against_the_device_count_is_refused_in_a_file(tmp_path, capsys, k):
+    # A scenario file knows its device count, so it is refused at its k line.
+    mapping = scenario_to_mapping(build_small_demo_scenario())
+    mapping["topology"]["k"] = k
+    path = tmp_path / "sc.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    reported, line = _located_error(path)
+    assert reported == f"topology.k must be smaller than the device count 12, got {k}"
+    assert line.strip() == f"k: {k}"
+    lineno = path.read_text().splitlines().index(line) + 1
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}:")
+    assert not (tmp_path / "out").exists()
+    mapping["topology"]["k"] = 10
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    assert main(["validate", str(path)]) == 0
+
+
+def test_a_factor_that_repeats_a_value_is_refused_at_its_values(tmp_path, capsys):
+    path = tmp_path / "design.yaml"
+    path.write_text("base_scenario: toy-2\nreplications: 2\n"
+                    "factors:\n- path: network.duplicate_probability\n  values: [0.0, 0.0]\n")
+    reported, line = _located_error(path, load_design)
+    assert reported == "factor 'network.duplicate_probability' repeats the value 0.0"
+    assert line == "  values: [0.0, 0.0]"
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:5:")
     assert not (tmp_path / "out").exists()

@@ -125,6 +125,37 @@ def test_value_of_uses_identical_float_path(toy_instance):
             assert oracle.optimum <= v <= oracle.worst
 
 
+@pytest.mark.parametrize("n, m, width", [(2, 12, 9), (3, 5, 8), (5, 10, 8)])
+def test_value_of_returns_the_scan_values(n, m, width):
+    # Non-integer values, whose sums round differently in another order, over
+    # windows wide enough for numpy's pairwise summation. 5 agents with 10
+    # schedules each exceed the 65,536 combinations of one block, so there
+    # the scan and value_of also add a prefix.
+    rng = random.Random(100 * n + width)
+    horizon = PlanningHorizon(width, 1.0, tuple(range(width)))
+    for trial in range(5):
+        sets = [[[rng.uniform(-3, 3) for _ in range(width)] for _ in range(m)]
+                for _ in range(n)]
+        target = TargetProfile(tuple(rng.uniform(-3, 3) for _ in range(width)))
+        oracle = _oracle([f"a{i}" for i in range(n)], sets, target, horizon)
+        assert oracle.value_of(oracle.optimum_assignment) == oracle.optimum
+        assert oracle.value_of(oracle.worst_assignment) == oracle.worst
+
+
+def test_a_factor_value_repeated_as_a_cell_is_refused():
+    # Mappings are cells in key order, so these two delays are one cell.
+    delays = ({"kind": "constant", "seconds": 1.0}, {"seconds": 1.0, "kind": "constant"})
+    for path, values, cell in [
+        ("network.duplicate_probability", (0.0, 0.1, 0.0), "0.0"),
+        ("network.delay", delays, '{"kind": "constant", "seconds": 1.0}'),
+    ]:
+        with pytest.raises(StructuralError) as err:
+            ExperimentDesign(build_toy2_scenario(), ((path, values),))
+        assert str(err.value) == f"factor '{path}' repeats the value {cell}"
+    # 0 and 0.0 are distinct cells.
+    ExperimentDesign(build_toy2_scenario(), (("network.max_delay_bound", (0, 0.0)),))
+
+
 def test_worst_case_analytic_dominates_exhaustive():
     toy = build_toy2_scenario()
     exact = worst_case_bound(toy, 0, method="exhaustive")
