@@ -189,7 +189,7 @@ _RESULT_COLUMNS = ["status", *(header for header, _, _ in _METRICS), "error"]
 
 def _sweep_row_values(row: SweepRow) -> list:
     if row.result is None:
-        return ["error", *("" for _ in _METRICS), row.error or ""]
+        return ["error"] + [""] * len(_METRICS) + [row.error or ""]
     values = (getattr(row.result, attr) for _, attr, _ in _METRICS)
     return ["ok", *(int(v) if isinstance(v, bool) else repr(v) for v in values), ""]
 

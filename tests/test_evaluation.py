@@ -133,7 +133,7 @@ def test_value_of_returns_the_scan_values(n, m, width):
     # the scan and value_of also add a prefix.
     rng = random.Random(100 * n + width)
     horizon = PlanningHorizon(width, 1.0, tuple(range(width)))
-    for trial in range(5):
+    for _ in range(5):
         sets = [[[rng.uniform(-3, 3) for _ in range(width)] for _ in range(m)]
                 for _ in range(n)]
         target = TargetProfile(tuple(rng.uniform(-3, 3) for _ in range(width)))
@@ -143,7 +143,7 @@ def test_value_of_returns_the_scan_values(n, m, width):
 
 
 def test_a_factor_value_repeated_as_a_cell_is_refused():
-    # Mappings are cells in key order, so these two delays are one cell.
+    # A mapping's cell sorts its keys, so these two delays are one cell.
     delays = ({"kind": "constant", "seconds": 1.0}, {"seconds": 1.0, "kind": "constant"})
     for path, values, cell in [
         ("network.duplicate_probability", (0.0, 0.1, 0.0), "0.0"),
@@ -152,8 +152,6 @@ def test_a_factor_value_repeated_as_a_cell_is_refused():
         with pytest.raises(StructuralError) as err:
             ExperimentDesign(build_toy2_scenario(), ((path, values),))
         assert str(err.value) == f"factor '{path}' repeats the value {cell}"
-    # 0 and 0.0 are distinct cells.
-    ExperimentDesign(build_toy2_scenario(), (("network.max_delay_bound", (0, 0.0)),))
 
 
 def test_worst_case_analytic_dominates_exhaustive():
