@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .core import aggregate, coverage
+from .core import aggregate, coverage, objective
 from .evaluation import (
     DEFAULT_CAP,
     CapExceededError,
@@ -126,8 +126,9 @@ def cmd_run(args) -> int:
     record["seed"] = seed
 
     best = snapshot_best(run_out.states.values())
-    uncontrolled = aggregate(uncontrolled_configuration(mat))
-    record["uncontrolled_coverage_l1"] = coverage(uncontrolled, scenario.target, scenario.horizon)
+    uncontrolled = uncontrolled_configuration(mat)
+    error = objective(uncontrolled, scenario.target, scenario.horizon)
+    record["uncontrolled_coverage_l1"] = coverage(error, scenario.target, scenario.horizon)
 
     _write_json(out / "result.json", record)
     _write_json(out / "timing.json", {"wall_time_s": result.wall_time})
@@ -139,7 +140,7 @@ def cmd_run(args) -> int:
         out / "series.csv",
         scenario,
         controlled_kw=aggregate(best.configuration),
-        uncontrolled_kw=uncontrolled,
+        uncontrolled_kw=aggregate(uncontrolled),
     )
 
     config = best.configuration
@@ -294,13 +295,14 @@ def cmd_oracle(args) -> int:
 def cmd_uncontrolled(args) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
-    uncontrolled = aggregate(uncontrolled_configuration(materialize(scenario, args.seed)))
-    cov = coverage(uncontrolled, scenario.target, scenario.horizon)
+    uncontrolled = uncontrolled_configuration(materialize(scenario, args.seed))
+    error = objective(uncontrolled, scenario.target, scenario.horizon)
+    cov = coverage(error, scenario.target, scenario.horizon)
     _write_json(
         out / "uncontrolled.json",
         {"scenario": scenario.name, "seed": args.seed, "coverage_l1": cov},
     )
-    _write_series(out / "uncontrolled_series.csv", scenario, uncontrolled_kw=uncontrolled)
+    _write_series(out / "uncontrolled_series.csv", scenario, uncontrolled_kw=aggregate(uncontrolled))
     print(f"{scenario.name} seed={args.seed}: uncontrolled coverage={cov:.4f}")
     return 0
 

@@ -359,18 +359,14 @@ def objective(
     return float(np.abs(agg[w] - target.arr[w]).sum())
 
 
-def coverage(
-    delivered: np.ndarray, target: TargetProfile, horizon: PlanningHorizon
-) -> float:
-    """Share of the target realized on the window by the power profile
-    ``delivered``: 1 - normalized L1 error, floored at zero. Requires a
-    target with nonzero window magnitude.
+def coverage(error: float, target: TargetProfile, horizon: PlanningHorizon) -> float:
+    """Share of the target realized on the window by a configuration whose
+    objective value is ``error``: 1 - error / window target magnitude,
+    floored at zero. Requires a target with nonzero window magnitude.
     """
-    if len(delivered) != horizon.interval_count or len(target) != horizon.interval_count:
-        raise StructuralError("delivered/target length does not match horizon")
-    w = horizon.window_index
-    denom = float(np.abs(target.arr[w]).sum())
-    if denom == 0.0:
+    if len(target) != horizon.interval_count:
+        raise StructuralError("target length does not match horizon")
+    magnitude = float(np.abs(target.arr[horizon.window_index]).sum())
+    if magnitude == 0.0:
         raise DegenerateTargetError("target is all-zero on the product window")
-    err = float(np.abs(delivered[w] - target.arr[w]).sum())
-    return max(0.0, 1.0 - err / denom)
+    return max(0.0, 1.0 - error / magnitude)

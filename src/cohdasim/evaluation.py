@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Fleet, StructuralError, SystemConfiguration, TargetProfile, aggregate
+from .core import Fleet, StructuralError, SystemConfiguration, TargetProfile, aggregate, coverage
 from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 
@@ -65,8 +65,8 @@ class CapExceededError(RuntimeError):
 class RunResult:
     """First-order metrics of one run.
 
-    ``coverage_l1`` is 1 - final_fitness / window target magnitude (floored
-    at 0), ``coverage_energy_ratio`` the signed window energy quotient
+    ``coverage_l1`` is ``core.coverage`` of ``final_fitness``,
+    ``coverage_energy_ratio`` the signed window energy quotient
     delivered / targeted; the two readings of "percentage of the target"
     are both recorded. ``best_improvement_curve`` is the global anytime
     curve: (sim_time, fitness, size) per strict improvement.
@@ -115,14 +115,11 @@ def run_scenario_full(
     )
     best = snapshot_best(states.values())
     w = scenario.horizon.window_index
-    target_w = scenario.target.arr[w]
-    denom = float(np.abs(target_w).sum())
-    delivered = aggregate(best.configuration)
-    energy_target = float(target_w.sum())
-    energy_delivered = float(delivered[w].sum())
+    energy_target = float(scenario.target.arr[w].sum())
+    energy_delivered = float(aggregate(best.configuration)[w].sum())
     result = RunResult(
         final_fitness=best.fitness,
-        coverage_l1=max(0.0, 1.0 - best.fitness / denom),
+        coverage_l1=coverage(best.fitness, scenario.target, scenario.horizon),
         coverage_energy_ratio=(energy_delivered / energy_target) if energy_target else float("nan"),
         terminated=stats.terminated,
         consistent=check_consistency(states.values()),
@@ -308,21 +305,25 @@ class ExperimentDesign:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise StructuralError("replications must be at least 1")
-        for path, values in self.factors:
+        paths = [path for path, _ in self.factors]
+        for i, (path, values) in enumerate(self.factors):
             if not values:
                 raise StructuralError(f"factor {path!r} has no values")
-            cells = [factor_cell(value) for value in values]
-            repeated = [cell for i, cell in enumerate(cells) if cell in cells[:i]]
-            if repeated:
-                raise StructuralError(f"factor {path!r} repeats the value {repeated[0]}")
-            # Fail early on unresolvable paths and values that cannot run.
+            # Fail early on unresolvable paths and values that cannot run, and
+            # refuse two values that build the same scenario.
+            scenarios = []
             for value in values:
                 try:
-                    with_param(self.base_scenario, path, value)
+                    scenario = with_param(self.base_scenario, path, value)
                 except UnknownPathError as exc:
                     raise UnknownPathError(f"factor {path!r}: {exc}") from None
                 except (ValueError, TypeError) as exc:
                     raise StructuralError(f"factor {path!r} value {value!r}: {exc}") from None
+                if scenario in scenarios:
+                    raise StructuralError(f"factor {path!r} repeats the value {factor_cell(value)}")
+                scenarios.append(scenario)
+            if path in paths[:i]:
+                raise UnknownPathError(f"factor {path!r} repeats an earlier factor's path")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,7 @@ from typing import Sequence
 
 from . import topology
 from .agent import AgentState
-from .core import (
-    DegenerateTargetError,
-    Fleet,
-    PlanningHorizon,
-    StructuralError,
-    TargetProfile,
-)
+from .core import Fleet, PlanningHorizon, StructuralError, TargetProfile, coverage
 from .flexibility import DeviceModel, FlexibilitySet, sample_feasible_schedules
 from .simnet import (
     ConstantDelay,
@@ -112,8 +106,8 @@ class Scenario:
     limits: RunLimits = RunLimits()
 
     def __post_init__(self) -> None:
-        if len(self.target) != self.horizon.interval_count:
-            raise StructuralError("target length does not match horizon")
+        # Refuses a target of another length, or one all-zero on the window.
+        coverage(0.0, self.target, self.horizon)
         if not self.devices:
             raise StructuralError("scenario needs at least one device group")
         prefixes = [g.prefix for g in self.devices]
@@ -121,9 +115,6 @@ class Scenario:
             raise StructuralError("device group prefixes must be unique")
         if self.device_count() > MAX_RECORDS:
             raise StructuralError(f"scenario device count must be at most {MAX_RECORDS}")
-        w = self.horizon.window_index
-        if float(abs(self.target.arr[w]).sum()) == 0.0:
-            raise DegenerateTargetError("target is all-zero on the product window")
 
     def device_count(self) -> int:
         return sum(g.count for g in self.devices)
@@ -208,7 +199,7 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
 
 class UnknownPathError(StructuralError):
     """A dotted parameter path does not name a scenario parameter that a
-    design factor can set."""
+    design factor can set, or an earlier factor of the design sets it."""
 
 
 def _set_path(obj, parts: list[str], value):

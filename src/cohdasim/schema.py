@@ -366,6 +366,9 @@ def read_leaf(owner: type, attr: str, value):
 def _parse_horizon(block) -> PlanningHorizon:
     values = _read(block, _HORIZON + (_WINDOW_HOURS,), "horizon")
     hours = values.pop("window_hours", None)
+    if "product_window" in values and hours is not None:
+        raise _Invalid("horizon takes window_intervals or window_hours, not both",
+                       block, "window_hours")
     if "product_window" not in values:
         if hours is None or len(hours) != 2:
             raise _Invalid("horizon needs window_intervals or window_hours: [start, end)", block)
@@ -384,6 +387,8 @@ def _parse_target(block, horizon: PlanningHorizon) -> TargetProfile:
     values = _read(block, _TARGET, "target")
     T = horizon.interval_count
     if "power" in values:
+        if "value" in values:
+            raise _Invalid("target takes value_kw or power_kw, not both", block, "value_kw")
         return TargetProfile(_expand(values["power"], T, block, "power_kw", "target"))
     if "value" not in values:
         raise _Invalid("target needs value_kw or power_kw", block)
@@ -468,10 +473,12 @@ def load_design(path_str: str) -> ExperimentDesign:
         values = _read(data, _DESIGN, "design")
         base = load_scenario(values["base_scenario"], relative_to=path.parent)
         values["base_scenario"] = base
-        # Check each factor alone, so that an error points at its own block.
-        for block, factor in zip(data.get("factors") or (), values.get("factors", ())):
+        # Check each factor after the ones before it, so that an error points
+        # at its own block.
+        factors = values.get("factors", ())
+        for i, block in enumerate(data.get("factors") or ()):
             try:
-                ExperimentDesign(base, (factor,))
+                ExperimentDesign(base, factors[:i + 1])
             except ValueError as exc:
                 key = "path" if isinstance(exc, UnknownPathError) else "values"
                 raise _Invalid(str(exc), block, key) from None

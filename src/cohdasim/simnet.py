@@ -285,7 +285,9 @@ def run(
 
         old_best = state.memory.best if state.memory else None
         best = new_state.memory.best
-        if best is not old_best and (old_best is None or compare(best, old_best) > 0):
+        # Recorded as the agent made it, so that the trace shows a regression
+        # too; the global curve takes only a new leader.
+        if best is not old_best:
             if trace is not None:
                 detail = {"agent": aid, "fitness": best.fitness, "size": best.size, "key": best.key}
                 trace.append(TraceEvent(at, "best_improved", detail))

@@ -13,12 +13,11 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cohdasim.agent import AgentState
 from cohdasim.cli import load_design, result_record, trace_records
-from cohdasim.core import Fleet, PlanningHorizon, TargetProfile, coverage
+from cohdasim.core import Fleet, PlanningHorizon, TargetProfile, coverage, objective
 from cohdasim.evaluation import (
     ExperimentDesign,
     EnumerationOracle,
@@ -71,12 +70,9 @@ def _epex_run(seed: int):
     its uncontrolled baseline."""
     scenario = build_epex_scenario()
     full = run_scenario_full(scenario, seed)
-    unc_total = [0.0] * scenario.horizon.interval_count
     uncontrolled = uncontrolled_configuration(full.materialized)
-    for aid in full.materialized.device_ids:
-        for t, v in enumerate(uncontrolled[aid].schedule):
-            unc_total[t] += v
-    unc_cov = coverage(np.array(unc_total), scenario.target, scenario.horizon)
+    error = objective(uncontrolled, scenario.target, scenario.horizon)
+    unc_cov = coverage(error, scenario.target, scenario.horizon)
     return full, unc_cov
 
 

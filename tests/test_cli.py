@@ -494,6 +494,28 @@ def test_section_refusal_reported_at_its_key(tmp_path, section, key, value, mess
     assert line.strip().startswith(f"{key}:")
 
 
+@pytest.mark.parametrize("section, key, value, message, ignored", [
+    ("target", "power_kw", [-1.0], "target takes value_kw or power_kw, not both", "value_kw"),
+    # 5 h lies outside the file's one-hour horizon.
+    ("horizon", "window_hours", [0, 5],
+     "horizon takes window_intervals or window_hours, not both", "window_hours"),
+], ids=["target", "horizon"])
+def test_a_section_that_gives_both_alternatives_is_refused(tmp_path, capsys, section, key,
+                                                           value, message, ignored):
+    mapping = yaml.safe_load((DATA / "toy2_scenario.yaml").read_text())
+    mapping[section][key] = value
+    path = tmp_path / "sc.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    reported, line = _located_error(path)
+    assert reported == message
+    assert line.strip().startswith(f"{ignored}:")
+    lineno = path.read_text().splitlines().index(line) + 1
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}:")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("k", 3, "topology.k must be a positive even integer, got 3"),
     ("k", 0, "topology.k must be a positive even integer, got 0"),
@@ -608,13 +630,16 @@ BAD_FACTORS = [
     # An integer beyond the float range, where a probability is read.
     ("network.duplicate_probability", [10**400], "must be finite", "values"),
     ("devices.0.count", [2, 2**32], "device group count must be at most 4294967295", "values"),
+    # The first factor sets this path already.
+    ("network.duplicate_probability", [0.2],
+     "factor 'network.duplicate_probability' repeats an earlier factor's path", "path"),
 ]
 
 
 @pytest.mark.parametrize("factor, values, message, key", BAD_FACTORS,
                          ids=["non-integer-count", "delay-missing-key", "unknown-path",
-                              "section-path", "huge-probability", "huge-count"])
-def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message, key):
+                              "section-path", "huge-probability", "huge-count", "repeated-path"])
+def test_bad_design_factor_reported_at_its_key(tmp_path, capsys, factor, values, message, key):
     # The bad factor is the second one, so its keys are on lines 6 and 7.
     path = tmp_path / "design.yaml"
     path.write_text(
@@ -630,3 +655,4 @@ def test_bad_design_factor_reported_at_its_key(tmp_path, factor, values, message
     assert message in reported
     assert line == (f"- path: {factor}" if key == "path" else f"  values: {json.dumps(values)}")
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{6 if key == 'path' else 7}:")

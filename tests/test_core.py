@@ -201,42 +201,48 @@ def test_compare_total_order_on_random_triples(raw):
             assert selection_items(a.configuration) == selection_items(b.configuration)
 
 
+def _error(delivered, target, horizon):
+    """Objective value of a one-agent fleet whose only schedule is ``delivered``."""
+    fleet = make_fleet(horizon, {"A": [list(delivered)]})
+    return objective(configuration(fleet, {"A": (0, 0)}), target, horizon)
+
+
 def test_coverage_exact_match_is_one():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((-3.0, -4.0))
-    assert coverage(np.array([-3.0, -4.0]), target, horizon) == 1.0
+    assert coverage(_error([-3.0, -4.0], target, horizon), target, horizon) == 1.0
 
 
 def test_coverage_all_zero_delivery_is_zero():
     horizon = PlanningHorizon(2, 1.0, (0, 1))
     target = TargetProfile((-3.0, -4.0))
-    assert coverage(np.zeros(2), target, horizon) == 0.0
+    assert coverage(_error([0.0, 0.0], target, horizon), target, horizon) == 0.0
 
 
 def test_coverage_reference_example():
     # -100 kW target on 12 one-hour intervals, delivered -99 kW each.
     horizon = PlanningHorizon(12, 1.0, tuple(range(12)))
     target = TargetProfile((-100.0,) * 12)
-    delivered = np.full(12, -99.0)
-    assert coverage(delivered, target, horizon) == pytest.approx(0.99)
+    error = _error([-99.0] * 12, target, horizon)
+    assert coverage(error, target, horizon) == pytest.approx(0.99)
 
 
 def test_coverage_degenerate_target():
     horizon = PlanningHorizon(2, 1.0, (0,))
+    target = TargetProfile((0.0, 5.0))
     with pytest.raises(DegenerateTargetError):
-        coverage(np.ones(2), TargetProfile((0.0, 5.0)), horizon)
+        coverage(_error([1.0, 1.0], target, horizon), target, horizon)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3), st.floats(0.1, 30))
 def test_coverage_monotone_in_window_error(values, bump):
     horizon = PlanningHorizon(3, 1.0, (0, 1, 2))
     target = TargetProfile((-10.0, -10.0, -10.0))
-    base = np.array(values)
-    worse_values = list(values)
+    worse = list(values)
     # Push the first interval further away from the target.
-    worse_values[0] += bump if worse_values[0] >= -10.0 else -bump
-    worse = np.array(worse_values)
-    assert coverage(worse, target, horizon) <= coverage(base, target, horizon)
+    worse[0] += bump if worse[0] >= -10.0 else -bump
+    assert coverage(_error(worse, target, horizon), target, horizon) <= \
+        coverage(_error(values, target, horizon), target, horizon)
 
 
 def test_candidate_fitness_matches_recomputed_objective():

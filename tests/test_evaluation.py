@@ -143,15 +143,24 @@ def test_value_of_returns_the_scan_values(n, m, width):
 
 
 def test_a_factor_value_repeated_as_a_cell_is_refused():
-    # A mapping's cell sorts its keys, so these two delays are one cell.
+    # Two values repeat when they build the same scenario: two delays that
+    # differ in key order, or 0 and 0.0 for a probability.
     delays = ({"kind": "constant", "seconds": 1.0}, {"seconds": 1.0, "kind": "constant"})
     for path, values, cell in [
         ("network.duplicate_probability", (0.0, 0.1, 0.0), "0.0"),
         ("network.delay", delays, '{"kind": "constant", "seconds": 1.0}'),
+        ("network.duplicate_probability", (0, 0.0), "0.0"),
     ]:
         with pytest.raises(StructuralError) as err:
             ExperimentDesign(build_toy2_scenario(), ((path, values),))
         assert str(err.value) == f"factor '{path}' repeats the value {cell}"
+
+
+def test_a_design_that_repeats_a_factor_path_is_refused():
+    path = "network.duplicate_probability"
+    with pytest.raises(StructuralError) as err:
+        ExperimentDesign(build_toy2_scenario(), ((path, (0.0, 0.1)), (path, (0.2,))))
+    assert str(err.value) == f"factor '{path}' repeats an earlier factor's path"
 
 
 def test_worst_case_analytic_dominates_exhaustive():
@@ -292,15 +301,13 @@ def test_run_result_metric_consistency():
     w = sc.horizon.window_index
     denom = float(abs(sc.target.arr[w]).sum())
     assert r.coverage_l1 == max(0.0, 1.0 - r.final_fitness / denom)
-    # Cross-check against the coverage metric applied to the delivered profile.
-    from cohdasim.core import aggregate, coverage
+    # Cross-check against the coverage metric applied to the recomputed objective.
+    from cohdasim.core import coverage, objective
     from cohdasim.simnet import snapshot_best
 
     best = snapshot_best(full.states.values())
-    delivered = aggregate(best.configuration)
-    assert coverage(delivered, sc.target, sc.horizon) == pytest.approx(
-        r.coverage_l1, abs=1e-9
-    )
+    error = objective(best.configuration, sc.target, sc.horizon)
+    assert coverage(error, sc.target, sc.horizon) == pytest.approx(r.coverage_l1, abs=1e-9)
     # Curve is monotone in the compare projection and ends at the result.
     fitnesses = [p[1] for p in r.best_improvement_curve]
     sizes = [p[2] for p in r.best_improvement_curve]

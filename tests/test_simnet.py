@@ -391,6 +391,37 @@ def test_kernel_curve_matches_reference_fold(horizon4):
         assert stats.improvement_curve == _reference_curve(trace)
 
 
+def test_a_regressed_best_shows_in_the_trace(horizon4, monkeypatch):
+    # Once, agent A swaps a grown best for its boot best: the trace records
+    # the change as A made it, while the global curve keeps its leader.
+    start, message = simnet.handle_start, simnet.handle_message
+    boot = {}
+
+    def handle_start(state, target):
+        new_state, out = start(state, target)
+        boot[state.agent_id] = new_state.memory.best
+        return new_state, out
+
+    def handle_message(state, msg):
+        new_state, out = message(state, msg)
+        if out is not None and state.agent_id == "A" and "regressed" not in boot \
+                and state.memory.best.size > 1:
+            boot["regressed"] = True
+            out = dataclasses.replace(out, best=boot["A"])
+            new_state = dataclasses.replace(new_state, memory=out)
+        return new_state, out
+
+    monkeypatch.setattr(simnet, "handle_start", handle_start)
+    monkeypatch.setattr(simnet, "handle_message", handle_message)
+    trace = []
+    _, _, stats = _lossy_run(horizon4, 1, False, trace)
+    assert "regressed" in boot
+    steps = [(ev.payload["size"], -ev.payload["fitness"], -ev.payload["key"])
+             for ev in trace if ev.kind == "best_improved" and ev.payload["agent"] == "A"]
+    assert any(b < a for a, b in zip(steps, steps[1:]))
+    assert stats.improvement_curve == _reference_curve(trace)
+
+
 @pytest.mark.parametrize("limits, delay, reason", [
     (RunLimits(max_sim_time=100.0, max_messages=1000), 1.0, "quiescent"),
     (RunLimits(max_sim_time=100.0, max_messages=3), 1.0, "max_messages"),
