@@ -55,8 +55,8 @@ def generate(out: Path) -> None:
     oracle = out / "oracle" / "toy-2.txt"
     oracle.parent.mkdir(parents=True, exist_ok=True)
     oracle.write_text(_main(["oracle", "toy-2"]))
-    _main(["sweep", str(DATA / "robustness_design.yaml"),
-           "--out", str(out / "sweep" / "robustness_design")])
+    for design in (DATA / "robustness_design.yaml", GOLDEN / "list_index_design.yaml"):
+        _main(["sweep", str(design), "--out", str(out / "sweep" / design.stem)])
 
 
 def golden_files(root: Path) -> list[Path]:
