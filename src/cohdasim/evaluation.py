@@ -15,13 +15,13 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import Fleet, StructuralError, SystemConfiguration, TargetProfile, aggregate, coverage
-from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_param
+from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_params
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
 
 __all__ = [
@@ -295,12 +295,16 @@ def factor_cell(value) -> str:
 
 @dataclass(frozen=True)
 class ExperimentDesign:
-    """Full factorial design over dotted scenario parameter paths."""
+    """Full factorial design over dotted scenario file paths. ``cells`` holds
+    each cell's factor values and scenario in design order, built once with
+    all its values set (``scenario.with_params``), so the file's rules judge
+    the cell; a cell that builds an earlier cell's scenario is refused."""
 
     base_scenario: Scenario
     factors: tuple[tuple[str, tuple], ...] = ()
     replications: int = 1
     base_seed: int = 0
+    cells: tuple[tuple[dict, Scenario], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -309,21 +313,26 @@ class ExperimentDesign:
         for i, (path, values) in enumerate(self.factors):
             if not values:
                 raise StructuralError(f"factor {path!r} has no values")
-            # Fail early on unresolvable paths and values that cannot run, and
-            # refuse two values that build the same scenario.
-            scenarios = []
-            for value in values:
-                try:
-                    scenario = with_param(self.base_scenario, path, value)
-                except UnknownPathError as exc:
-                    raise UnknownPathError(f"factor {path!r}: {exc}") from None
-                except (ValueError, TypeError) as exc:
-                    raise StructuralError(f"factor {path!r} value {value!r}: {exc}") from None
-                if scenario in scenarios:
-                    raise StructuralError(f"factor {path!r} repeats the value {factor_cell(value)}")
-                scenarios.append(scenario)
             if path in paths[:i]:
                 raise UnknownPathError(f"factor {path!r} repeats an earlier factor's path")
+        cells, seen = [], {}  # seen: a cell's scenario -> its value indices
+        for index in itertools.product(*(range(len(values)) for _, values in self.factors)):
+            cell = {path: values[k] for (path, values), k in zip(self.factors, index)}
+            try:
+                scenario = with_params(self.base_scenario, cell)
+            except UnknownPathError:
+                raise
+            except StructuralError as exc:
+                named = ", ".join(f"factor {p!r} value {v!r}" for p, v in cell.items())
+                raise StructuralError(f"{named}: {exc}") from None
+            if scenario in seen:  # name the first factor whose value differs
+                f = next(f for f, k in enumerate(index) if k != seen[scenario][f])
+                path, values = self.factors[f]
+                raise StructuralError(f"factor {path!r} repeats the value "
+                                      f"{factor_cell(values[index[f]])}")
+            seen[scenario] = index
+            cells.append((cell, scenario))
+        object.__setattr__(self, "cells", tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -339,29 +348,17 @@ class SweepRow:
 
 
 def design_points(design: ExperimentDesign) -> list[tuple[dict[str, object], int, int]]:
-    """(factor assignment, replication, seed) triples in design order.
-
-    The seed policy is base seed plus replication index: the same
-    replication shares its random numbers across all cells.
-    """
-    paths = [p for p, _ in design.factors]
-    value_lists = [v for _, v in design.factors]
-    points = []
-    for combo in itertools.product(*value_lists) if value_lists else [()]:
-        factors = dict(zip(paths, combo))
-        for rep in range(design.replications):
-            points.append((factors, rep, design.base_seed + rep))
-    return points
+    """(factor assignment, replication, seed) triples in design order. The
+    seed is the base seed plus the replication index, so that a replication
+    shares its random numbers across all cells."""
+    return [(cell, rep, design.base_seed + rep)
+            for cell, _ in design.cells for rep in range(design.replications)]
 
 
 def _run_point(args) -> SweepRow:
-    base, factors, rep, seed = args
+    scenario, factors, rep, seed = args
     try:
-        scenario = base
-        for path, value in factors.items():
-            scenario = with_param(scenario, path, value)
-        result = run_scenario(scenario, seed)
-        return SweepRow(factors, rep, seed, result)
+        return SweepRow(factors, rep, seed, run_scenario(scenario, seed))
     except Exception as exc:  # recorded per row, sweep continues
         return SweepRow(factors, rep, seed, None, error=f"{type(exc).__name__}: {exc}")
 
@@ -373,7 +370,7 @@ def run_sweep(
     ``design_points``) and return rows in design order. Individual
     failures become error rows."""
     tasks = [
-        (design.base_scenario, factors, rep, seed)
+        (design.cells[index // design.replications][1], factors, rep, seed)
         for index, (factors, rep, seed) in enumerate(design_points(design))
         if only is None or index in only
     ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import topology
 from .agent import AgentState
@@ -38,6 +38,7 @@ __all__ = [
     "mix_seed",
     "materialize",
     "with_param",
+    "with_params",
     "build_epex_scenario",
     "build_toy2_scenario",
     "build_small_demo_scenario",
@@ -198,44 +199,21 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
 
 
 class UnknownPathError(StructuralError):
-    """A dotted parameter path does not name a scenario parameter that a
-    design factor can set, or an earlier factor of the design sets it."""
+    """A dotted factor path names no key of the scenario file, or an earlier
+    factor of the design sets it."""
 
 
-def _set_path(obj, parts: list[str], value):
-    """Rebuild an immutable dataclass/tuple tree with one leaf replaced,
-    the value read by that leaf's field reader."""
-    if not parts:
-        raise UnknownPathError("parameter path ends at a list item")
-    head, rest = parts[0], parts[1:]
-    if isinstance(obj, tuple):
-        if not (head.isdigit() and int(head) < len(obj)):
-            raise UnknownPathError(f"index {head} out of range in parameter path")
-        items = list(obj)
-        items[int(head)] = _set_path(items[int(head)], rest, value)
-        return tuple(items)
-    if dataclasses.is_dataclass(obj):
-        if not hasattr(obj, head):
-            raise UnknownPathError(f"unknown parameter path segment {head!r}")
-        if rest:
-            return dataclasses.replace(obj, **{head: _set_path(getattr(obj, head), rest, value)})
-        from .schema import read_leaf  # the schema module imports this one
+def with_params(scenario: Scenario, params: Mapping[str, object]) -> Scenario:
+    """A copy of the scenario with each dotted path of ``params``, a key of
+    its scenario file, set to its value: ``schema.with_keys``."""
+    from .schema import with_keys  # the schema module imports this one
 
-        return dataclasses.replace(obj, **{head: read_leaf(type(obj), head, value)})
-    raise UnknownPathError(f"cannot descend into {type(obj).__name__} at {head!r}")
+    return with_keys(scenario, params)
 
 
 def with_param(scenario: Scenario, path: str, value) -> Scenario:
-    """Return a copy of the scenario with one dotted parameter replaced.
-
-    Paths resolve against the scenario structure and must end at a field
-    of the scenario file's table that holds a number, a boolean, a delay or
-    a name, and that field's reader reads the value, e.g.
-    ``network.duplicate_probability``, ``topology.k``, ``sampling.count``,
-    ``devices.0.count``, ``topology.family`` or ``network.delay`` (with a
-    delay mapping value).
-    """
-    return _set_path(scenario, path.split("."), value)
+    """``with_params`` of one path, e.g. ``devices.0.count``."""
+    return with_params(scenario, {path: value})
 
 
 def build_epex_scenario() -> Scenario:

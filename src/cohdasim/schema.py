@@ -5,15 +5,18 @@ unknown keys, missing keys and bad values are rejected with file, line and
 column. Each section is one table of fields. A field gives the YAML key, the
 dataclass attribute it fills and a typed reader. Parsing and dumping walk
 the same table, so the dump's key order is the table order. A key that is
-missing or null takes the dataclass default.
+missing or null takes the dataclass default. A design factor's path is a
+key of the scenario file: ``with_keys`` sets it in the base scenario's dump,
+and the same reader reads the result.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 import yaml
 
@@ -37,7 +40,7 @@ __all__ = [
     "load_design",
     "parse_scenario_mapping",
     "scenario_to_mapping",
-    "read_leaf",
+    "with_keys",
 ]
 
 
@@ -336,30 +339,6 @@ _DESIGN = (
 _FACTOR = (Field("path", "path", _name, True), Field("values", "values", _list_of(lambda v: v), True))
 
 
-# The reader of each scalar field that a design factor may set, by
-# dataclass attribute.
-_LEAVES = {
-    (cls, f.attr): f.read
-    for cls, fields in [(PlanningHorizon, _HORIZON), (DeviceGroup, _GROUP), (DeviceModel, _MODEL),
-                        *_SECTIONS.values()]
-    for f in fields
-    if f.read in (_number, _integer, _boolean, _delay, _name)
-}
-
-
-def read_leaf(owner: type, attr: str, value):
-    """``value`` read by the reader of the scalar field that ``attr`` of an
-    ``owner`` fills. Raises ``UnknownPathError`` for any other attribute and
-    ``StructuralError`` for a value that the reader refuses."""
-    read = _LEAVES.get((owner, attr))
-    if read is None:
-        raise UnknownPathError(f"{attr!r} is not a number, a boolean, a delay or a name")
-    try:
-        return read(value)
-    except (ValueError, _Invalid) as exc:
-        raise StructuralError(str(exc)) from None
-
-
 # --- parse and dump -----------------------------------------------------------
 
 
@@ -426,7 +405,6 @@ def _parse_scenario(data, name: str) -> Scenario:
         if data.get(key) is not None:
             values[key] = _build_section(cls, fields, data[key], key)
     scenario = _build(Scenario, values, data)
-    # A design factor leaves k to the run: another factor may change the count.
     spec, count = scenario.topology, scenario.device_count()
     if spec.family == "small_world" and spec.k >= count:
         raise _Invalid(f"topology.k must be smaller than the device count {count}, "
@@ -452,6 +430,39 @@ def scenario_to_mapping(scenario: Scenario) -> dict:
     }
 
 
+# The key of a dumped section that an alternative key replaces.
+_ALTERNATIVES = {"value_kw": "power_kw", "window_hours": "window_intervals"}
+
+
+def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
+    """``scenario`` with each dotted path of ``keys`` set to its value in its
+    scenario file, read by the file reader in one parse. A path walks mappings
+    by key and lists by index (``devices.0.count``, a section, a delay), and
+    may end at a key's alternative, which drops the key (``target.value_kw``).
+    Each value is set as a copy, so that none changes in place. Raises
+    ``UnknownPathError`` for any other path."""
+    data = scenario_to_mapping(scenario)
+    for path in keys:
+        node, parts = data, path.split(".")
+        for depth, part in enumerate(parts, 1):
+            if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+                key = int(part)
+            elif isinstance(node, dict) and (part in node or depth == len(parts)
+                                             and _ALTERNATIVES.get(part) in node):
+                key = part
+            else:
+                raise UnknownPathError(f"no key {path!r} in the scenario file")
+            if depth < len(parts):
+                node = node[key]
+        if isinstance(node, dict):
+            node.pop(_ALTERNATIVES.get(key), None)
+        node[key] = copy.deepcopy(keys[path])
+    try:
+        return _parse_scenario(data, scenario.name)
+    except _Invalid as exc:
+        raise StructuralError(str(exc)) from None
+
+
 def load_scenario(ref: str, relative_to: Path | None = None) -> Scenario:
     """Load a scenario from a builtin name or a YAML file path."""
     if ref in BUILTIN_SCENARIOS:
@@ -471,17 +482,27 @@ def load_design(path_str: str) -> ExperimentDesign:
     data = _load_yaml(path)
     try:
         values = _read(data, _DESIGN, "design")
-        base = load_scenario(values["base_scenario"], relative_to=path.parent)
-        values["base_scenario"] = base
-        # Check each factor after the ones before it, so that an error points
-        # at its own block.
-        factors = values.get("factors", ())
+        values["base_scenario"] = load_scenario(values["base_scenario"], relative_to=path.parent)
+        try:
+            return ExperimentDesign(**values)
+        except ValueError as exc:
+            reason = str(exc)
+        # Locate the refusal as _build_section does: at the first key refused
+        # alone, or at the first factor that repeats a path (the design checks
+        # paths before it builds cells, so the reason says so).
+        base, factors = values["base_scenario"], values.get("factors", ())
+        try:
+            ExperimentDesign(base, replications=values["replications"])
+        except ValueError as exc:
+            raise _Invalid(str(exc), data, "replications") from None
         for i, block in enumerate(data.get("factors") or ()):
             try:
-                ExperimentDesign(base, factors[:i + 1])
+                ExperimentDesign(base, factors[i:i + 1])
             except ValueError as exc:
                 key = "path" if isinstance(exc, UnknownPathError) else "values"
                 raise _Invalid(str(exc), block, key) from None
-        return _build(ExperimentDesign, values, data)
+            if factors[i][0] in [p for p, _ in factors[:i]]:
+                raise _Invalid(reason, block, "path")
+        raise _Invalid(reason, data, "factors")  # a refused cell, which the reason names
     except _Invalid as exc:
         raise exc.at(str(path)) from None

@@ -538,7 +538,8 @@ def test_small_world_k_factor_refused_at_its_values(tmp_path, capsys):
     path.write_text("base_scenario: small-demo\nreplications: 1\n"
                     "factors:\n- path: topology.k\n  values: [4, 3]\n")
     reported, line = _located_error(path, load_design)
-    assert reported == "factor 'topology.k' value 3: k must be a positive even integer, got 3"
+    assert reported == ("factor 'topology.k' value 3: "
+                        "topology.k must be a positive even integer, got 3")
     assert line == "  values: [4, 3]"
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:5:")
@@ -577,18 +578,45 @@ def test_a_factor_that_repeats_a_value_is_refused_at_its_values(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_small_world_k_against_the_device_count_is_refused_per_row(tmp_path):
-    # A design may change the device count and k in separate factors, so
-    # only building the overlay can compare them: the row records the error.
+def test_small_world_k_against_the_device_count_is_refused_at_its_values(tmp_path, capsys):
+    # Each cell is read as a scenario file, so a k that is not below the
+    # cell's device count is refused at load, not left to a run.
     path = tmp_path / "design.yaml"
     path.write_text("base_scenario: small-demo\nreplications: 1\n"
                     "factors:\n- path: topology.k\n  values: [12]\n")
+    reported, line = _located_error(path, load_design)
+    assert reported == ("factor 'topology.k' value 12: "
+                        "topology.k must be smaller than the device count 12, got 12")
+    assert line == "  values: [12]"
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:5:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_small_world_k_is_judged_against_the_cells_device_count(tmp_path):
+    # The base's k=4 is not below 3 devices, so each factor alone would be
+    # refused; the design's one cell has k=2 and runs.
+    path = tmp_path / "design.yaml"
+    path.write_text("base_scenario: small-demo\nreplications: 1\nfactors:\n"
+                    "- path: devices.0.count\n  values: [3]\n"
+                    "- path: topology.k\n  values: [2]\n")
+    [(cell, scenario)] = load_design(str(path)).cells
+    assert cell == {"devices.0.count": 3, "topology.k": 2}
+    assert (scenario.device_count(), scenario.topology.k) == (3, 2)
     out = tmp_path / "out"
     assert main(["sweep", str(path), "--out", str(out)]) == 0
     with (out / "results.csv").open() as fh:
         [row] = csv.DictReader(fh)
-    assert row["status"] == "error"
-    assert row["error"] == "ParameterError: k=12 must be smaller than the node count 12"
+    assert row["status"] == "ok" and row["error"] == ""
+    # A cell that is refused although each of its values alone is accepted
+    # is refused at factors:, with the cell named.
+    path.write_text("base_scenario: small-demo\nreplications: 1\nfactors:\n"
+                    "- path: devices.0.count\n  values: [5]\n"
+                    "- path: topology.k\n  values: [6]\n")
+    reported, line = _located_error(path, load_design)
+    assert reported == ("factor 'devices.0.count' value 5, factor 'topology.k' value 6: "
+                        "topology.k must be smaller than the device count 5, got 6")
+    assert line == "factors:"
 
 
 @pytest.mark.parametrize(
@@ -620,15 +648,15 @@ def test_bad_delay_parameters_rejected(tmp_path, capsys, delay):
 
 # (factor path, its values, message, the reported key)
 BAD_FACTORS = [
-    ("sampling.count", [2, 1.7], "factor 'sampling.count' value 1.7: must be an integer", "values"),
+    ("sampling.count", [2, 1.7],
+     "factor 'sampling.count' value 1.7: sampling.count must be an integer", "values"),
     ("network.delay", [{"kind": "uniform", "low_s": 0.1}],
      "missing key 'high_s' in network.delay", "values"),
-    ("network.bogus", [1], "factor 'network.bogus': unknown parameter path segment 'bogus'",
-     "path"),
-    ("sampling", [3], "factor 'sampling': 'sampling' is not a number, a boolean, a delay or a name",
-     "path"),
+    ("network.bogus", [1], "no key 'network.bogus' in the scenario file", "path"),
+    # A section is a key of the file, and 3 is not a mapping.
+    ("sampling", [3], "factor 'sampling' value 3: sampling must be a mapping", "values"),
     # An integer beyond the float range, where a probability is read.
-    ("network.duplicate_probability", [10**400], "must be finite", "values"),
+    ("network.drop_probability", [10**400], "must be finite", "values"),
     ("devices.0.count", [2, 2**32], "device group count must be at most 4294967295", "values"),
     # The first factor sets this path already.
     ("network.duplicate_probability", [0.2],

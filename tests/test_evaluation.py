@@ -169,8 +169,8 @@ def test_worst_case_analytic_dominates_exhaustive():
     analytic = worst_case_bound(toy, 0, method="analytic")
     assert analytic >= exact
     small = with_param(build_small_demo_scenario(), "sampling.count", 3)
+    small = with_param(small, "topology.k", 2)  # before the count: k=4 needs 5 devices
     small = with_param(small, "devices.0.count", 4)
-    small = with_param(small, "topology.k", 2)
     assert worst_case_bound(small, 1, method="analytic") >= worst_case_bound(
         small, 1, method="exhaustive"
     )
@@ -372,7 +372,7 @@ def test_design_points_arithmetic():
                            {"kind": "uniform", "low_s": 0.1}), "missing key 'high_s'"),
         ("network.delay", ({"kind": "constant", "seconds": 1.0, "bogus": 3},),
          "unknown key 'bogus'"),
-        ("network.max_delay_bound", (0.1, float("nan")), "must be finite"),
+        ("network.max_delay_s", (0.1, float("nan")), "must be finite"),
     ],
 )
 def test_design_rejects_every_bad_factor_value(path, values, problem):

@@ -12,8 +12,10 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     materialize,
     mix_seed,
+    UnknownPathError,
     with_param,
 )
+from cohdasim.schema import parse_scenario_mapping, scenario_to_mapping
 from cohdasim.simnet import ConstantDelay, ExponentialDelay, UniformDelay
 from cohdasim.topology import is_connected, small_world
 
@@ -139,17 +141,18 @@ def test_with_param_unknown_path():
         with_param(sc, "devices.9.count", 1)
 
 
-@pytest.mark.parametrize("path, value", [("sampling", 3), ("name", 3), ("horizon", 3)],
+@pytest.mark.parametrize("path, value", [("sampling.bogus", 3), ("name.first", 3),
+                                         ("horizon.window_intervals.1", 3)],
                          ids=["section", "name", "horizon"])
 def test_with_param_refuses_paths_that_end_at_no_parameter(path, value):
-    # A section, or a leaf the scenario file table does not list.
-    with pytest.raises(StructuralError, match="is not a number, a boolean, a delay or a name"):
+    # A key the section lacks, a key below a string, an index past a list.
+    with pytest.raises(UnknownPathError, match=f"no key '{path}' in the scenario file"):
         with_param(build_toy2_scenario(), path, value)
 
 
 def test_with_param_leaf_kinds():
     sc = build_small_demo_scenario()
-    assert with_param(sc, "network.max_delay_bound", 2).network.max_delay_bound == 2.0
+    assert with_param(sc, "network.max_delay_s", 2).network.max_delay_bound == 2.0
     assert with_param(sc, "network.reorder", False).network.reorder is False
     assert with_param(sc, "topology.family", "ring").topology.family == "ring"
     for path, value in [("topology.family", 3), ("network.reorder", 1), ("topology.k", 2.5),
@@ -158,6 +161,49 @@ def test_with_param_leaf_kinds():
                         ("sampling.count", 2**31), ("devices.0.count", 2**32)]:
         with pytest.raises(StructuralError):
             with_param(sc, path, value)
+
+
+def _paths(node, prefix=""):
+    """Every dotted path of a dumped scenario mapping, sections included."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield f"{prefix}{key}"
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, f"{prefix}{key}.")
+
+
+# (factor path, value, the same edit made by hand to the dumped scenario
+# file), for each kind of reader.
+FILE_EDITS = [
+    ("sampling.count", 5, lambda m: m["sampling"].update(count=5)),
+    ("network.duplicate_probability", 0.25,
+     lambda m: m["network"].update(duplicate_probability=0.25)),
+    ("network.reorder", False, lambda m: m["network"].update(reorder=False)),
+    ("topology.family", "ring", lambda m: m["topology"].update(family="ring")),
+    ("network.delay", {"kind": "exponential", "mean_s": 0.4},
+     lambda m: m["network"].update(delay={"kind": "exponential", "mean_s": 0.4})),
+    ("devices.0.demand_kw", [1.5] * 12, lambda m: m["devices"][0].update(demand_kw=[1.5] * 12)),
+    ("devices.0.demand_kw.4", 3.0, lambda m: m["devices"][0]["demand_kw"].__setitem__(4, 3.0)),
+    ("target.value_kw", -6.0, lambda m: m.update(target={"value_kw": -6.0})),
+    ("horizon.window_hours", [2, 10], lambda m: m.update(
+        horizon={"intervals": 12, "interval_hours": 1.0, "window_hours": [2, 10]})),
+    ("sampling", {"count": 7}, lambda m: m.update(sampling={"count": 7})),
+]
+
+
+@pytest.mark.parametrize("path, value, edit", FILE_EDITS, ids=[p for p, _, _ in FILE_EDITS])
+def test_a_factor_equals_a_file_edit(path, value, edit):
+    base = build_small_demo_scenario()
+    mapping = scenario_to_mapping(base)
+    edit(mapping)
+    edited = parse_scenario_mapping(mapping)
+    assert with_param(base, path, value) == edited != base
+    # Every key of the edited file set to its own dumped value changes nothing.
+    dump = scenario_to_mapping(edited)
+    for key in _paths(dump):
+        own = dump
+        for part in key.split("."):
+            own = own[int(part) if isinstance(own, list) else part]
+        assert with_param(edited, key, own) == edited, key
 
 
 def test_device_group_validation():
