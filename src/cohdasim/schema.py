@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Mapping
 
 import yaml
 
@@ -439,10 +439,11 @@ def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
     scenario file, read by the file reader in one parse. A path walks mappings
     by key and lists by index (``devices.0.count``, a section, a delay), and
     may end at a key's alternative, which drops the key (``target.value_kw``).
-    Each value is set as a copy, so that none changes in place. Raises
-    ``UnknownPathError`` for any other path."""
+    A value is set as a copy, which a later path may walk into. Raises
+    ``UnknownPathError`` for any other path, and ``StructuralError`` with the
+    reader's reason for a file that it refuses."""
     data = scenario_to_mapping(scenario)
-    for path in keys:
+    for path, value in keys.items():
         node, parts = data, path.split(".")
         for depth, part in enumerate(parts, 1):
             if isinstance(node, list) and part.isdigit() and int(part) < len(node):
@@ -456,7 +457,7 @@ def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
                 node = node[key]
         if isinstance(node, dict):
             node.pop(_ALTERNATIVES.get(key), None)
-        node[key] = copy.deepcopy(keys[path])
+        node[key] = copy.deepcopy(value)
     try:
         return _parse_scenario(data, scenario.name)
     except _Invalid as exc:
@@ -482,7 +483,8 @@ def load_design(path_str: str) -> ExperimentDesign:
     data = _load_yaml(path)
     try:
         values = _read(data, _DESIGN, "design")
-        values["base_scenario"] = load_scenario(values["base_scenario"], relative_to=path.parent)
+        base = load_scenario(values["base_scenario"], relative_to=path.parent)
+        values["base_scenario"] = base
         try:
             return ExperimentDesign(**values)
         except ValueError as exc:
@@ -490,7 +492,7 @@ def load_design(path_str: str) -> ExperimentDesign:
         # Locate the refusal as _build_section does: at the first key refused
         # alone, or at the first factor that repeats a path (the design checks
         # paths before it builds cells, so the reason says so).
-        base, factors = values["base_scenario"], values.get("factors", ())
+        factors = values.get("factors", ())
         try:
             ExperimentDesign(base, replications=values["replications"])
         except ValueError as exc:
