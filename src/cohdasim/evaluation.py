@@ -315,7 +315,7 @@ class ExperimentDesign:
                 raise StructuralError(f"factor {path!r} has no values")
             if path in paths[:i]:
                 raise UnknownPathError(f"factor {path!r} repeats an earlier factor's path")
-        cells, seen = [], {}  # seen: a cell's scenario -> its value indices
+        cells, seen = [], []  # seen: each cell's scenario and value indices
         for index in itertools.product(*(range(len(values)) for _, values in self.factors)):
             cell = {path: values[k] for (path, values), k in zip(self.factors, index)}
             try:
@@ -325,12 +325,13 @@ class ExperimentDesign:
             except StructuralError as exc:
                 named = ", ".join(f"factor {p!r} value {v!r}" for p, v in cell.items())
                 raise StructuralError(f"{named}: {exc}") from None
-            if scenario in seen:  # name the first factor whose value differs
-                f = next(f for f, k in enumerate(index) if k != seen[scenario][f])
+            earlier = next((k for other, k in seen if other == scenario), None)
+            if earlier is not None:  # name the first factor whose value differs
+                f = next(f for f, k in enumerate(index) if k != earlier[f])
                 path, values = self.factors[f]
                 raise StructuralError(f"factor {path!r} repeats the value "
                                       f"{factor_cell(values[index[f]])}")
-            seen[scenario] = index
+            seen.append((scenario, index))
             cells.append((cell, scenario))
         object.__setattr__(self, "cells", tuple(cells))
 

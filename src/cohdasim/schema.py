@@ -437,11 +437,10 @@ _ALTERNATIVES = {"value_kw": "power_kw", "window_hours": "window_intervals"}
 def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
     """``scenario`` with each dotted path of ``keys`` set to its value in its
     scenario file, read by the file reader in one parse. A path walks mappings
-    by key and lists by index (``devices.0.count``, a section, a delay), and
-    may end at a key's alternative, which drops the key (``target.value_kw``).
-    A value is set as a copy, which a later path may walk into. Raises
-    ``UnknownPathError`` for any other path, and ``StructuralError`` with the
-    reader's reason for a file that it refuses."""
+    by key and lists by index, copying them so that no caller's value changes;
+    its last part may be a key's alternative, which drops the key
+    (``target.value_kw``). Raises ``UnknownPathError`` for any other path, and
+    ``StructuralError`` with the reader's reason for a file that it refuses."""
     data = scenario_to_mapping(scenario)
     for path, value in keys.items():
         node, parts = data, path.split(".")
@@ -454,10 +453,11 @@ def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
             else:
                 raise UnknownPathError(f"no key {path!r} in the scenario file")
             if depth < len(parts):
+                node[key] = copy.copy(node[key])
                 node = node[key]
         if isinstance(node, dict):
             node.pop(_ALTERNATIVES.get(key), None)
-        node[key] = copy.deepcopy(value)
+        node[key] = value
     try:
         return _parse_scenario(data, scenario.name)
     except _Invalid as exc:

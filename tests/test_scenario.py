@@ -14,6 +14,7 @@ from cohdasim.scenario import (
     mix_seed,
     UnknownPathError,
     with_param,
+    with_params,
 )
 from cohdasim.schema import parse_scenario_mapping, scenario_to_mapping
 from cohdasim.simnet import ConstantDelay, ExponentialDelay, UniformDelay
@@ -204,6 +205,14 @@ def test_a_factor_equals_a_file_edit(path, value, edit):
         for part in key.split("."):
             own = own[int(part) if isinstance(own, list) else part]
         assert with_param(edited, key, own) == edited, key
+
+
+def test_a_path_into_an_earlier_paths_value_leaves_it_as_it_is():
+    base = build_small_demo_scenario()
+    group = scenario_to_mapping(base)["devices"][0]
+    scenario = with_params(base, {"devices.0": group, "devices.0.count": 6})
+    assert scenario.devices[0].count == 6
+    assert group == scenario_to_mapping(base)["devices"][0]
 
 
 def test_device_group_validation():
