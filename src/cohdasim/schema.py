@@ -445,7 +445,7 @@ def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
     for path, value in keys.items():
         node, parts = data, path.split(".")
         for depth, part in enumerate(parts, 1):
-            if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
                 key = int(part)
             elif isinstance(node, dict) and (part in node or depth == len(parts)
                                              and _ALTERNATIVES.get(part) in node):

@@ -143,10 +143,11 @@ def test_with_param_unknown_path():
 
 
 @pytest.mark.parametrize("path, value", [("sampling.bogus", 3), ("name.first", 3),
-                                         ("horizon.window_intervals.1", 3)],
-                         ids=["section", "name", "horizon"])
+                                         ("horizon.window_intervals.1", 3), ("devices.².count", 3)],
+                         ids=["section", "name", "horizon", "index"])
 def test_with_param_refuses_paths_that_end_at_no_parameter(path, value):
-    # A key the section lacks, a key below a string, an index past a list.
+    # A key the section lacks, a key below a string, an index past a list, a
+    # digit that is no index.
     with pytest.raises(UnknownPathError, match=f"no key '{path}' in the scenario file"):
         with_param(build_toy2_scenario(), path, value)
 
