@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cohdasim import schema
 from cohdasim.cli import _write_json, main
 from cohdasim.schema import (
     _DELAYS,
@@ -96,6 +97,43 @@ def test_yaml_syntax_error_location(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     assert f"{path}:2:1: " in str(err.value) and "duplicate key 'name'" in str(err.value)
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    pass
+
+
+_PurePythonLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+                                  schema._construct_mapping)
+
+
+def _with_marks(value):
+    """``value`` with every mapping's own mark and each key's mark."""
+    if isinstance(value, dict):
+        return value.mark, {k: (value.key_marks[k], _with_marks(v)) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_marks(v) for v in value]
+    return value
+
+
+def _problem_mark(text, loader):
+    with pytest.raises(yaml.MarkedYAMLError) as err:
+        yaml.load(text, Loader=loader)
+    return err.value.problem_mark.line, err.value.problem_mark.column
+
+
+def test_libyaml_loader_gives_the_pure_python_mappings_and_marks():
+    assert issubclass(schema._Loader, yaml.CSafeLoader) == yaml.__with_libyaml__
+    shipped = SHIPPED_YAML + sorted((ROOT / "tests" / "golden").rglob("*.yaml"))
+    for path in shipped:
+        text = path.read_text()
+        fast = _with_marks(yaml.load(text, Loader=schema._Loader))
+        assert fast == _with_marks(yaml.load(text, Loader=_PurePythonLoader)), path
+    bad = ["horizon: {intervals: 1\n", "a: [1, 2\nb: 3\n", "a: b: c\n", "- a\nb: 1\n",
+           "a:\n  - 1\n - 2\n", "a: 'x\n", "name: a\nname: b\n", "a: &x 1\nb: *y\n",
+           "\t a: 1\n", "a: @x\n"]
+    for text in bad:
+        assert _problem_mark(text, schema._Loader) == _problem_mark(text, _PurePythonLoader), text
 
 
 def test_validate_builtin(capsys):
