@@ -33,11 +33,18 @@ table, so the update step is one vectorized comparison of versions and the
 decide step gathers the other agents' window rows from the table. The
 decide step sums those rows left to right in sorted-id order, so its
 result is bitwise the one a from-scratch loop over the records gives.
+
+A message also carries the simulator's delta of it: the sender's publish
+count ``seq`` and the positions ``changed`` since the sender's previous
+memory. Told the highest ``seq`` it has handled from the sender, a handler
+drops an older message unread and merges the next one over its changed
+records only, as a delta-state replica joins a delta (Almeida, Shoker and
+Baquero, "Delta State Replicated Data Types", JPDC 2018).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import compress, count
 from operator import gt
 
@@ -66,7 +73,7 @@ class NotStartedError(RuntimeError):
     """An operation needs an agent's memory, but the agent never started."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeMessage:
     """The only message agents exchange, and an agent's memory: target,
     believed selections and best candidate found.
@@ -75,12 +82,22 @@ class KnowledgeMessage:
     is the agent itself. Carries the target profile so that an agent
     receiving knowledge before an explicit start can initialize itself
     from the message.
+
+    ``seq`` and ``changed`` are the simulator's delta of the message: they
+    stay out of equality, out of ``repr`` and off the wire. ``seq`` is the
+    sender's publish count (1 for its boot memory); ``changed`` holds the
+    fleet positions whose record differs from the sender's previous memory,
+    the empty configuration before the boot memory. ``seq`` 0 marks a
+    message without a delta, whose ``changed`` is not read: a decoded or
+    hand-built message, or one published from a hand-built memory.
     """
 
     sender: str
     target: TargetProfile
     config: SystemConfiguration
     best: Candidate
+    seq: int = field(default=0, compare=False, repr=False)
+    changed: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -165,50 +182,80 @@ def _boot_memory(state: AgentState, target: TargetProfile) -> KnowledgeMessage:
     idx, value = _choose_index(state, target, empty)
     config = _select(state, empty, idx)
     best = Candidate(config, value, state.agent_id)
-    return KnowledgeMessage(state.agent_id, target, config, best)
+    return KnowledgeMessage(state.agent_id, target, config, best, 1, (state.position,))
 
 
 def handle_start(
     state: AgentState, target: TargetProfile
 ) -> tuple[AgentState, KnowledgeMessage]:
-    """Initialize (or re-initialize) the memory and announce it: the
-    returned message is the new memory, sent to every neighbor."""
+    """Initialize the memory of an agent that has not started and announce
+    it: the returned message is the new memory, sent to every neighbor.
+
+    An agent starts once: a second start would reset its own version, so
+    that its peers' older records of it would read as newer."""
+    if state.memory is not None:
+        raise StructuralError(f"agent {state.agent_id!r} has already started")
     memory = _boot_memory(state, target)
     calls = state.objective_calls + len(state.window_matrix)
     return replace(state, memory=memory, objective_calls=calls), memory
 
 
-def _merge(local: SystemConfiguration, remote: SystemConfiguration) -> SystemConfiguration:
+def _merge(
+    local: SystemConfiguration,
+    remote: SystemConfiguration,
+    positions: tuple[int, ...] | None = None,
+) -> tuple[SystemConfiguration, tuple[int, ...]]:
     """Union per agent id; strictly newer versions win, ties keep local.
 
-    Both must be over one fleet. Returns ``local`` itself when no remote
-    record is newer.
+    Both must be over one fleet. Compares only ``positions`` when given,
+    every position otherwise. Returns the merged configuration, ``local``
+    itself when no remote record is newer, and the positions where the
+    remote record was newer.
     """
-    if not any(map(gt, remote.version, local.version)):
-        return local
-    newer = compress(count(), map(gt, remote.version, local.version))
+    lv, rv = local.version, remote.version
+    if positions is None:
+        if not any(map(gt, rv, lv)):
+            return local, ()
+        newer = tuple(compress(count(), map(gt, rv, lv)))
+    else:
+        newer = tuple(i for i in positions if rv[i] > lv[i])
+        if not newer:
+            return local, ()
     index, version = local.index[:], local.version[:]
     for i in newer:
         index[i] = remote.index[i]
-        version[i] = remote.version[i]
-    return SystemConfiguration(local.fleet, index, version)
+        version[i] = rv[i]
+    return SystemConfiguration(local.fleet, index, version), newer
 
 
 def handle_message(
-    state: AgentState, msg: KnowledgeMessage
+    state: AgentState, msg: KnowledgeMessage, since: int = 0
 ) -> tuple[AgentState, KnowledgeMessage | None]:
     """Apply the update / decide / publish rule to one received message.
 
+    ``since`` is the highest ``seq`` of the sender's messages that this
+    agent has already handled, 0 for none. A message at or below it teaches
+    nothing: the sender's versions only grow and its best only improves,
+    and this agent's memory holds that later message. The message right
+    after it differs from it only at ``changed``, so only those records are
+    merged. Any other message, and one without ``seq``, is merged whole.
+
     Returns the new state and its memory, which goes to every neighbor, or
     the unchanged state and ``None`` when the message taught nothing."""
-    if len(msg.target) != state.horizon.interval_count:
+    memory = state.memory
+    # A memory's target was checked when the agent booted.
+    if ((memory is None or msg.target is not memory.target)
+            and len(msg.target) != state.horizon.interval_count):
         raise StructuralError("message target length does not match agent horizon")
-    for config in (msg.config, msg.best.configuration):
-        if getattr(config, "fleet", None) is not state.fleet:
-            raise StructuralError("message configuration is not over the agent's fleet")
+    fleet = state.fleet
+    if (getattr(msg.config, "fleet", None) is not fleet
+            or getattr(msg.best.configuration, "fleet", None) is not fleet):
+        raise StructuralError("message configuration is not over the agent's fleet")
+    seq = msg.seq
+    if 0 < seq <= since:
+        return state, None
 
     calls = state.objective_calls
-    memory = state.memory
     just_started = memory is None
     if just_started:
         # Implicit start: a message arriving first initializes the agent
@@ -216,7 +263,8 @@ def handle_message(
         memory = _boot_memory(state, msg.target)
         calls += len(state.window_matrix)
 
-    config = _merge(memory.config, msg.config)
+    positions = msg.changed if seq == since + 1 else None
+    config, changed = _merge(memory.config, msg.config, positions)
     best = memory.best
     best_changed = compare(msg.best, best) > 0
     if best_changed:
@@ -229,7 +277,8 @@ def handle_message(
     # Decide: re-optimize own selection against the merged belief.
     idx, value = _choose_index(state, memory.target, config)
     calls += len(state.window_matrix)
-    own = config.index[state.position]
+    i = state.position
+    own = config.index[i]
     chosen = config if own == idx else _select(state, config, idx)
 
     candidate = Candidate(chosen, value, state.agent_id)
@@ -239,9 +288,13 @@ def handle_message(
     else:
         # Conform to the best known solution: adopt the selection it
         # records for this agent, if any.
-        recorded = best.configuration.index[state.position]
+        recorded = best.configuration.index[i]
         if recorded >= 0 and recorded != own:
             config = _select(state, config, recorded)
 
-    new_memory = KnowledgeMessage(state.agent_id, memory.target, config, best)
+    if config.version[i] != memory.config.version[i] and i not in changed:
+        changed += (i,)
+    # A memory without a delta (seq 0, built by hand) has none to extend.
+    new_memory = KnowledgeMessage(state.agent_id, memory.target, config, best,
+                                  memory.seq + 1 if memory.seq else 0, changed)
     return AgentState(state.agent_id, state.fleet, state.neighbors, new_memory, calls), new_memory

@@ -201,7 +201,9 @@ def run(
     trace: EventTrace | None = None,
 ) -> tuple[dict[str, AgentState], EventTrace, SimClockStats]:
     """Drive the agents to quiescence. Each agent's messages go to its
-    ``neighbors``, which must be distinct other agents of the run.
+    ``neighbors``, which must be distinct other agents of the run. Each
+    delivery tells the handler the highest ``seq`` delivered on its link
+    before it.
 
     Returns the final agent states, the event trace and clock stats. Events
     are appended to ``trace`` when it is given, and the returned trace is
@@ -237,6 +239,13 @@ def run(
     for aid in sorted(states):
         schedule(0.0, aid, None)
     last_on_link: dict[tuple[str, str], float] = {}
+    # For each recipient, the highest ``seq`` delivered from each sender.
+    heard: dict[str, dict[str, int]] = {aid: {} for aid in states}
+    # Per-run constants of the publish loop.
+    routes = {aid: tuple((r, (aid, r)) for r in a.neighbors) for aid, a in states.items()}
+    draw = rng.random
+    drop_p, dup_p = network.drop_probability, network.duplicate_probability
+    max_messages = limits.max_messages
     messages_sent = bytes_sent = drops = duplicates = deliveries = noops = 0
     curve: list[tuple[float, float, int]] = []
     leader: Candidate | None = None  # compare-maximal best any agent has held
@@ -268,7 +277,11 @@ def run(
         if msg is None:
             new_state, out = handle_start(state, target)
         else:
-            new_state, out = handle_message(state, msg)
+            seqs = heard[aid]
+            since = seqs.get(msg.sender, 0)
+            new_state, out = handle_message(state, msg, since)
+            if msg.seq > since:
+                seqs[msg.sender] = msg.seq
         if trace is not None:
             if msg is None:
                 detail = {"msg": "start", "to": aid}
@@ -295,11 +308,12 @@ def run(
                 leader = best
                 curve.append((at, best.fitness, best.size))
 
-        if not new_state.neighbors:
+        sends = routes[aid]
+        if not sends:
             continue
         size = encoded_length(out)
-        for recipient in new_state.neighbors:
-            if messages_sent >= limits.max_messages:
+        for recipient, link in sends:
+            if messages_sent >= max_messages:
                 stop_reason = "max_messages"
                 break
             messages_sent += 1
@@ -307,14 +321,13 @@ def run(
             if trace is not None:
                 detail = {"from": aid, "to": recipient, "bytes": size}
                 trace.append(TraceEvent(at, "publish", detail))
-            if rng.random() < network.drop_probability:
+            if draw() < drop_p:
                 drops += 1
                 if trace is not None:
                     trace.append(TraceEvent(at, "drop", {"from": aid, "to": recipient}))
                 continue
-            link = (aid, recipient)
             schedule(_delivery_time(network, rng, at, link, last_on_link), recipient, out)
-            if rng.random() < network.duplicate_probability:
+            if draw() < dup_p:
                 duplicates += 1
                 dup_at = _delivery_time(network, rng, at, link, last_on_link)
                 if trace is not None:

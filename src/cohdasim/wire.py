@@ -86,15 +86,19 @@ def config_length(config: SystemConfiguration) -> int:
 
 def encoded_length(msg: KnowledgeMessage) -> int:
     """Byte length of the canonical encoding, computed from the fleet table
-    without building any bytes; always equals ``len(encode_message(msg))``."""
+    without building any bytes; always equals ``len(encode_message(msg))``.
+    A best candidate knows its size, so one that knows every agent takes
+    the fleet's stored length without a scan."""
+    best = msg.best
+    fleet = best.configuration.fleet
     return (
         1
         + (4 + len(msg.sender.encode("utf-8")))
         + (4 + 8 * len(msg.target.power))
         + config_length(msg.config)
-        + (4 + len(msg.best.creator.encode("utf-8")))
+        + (4 + len(best.creator.encode("utf-8")))
         + 12
-        + config_length(msg.best.configuration)
+        + (fleet.config_length if best.size == len(fleet) else config_length(best.configuration))
     )
 
 

@@ -72,6 +72,44 @@ def test_start_target_length_mismatch(horizon1):
         handle_start(agent, TargetProfile((0.0, 1.0)))
 
 
+def test_start_refuses_an_agent_that_has_started(horizon1):
+    # A second start would reset the own version to 0, so that a peer's
+    # older record of the agent would read as newer than its own.
+    target = TargetProfile((0.0,))
+    agents = make_agents(horizon1, {"A": [[1.0], [0.0]], "B": [[2.0]]})
+    state, _ = handle_start(agents["A"], target)
+    with pytest.raises(StructuralError, match="'A' has already started"):
+        handle_start(state, target)
+    _, hello = handle_start(agents["B"], target)
+    booted, _ = handle_message(agents["A"], hello)  # started by a message
+    with pytest.raises(StructuralError, match="'A' has already started"):
+        handle_start(booted, target)
+
+
+def test_message_delta_stays_off_equality_repr_and_wire(horizon1, monkeypatch):
+    target = TargetProfile((-3.0,))
+    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-2.0], [0.0]]})
+    a, boot = handle_start(agents["A"], target)
+    b, hello = handle_start(agents["B"], target)
+    assert (boot.seq, boot.changed) == (1, (a.position,))
+    bare = dataclasses.replace(boot, seq=0, changed=None)
+    assert bare == boot and repr(bare) == repr(boot)
+    assert encode_message(bare) == encode_message(boot)
+    assert decode_message(encode_message(boot), a.fleet).seq == 0
+    # A's next memory records B's position, which the merge took.
+    a2, out = handle_message(a, hello)
+    assert out.seq == 2 and out.changed == (b.position,)
+    # A memory built by hand has no delta, nor has what it publishes: its
+    # ``changed`` is not relative to the empty configuration.
+    by_hand = dataclasses.replace(a, memory=dataclasses.replace(boot, seq=0, changed=None))
+    assert handle_message(by_hand, hello)[1].seq == 0
+    # Delivered again on the same link, the message is stale: the handler
+    # returns its input state without merging it.
+    monkeypatch.setattr(agent_module, "_merge", None)
+    new_state, out = handle_message(a2, hello, since=1)
+    assert new_state is a2 and out is None
+
+
 def test_agent_horizon_is_its_schedule_sets(horizon4):
     # A separate horizon could disagree with the window of the agent's
     # schedule table, which is the fleet's.
@@ -89,23 +127,24 @@ _FLEET = make_fleet(PlanningHorizon(1, 1.0, (0,)),
 
 def test_merge_union_with_empty():
     remote = configuration(_FLEET, {"a": (0, 3)})
-    assert _merge(SystemConfiguration.empty(_FLEET), remote) == remote
+    assert _merge(SystemConfiguration.empty(_FLEET), remote) == (remote, (0,))
 
 
 def test_merge_larger_version_wins_keep_local_on_tie():
     local = configuration(_FLEET, {"a": (1, 5)})
     remote = configuration(_FLEET, {"a": (0, 3)})
-    assert _merge(local, remote)["a"].schedule_index == 1
+    assert _merge(local, remote)[0]["a"].schedule_index == 1
 
     tie_local = configuration(_FLEET, {"a": (1, 3)})
-    merged = _merge(tie_local, remote)
-    assert merged is tie_local
+    merged, newer = _merge(tie_local, remote)
+    assert merged is tie_local and newer == ()
 
 
 def test_merge_mixed_example():
     local = configuration(_FLEET, {"a": (0, 1)})
     remote = configuration(_FLEET, {"a": (1, 2), "b": (2, 0)})
-    merged = _merge(local, remote)
+    merged, newer = _merge(local, remote)
+    assert newer == (0, 1)
     assert merged["a"].version == 2 and merged["a"].schedule_index == 1
     assert merged["b"].schedule_index == 2
 
@@ -117,14 +156,15 @@ picks = st.dictionaries(st.sampled_from("abcd"), st.tuples(st.integers(0, 3), st
 @given(picks)
 def test_merge_idempotent(p):
     config = configuration(_FLEET, p)
-    assert _merge(config, config) is config
+    merged, newer = _merge(config, config)
+    assert merged is config and newer == ()
 
 
 @given(picks, picks)
 def test_merge_commutative_up_to_equal_version_ties(pa, pb):
     a, b = configuration(_FLEET, pa), configuration(_FLEET, pb)
-    ab = _merge(a, b)
-    ba = _merge(b, a)
+    ab, _ = _merge(a, b)
+    ba, _ = _merge(b, a)
     assert set(ab) == set(ba)
     for aid in ab:
         if ab[aid] != ba[aid]:
@@ -142,8 +182,8 @@ def test_merge_associative_on_conflict_free_inputs(pa, pb, pc):
             p[aid] = (p[aid][0], bump)
             seen[aid] = bump + 1
     a, b, c = (configuration(_FLEET, p) for p in (pa, pb, pc))
-    left = _merge(_merge(a, b), c)
-    right = _merge(a, _merge(b, c))
+    left, _ = _merge(_merge(a, b)[0], c)
+    right, _ = _merge(a, _merge(b, c)[0])
     assert left == right
 
 
@@ -155,7 +195,7 @@ def test_choose_fills_gap(horizon1):
     agents = make_agents(horizon1, {"A": [[-2.0], [0.0]], "X": [[-98.0]]})
     state, _ = handle_start(agents["A"], target)
     assert state.memory.config["A"].schedule_index == 0
-    config = _merge(state.memory.config, configuration(state.fleet, {"X": (0, 0)}))
+    config, _ = _merge(state.memory.config, configuration(state.fleet, {"X": (0, 0)}))
     assert _choose_index(state, target, config) == (0, 0.0)
     # A message that teaches X's record runs the decide step once: one
     # evaluation per own schedule.
@@ -540,7 +580,7 @@ def _deliveries(draw):
 def test_merge_equals_dict_reference(delivery):
     state, msg = delivery
     local = state.memory.config
-    merged = _merge(local, msg.config)
+    merged, _ = _merge(local, msg.config)
     reference = _dict_merge(dict(local), dict(msg.config))
     assert dict(merged) == reference
     assert (merged is local) == (reference == dict(local))

@@ -1,12 +1,15 @@
 import dataclasses
+import random
 from collections import defaultdict
 from hashlib import blake2b
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohdasim import simnet
-from cohdasim.agent import NotStartedError
-from cohdasim.core import StructuralError, TargetProfile, compare
+from cohdasim.agent import AgentState, NotStartedError
+from cohdasim.core import Fleet, PlanningHorizon, StructuralError, TargetProfile, compare
 from cohdasim.simnet import (
     ConstantDelay,
     ExponentialDelay,
@@ -19,7 +22,7 @@ from cohdasim.simnet import (
 )
 from cohdasim.scenario import build_toy2_scenario, with_param
 from cohdasim.schema import ScenarioError, parse_scenario_mapping, scenario_to_mapping
-from cohdasim.topology import complete, ring
+from cohdasim.topology import complete, ring, small_world
 
 from conftest import make_agent, make_agents
 
@@ -321,9 +324,9 @@ def test_link_order_of_sender_versions(horizon4, monkeypatch, reorder):
     handle = simnet.handle_message
     delivered = defaultdict(list)
 
-    def record(state, msg):
+    def record(state, msg, since=0):
         delivered[msg.sender, state.agent_id].append(msg.config[msg.sender].version)
-        return handle(state, msg)
+        return handle(state, msg, since)
 
     monkeypatch.setattr(simnet, "handle_message", record)
     decreases = 0
@@ -402,8 +405,8 @@ def test_a_regressed_best_shows_in_the_trace(horizon4, monkeypatch):
         boot[state.agent_id] = new_state.memory.best
         return new_state, out
 
-    def handle_message(state, msg):
-        new_state, out = message(state, msg)
+    def handle_message(state, msg, since=0):
+        new_state, out = message(state, msg, since)
         if out is not None and state.agent_id == "A" and not regressed \
                 and state.memory.best.size > 1:
             regressed.append(state.memory.best)
@@ -494,10 +497,10 @@ def test_no_handler_writes_into_a_configuration(horizon4, monkeypatch):
             seen.append((config, bytes(config.index), bytes(config.version)))
 
     def recording(handle):
-        def wrapped(state, event):
+        def wrapped(state, event, *since):
             if not isinstance(event, TargetProfile):
                 snapshot(event)
-            new_state, out = handle(state, event)
+            new_state, out = handle(state, event, *since)
             snapshot(new_state.memory)
             return new_state, out
 
@@ -510,3 +513,89 @@ def test_no_handler_writes_into_a_configuration(horizon4, monkeypatch):
         assert stats.deliveries > 100
     assert all(bytes(config.index) == index and bytes(config.version) == version
                for config, index, version in seen)
+
+
+# --- the delivery paths: stale, next, full ------------------------------------
+
+
+@st.composite
+def _network_instances(draw):
+    """An instance drawn as the acceptance battery draws one (fleet size,
+    overlay family, schedule table, window, delay family), plus drops,
+    duplicates, FIFO or reordering links, a delay bound and a message
+    limit."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    kind = draw(st.sampled_from(["ring", "small_world", "complete"]))
+    T = rng.randint(3, 8)
+    horizon = PlanningHorizon(T, 1.0, tuple(sorted(rng.sample(range(T), rng.randint(1, T)))))
+    ids = [f"a{j:03d}" for j in range(n)]
+    if kind == "small_world" and n >= 4:
+        overlay = small_world(ids, 2 if n < 6 else rng.choice([2, 4]), rng.uniform(0.0, 0.5),
+                              seed=rng.randrange(1000))
+    elif kind == "complete" and n <= 8:
+        overlay = complete(ids)
+    else:
+        overlay = ring(ids)
+    delay = draw(st.sampled_from([
+        ConstantDelay(rng.uniform(0.0, 0.5)),
+        UniformDelay(0.0, rng.uniform(0.01, 0.8)),
+        ExponentialDelay(rng.uniform(0.05, 0.5)),
+    ]))
+    network = NetworkModel(
+        delay=delay,
+        drop_probability=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        duplicate_probability=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        reorder=draw(st.booleans()),
+        max_delay_bound=draw(st.sampled_from([None, 0.05, 2.0])),
+    )
+    limits = RunLimits(max_sim_time=1.0e5, max_messages=draw(st.sampled_from([40, 100_000])))
+    m = rng.randint(2, 12)
+    fleet = Fleet({aid: [[rng.uniform(-4.0, 4.0) for _ in range(T)] for _ in range(m)]
+                   for aid in ids}, horizon)
+    agents = [AgentState(aid, fleet, overlay[aid]) for aid in ids]
+    target = TargetProfile(tuple(rng.uniform(-2.0, 2.0) * n / 2 for _ in range(T)))
+    return agents, target, network, limits, draw(st.integers(0, 1000))
+
+
+def _outcome(instance):
+    """Everything a run decides: each agent's arrays, best candidate and
+    objective calls, the counters and the trace."""
+    agents, target, network, limits, seed = instance
+    trace = []
+    states, _, stats = run(agents, target, network, seed=seed, limits=limits, trace=trace)
+    best = snapshot_best(states.values())
+    memories = {
+        aid: s.memory and (bytes(s.memory.config.index), bytes(s.memory.config.version))
+        for aid, s in states.items()
+    }
+    return (memories, (best.size, best.fitness.hex(), best.key),
+            {aid: s.objective_calls for aid, s in states.items()},
+            dataclasses.replace(stats, wall_time=0.0),
+            [(ev.time, ev.kind, ev.payload) for ev in trace])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_network_instances())
+def test_delivery_paths_decide_as_the_full_merge(instance):
+    # The kernel as shipped, against the same run with every message merged
+    # whole: no ``seq`` to skip it, no ``changed`` to narrow it. The shipped
+    # kernel must also pass each delivery the highest ``seq`` delivered on
+    # its link before it.
+    handle = simnet.handle_message
+    delivered = {}
+
+    def checked(state, msg, since=0):
+        link = msg.sender, state.agent_id
+        assert since == delivered.get(link, 0)
+        delivered[link] = max(since, msg.seq)
+        return handle(state, msg, since)
+
+    def full(state, msg, since=0):
+        return handle(state, dataclasses.replace(msg, seq=0, changed=None))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "handle_message", checked)
+        shipped = _outcome(instance)
+        mp.setattr(simnet, "handle_message", full)
+        assert _outcome(instance) == shipped
