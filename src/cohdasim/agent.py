@@ -168,9 +168,10 @@ def _select(state: AgentState, config: SystemConfiguration, idx: int) -> SystemC
     above the old own record, or version 0 for the first."""
     i = state.position
     index, version = config.index[:], config.version[:]
+    size = config.size + (index[i] < 0)
     index[i] = idx
     version[i] += 1
-    return SystemConfiguration(config.fleet, index, version)
+    return SystemConfiguration._of(config.fleet, index, version, size)
 
 
 def _boot_memory(state: AgentState, target: TargetProfile) -> KnowledgeMessage:
@@ -222,10 +223,12 @@ def _merge(
         if not newer:
             return local, ()
     index, version = local.index[:], local.version[:]
+    size = local.size
     for i in newer:
+        size += (remote.index[i] >= 0) - (index[i] >= 0)
         index[i] = remote.index[i]
         version[i] = rv[i]
-    return SystemConfiguration(local.fleet, index, version), newer
+    return SystemConfiguration._of(local.fleet, index, version, size), newer
 
 
 def handle_message(

@@ -204,13 +204,14 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
     Backed by two arrays in fleet order, one entry per agent: each agent's
     schedule index, an ``array('i')``, and version, an ``array('q')``, which
     holds the wire's uint32 versions. Both are -1 for an agent the
-    configuration does not know. Records are built only when read.
-    Configurations are immutable values: the constructor takes over arrays
-    of these typecodes as they are, converts any other int sequence, and
-    nothing writes into the arrays of a configuration once it is built.
+    configuration does not know. ``size`` is the number of agents it
+    knows. Records are built only when read. Configurations are immutable
+    values: the constructor takes over arrays of these typecodes as they
+    are, converts any other int sequence, and nothing writes into the
+    arrays of a configuration once it is built.
     """
 
-    __slots__ = ("fleet", "index", "version")
+    __slots__ = ("fleet", "index", "version", "size")
 
     def __init__(self, fleet: Fleet, index: Iterable[int], version: Iterable[int]):
         self.fleet = fleet
@@ -220,10 +221,20 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
             raise StructuralError(
                 f"a configuration over {len(fleet.ids)} agents needs as many indices and "
                 f"versions, got {len(self.index)} and {len(self.version)}")
+        self.size = len(self.index) - self.index.count(-1)
+
+    @classmethod
+    def _of(cls, fleet: Fleet, index: array, version: array, size: int) -> SystemConfiguration:
+        """A configuration of arrays already of the right typecodes and
+        lengths that know ``size`` agents, built without checks: for the
+        agent's update and decide steps, which count what they fill."""
+        config = cls.__new__(cls)
+        config.fleet, config.index, config.version, config.size = fleet, index, version, size
+        return config
 
     @classmethod
     def empty(cls, fleet: Fleet) -> SystemConfiguration:
-        return cls(fleet, array("i", (-1,)) * len(fleet), array("q", (-1,)) * len(fleet))
+        return cls._of(fleet, array("i", (-1,)) * len(fleet), array("q", (-1,)) * len(fleet), 0)
 
     def known(self) -> Iterator[bool]:
         """Whether the configuration knows each agent, in fleet order."""
@@ -240,7 +251,7 @@ class SystemConfiguration(Mapping[str, SelectionRecord]):
         return compress(self.fleet.ids, self.known())
 
     def __len__(self) -> int:
-        return len(self.index) - self.index.count(-1)
+        return self.size
 
     def __eq__(self, other) -> bool:
         """Equal to a configuration over the same fleet with the same index
@@ -260,10 +271,11 @@ class Candidate:
     larger ``size`` first, then smaller ``fitness``, then the smaller
     deterministic ``key`` so that there is a unique global winner no matter
     in which order knowledge spreads. ``fitness`` is stored as a float and
-    ``size``, the number of agents the configuration knows, is set from it
-    on construction. ``key`` is the configuration's ``configuration_key``,
-    computed on first read and kept on the instance; most comparisons are
-    decided by size or fitness and never read it.
+    ``size``, the number of agents the configuration knows, is read from
+    the configuration's stored size on construction. ``key`` is the
+    configuration's ``configuration_key``, computed on first read and kept
+    on the instance; most comparisons are decided by size or fitness and
+    never read it.
     """
 
     configuration: SystemConfiguration

@@ -24,6 +24,7 @@ __all__ = [
     "DeviceModel",
     "FlexibilitySet",
     "simulate_tank",
+    "sample_device_group",
     "sample_feasible_schedules",
 ]
 
@@ -31,16 +32,24 @@ _BATCH = 256
 
 
 class SamplingError(RuntimeError):
-    """Could not sample the requested number of distinct feasible patterns."""
+    """Could not sample the requested number of distinct feasible patterns.
 
-    def __init__(self, requested: int, found: int, attempts: int):
+    ``position`` is the failing device's place in its group's seeds;
+    ``device``, when the caller knows it, is its id and leads the message.
+    """
+
+    def __init__(self, requested: int, found: int, attempts: int,
+                 position: int = 0, device: str | None = None):
         super().__init__(
-            f"found only {found} of {requested} distinct feasible patterns "
+            ("" if device is None else f"{device}: ")
+            + f"found only {found} of {requested} distinct feasible patterns "
             f"within {attempts} attempts"
         )
         self.requested = requested
         self.found = found
         self.attempts = attempts
+        self.position = position
+        self.device = device
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,63 @@ def _repair_batch(
     return on, feasible
 
 
+def sample_device_group(
+    device: DeviceModel,
+    count: int,
+    horizon: PlanningHorizon,
+    seeds: Sequence[int],
+    attempt_budget: int,
+) -> tuple[FlexibilitySet, ...]:
+    """Sample exactly ``count`` distinct feasible on-patterns for each of a
+    group of devices that share one model, the device at place ``d`` drawing
+    from its own generator seeded by ``seeds[d]``.
+
+    Each round, every device still short of ``count`` draws its next batch,
+    and one repair runs over the stacked batches; the repair is elementwise,
+    so every row gets the bits it would get alone. Each device then keeps
+    the new distinct feasible rows of its own slice in order. So every
+    device's table is the one it would be sampled alone. Raises
+    ``SamplingError`` for the lowest place still short when
+    ``attempt_budget`` proposals per device run out.
+    """
+    if count < 1:
+        raise StructuralError("count must be at least 1")
+    if len(device.demand) != horizon.interval_count:
+        raise StructuralError("device demand length does not match horizon")
+    T = horizon.interval_count
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows: list[list[np.ndarray]] = [[] for _ in rngs]
+    seen: list[set[bytes]] = [set() for _ in rngs]
+    active = list(range(len(rngs)))
+    attempts = 0
+    while active and attempts < attempt_budget:
+        batch = min(_BATCH, attempt_budget - attempts)
+        attempts += batch
+        coins = np.concatenate([rngs[d].random((batch, T)) < 0.5 for d in active])
+        on, feasible = _repair_batch(device, coins, horizon)
+        keys = np.packbits(on, axis=1)
+        for start, d in zip(range(0, len(coins), batch), active):
+            own_rows, own_seen = rows[d], seen[d]
+            for row in start + np.flatnonzero(feasible[start : start + batch]):
+                key = keys[row].tobytes()
+                if key in own_seen:
+                    continue
+                own_seen.add(key)
+                own_rows.append(on[row])
+                if len(own_rows) == count:
+                    break
+        active = [d for d in active if len(rows[d]) < count]
+    if active:
+        raise SamplingError(count, len(rows[active[0]]), attempts, active[0])
+    return tuple(_flexibility(device, own_rows) for own_rows in rows)
+
+
+def _flexibility(device: DeviceModel, rows: list[np.ndarray]) -> FlexibilitySet:
+    power = np.where(np.array(rows), device.p_el_on, 0.0)
+    power.setflags(write=False)
+    return FlexibilitySet(power)
+
+
 def sample_feasible_schedules(
     device: DeviceModel,
     count: int,
@@ -177,32 +243,7 @@ def sample_feasible_schedules(
     Patterns are proposed interval-by-interval with probability 0.5 and
     repaired at the temperature bounds; exact duplicates are rejected.
     Deterministic under ``seed``. Raises ``SamplingError`` (reporting how
-    many were found) if ``attempt_budget`` proposals run out first.
+    many were found) if ``attempt_budget`` proposals run out first. The
+    one-device case of ``sample_device_group``.
     """
-    if count < 1:
-        raise StructuralError("count must be at least 1")
-    if len(device.demand) != horizon.interval_count:
-        raise StructuralError("device demand length does not match horizon")
-    rng = np.random.default_rng(seed)
-    rows: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    attempts = 0
-    while attempts < attempt_budget and len(rows) < count:
-        batch = min(_BATCH, attempt_budget - attempts)
-        attempts += batch
-        coins = rng.random((batch, horizon.interval_count)) < 0.5
-        on, feasible = _repair_batch(device, coins, horizon)
-        keys = np.packbits(on, axis=1)
-        for row in np.flatnonzero(feasible):
-            key = keys[row].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(on[row])
-            if len(rows) == count:
-                break
-    if len(rows) < count:
-        raise SamplingError(count, len(rows), attempts)
-    power = np.where(np.array(rows), device.p_el_on, 0.0)
-    power.setflags(write=False)
-    return FlexibilitySet(power)
+    return sample_device_group(device, count, horizon, (seed,), attempt_budget)[0]

@@ -18,7 +18,15 @@ from typing import Mapping, Sequence
 from . import topology
 from .agent import AgentState
 from .core import Fleet, PlanningHorizon, StructuralError, TargetProfile, coverage
-from .flexibility import DeviceModel, FlexibilitySet, sample_feasible_schedules
+# ``sample_feasible_schedules`` is not called here, but perfbench's traced
+# repetition wraps it under this module's name.
+from .flexibility import (  # noqa: F401
+    DeviceModel,
+    FlexibilitySet,
+    SamplingError,
+    sample_device_group,
+    sample_feasible_schedules,
+)
 from .simnet import (
     ConstantDelay,
     NetworkModel,
@@ -172,17 +180,20 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     neighbor lists and construct agents over one fleet table, all
     deterministically from (scenario, run_seed)."""
     ids, models = _expand_devices(scenario)
-    budget = scenario.sampling.attempt_factor * scenario.sampling.count
-    flexibility = tuple(
-        sample_feasible_schedules(
-            model,
-            scenario.sampling.count,
-            scenario.horizon,
-            mix_seed("sampling", scenario.seeds.sampling, run_seed, index),
-            attempt_budget=budget,
-        )
-        for index, model in enumerate(models)
-    )
+    sampling = scenario.sampling
+    budget = sampling.attempt_factor * sampling.count
+    flexibility: list[FlexibilitySet] = []
+    for group in scenario.devices:
+        # Seeds run over the devices of all groups, in id order.
+        first = len(flexibility)
+        seeds = [mix_seed("sampling", scenario.seeds.sampling, run_seed, first + i)
+                 for i in range(group.count)]
+        try:
+            flexibility += sample_device_group(
+                group.model, sampling.count, scenario.horizon, seeds, budget)
+        except SamplingError as exc:
+            raise SamplingError(exc.requested, exc.found, exc.attempts, exc.position,
+                                ids[first + exc.position]) from None
     neighbors = _neighbors(
         scenario.topology, ids, mix_seed("topology", scenario.seeds.topology, run_seed)
     )
@@ -192,7 +203,7 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
         scenario=scenario,
         device_ids=ids,
         devices=models,
-        flexibility=flexibility,
+        flexibility=tuple(flexibility),
         agents=agents,
         network_seed=mix_seed("network", scenario.seeds.network, run_seed),
     )

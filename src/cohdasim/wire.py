@@ -78,19 +78,17 @@ def record_length(agent_id: str, interval_count: int) -> int:
 
 def config_length(config: SystemConfiguration) -> int:
     """Byte length of an encoded configuration: the fleet's stored length
-    when it knows every agent, else from the known agents' record lengths."""
-    if -1 not in config.index:
+    when its size says it knows every agent, else from the known agents'
+    record lengths."""
+    if config.size == len(config.fleet):
         return config.fleet.config_length
     return EMPTY_CONFIG_LENGTH + sum(compress(config.fleet.record_lengths, config.known()))
 
 
 def encoded_length(msg: KnowledgeMessage) -> int:
     """Byte length of the canonical encoding, computed from the fleet table
-    without building any bytes; always equals ``len(encode_message(msg))``.
-    A best candidate knows its size, so one that knows every agent takes
-    the fleet's stored length without a scan."""
+    without building any bytes; always equals ``len(encode_message(msg))``."""
     best = msg.best
-    fleet = best.configuration.fleet
     return (
         1
         + (4 + len(msg.sender.encode("utf-8")))
@@ -98,7 +96,7 @@ def encoded_length(msg: KnowledgeMessage) -> int:
         + config_length(msg.config)
         + (4 + len(best.creator.encode("utf-8")))
         + 12
-        + (fleet.config_length if best.size == len(fleet) else config_length(best.configuration))
+        + config_length(best.configuration)
     )
 
 

@@ -14,6 +14,7 @@ from cohdasim.agent import (
     handle_start,
     _choose_index,
     _merge,
+    _select,
     KnowledgeMessage,
 )
 from cohdasim.core import (
@@ -27,7 +28,13 @@ from cohdasim.core import (
     selection_items,
 )
 from cohdasim.simnet import snapshot_best
-from cohdasim.wire import decode_message, encode_message, encoded_length
+from cohdasim.wire import (
+    EMPTY_CONFIG_LENGTH,
+    config_length,
+    decode_message,
+    encode_message,
+    encoded_length,
+)
 
 from conftest import configuration, make_agent, make_agents, make_fleet, reference_key
 
@@ -591,6 +598,33 @@ def test_merge_equals_dict_reference(delivery):
     # The message's bytes, decoded over the fleet, are handled the same way.
     decoded = decode_message(encode_message(msg), state.fleet)
     assert handle_message(state, decoded) == (new_state, out)
+
+
+@given(st.data())
+def test_stored_size_follows_merges_and_selects(data):
+    # ``_merge`` and ``_select`` count the positions they fill instead of
+    # recounting; after any chain of both, each configuration's stored size
+    # is its count of known agents, and the candidate size and the wire
+    # length read it.
+    fleet = make_fleet(PlanningHorizon(1, 1.0, (0,)), {aid: [[0.0], [1.0], [2.0]] for aid in _POOL})
+    picks = st.dictionaries(st.sampled_from(_POOL), st.tuples(st.integers(0, 2), st.integers(0, 3)))
+    made = [SystemConfiguration.empty(fleet), *(configuration(fleet, data.draw(picks))
+                                                 for _ in range(2))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        config = data.draw(st.sampled_from(made))
+        if data.draw(st.booleans()):
+            positions = data.draw(st.none() | st.lists(st.integers(0, len(_POOL) - 1),
+                                                       unique=True).map(tuple))
+            made.append(_merge(config, data.draw(st.sampled_from(made)), positions)[0])
+        else:
+            owner = AgentState(data.draw(st.sampled_from(_POOL)), fleet, ())
+            made.append(_select(owner, config, data.draw(st.integers(0, 2))))
+    for config in made:
+        known = [i >= 0 for i in config.index]
+        assert config.size == len(config.index) - config.index.count(-1) == sum(known)
+        assert Candidate(config, 0.0, "a0").size == len(config) == config.size
+        assert config_length(config) == EMPTY_CONFIG_LENGTH + sum(
+            length for length, k in zip(fleet.record_lengths, known) if k)
 
 
 # --- the committed selections ----------------------------------------------------

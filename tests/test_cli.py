@@ -170,6 +170,19 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert len(temps) == 1 + 2 * 2
 
 
+def test_a_sampling_failure_names_its_device(tmp_path, capsys):
+    # Eight proposals each: dev000-dev004 find 8 distinct feasible
+    # patterns, dev005 only 7, and the run is refused at dev005.
+    mapping = scenario_to_mapping(build_small_demo_scenario())
+    mapping["sampling"] = {"count": 8, "attempt_factor": 1}
+    path = tmp_path / "sc.yaml"
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: SamplingError: dev005: found only 7 of 8 distinct feasible "
+                   "patterns within 8 attempts\n")
+
+
 def test_run_outputs_byte_identical_across_repeats(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "small-demo", "--seed", "7", "--out", str(out1), "--trace"]) == 0

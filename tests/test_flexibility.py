@@ -1,13 +1,25 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cohdasim.core import PlanningHorizon, StructuralError
 from cohdasim.flexibility import (
+    _BATCH,
     DeviceModel,
     SamplingError,
+    _repair_batch,
+    sample_device_group,
     sample_feasible_schedules,
     simulate_tank,
+)
+from cohdasim.scenario import (
+    build_epex_scenario,
+    build_small_demo_scenario,
+    build_toy2_scenario,
+    materialize,
+    mix_seed,
 )
 
 
@@ -160,3 +172,107 @@ def test_feasibility_soundness_and_power_consistency():
             assert schedule == tuple(
                 device.p_el_on if on else 0.0 for on in pattern
             )
+
+
+def _reference_sample(device, count, horizon, seed, attempt_budget):
+    """One device sampled on its own: the sampler's loop as it was before
+    device groups were stacked, kept as the reference for the group
+    sampler. Returns the power table, or the SamplingError it raises."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    seen = set()
+    attempts = 0
+    while attempts < attempt_budget and len(rows) < count:
+        batch = min(_BATCH, attempt_budget - attempts)
+        attempts += batch
+        coins = rng.random((batch, horizon.interval_count)) < 0.5
+        on, feasible = _repair_batch(device, coins, horizon)
+        keys = np.packbits(on, axis=1)
+        for row in np.flatnonzero(feasible):
+            key = keys[row].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            rows.append(on[row])
+            if len(rows) == count:
+                break
+    if len(rows) < count:
+        return SamplingError(count, len(rows), attempts)
+    return np.where(np.array(rows), device.p_el_on, 0.0)
+
+
+def _error_fields(err):
+    return err.requested, err.found, err.attempts, err.position
+
+
+def _assert_group_equals_reference(device, count, horizon, seeds, budget):
+    expected = [_reference_sample(device, count, horizon, seed, budget) for seed in seeds]
+    failing = [d for d, out in enumerate(expected) if isinstance(out, SamplingError)]
+    if failing:
+        # The lowest failing device is refused, with its own counts.
+        with pytest.raises(SamplingError) as err:
+            sample_device_group(device, count, horizon, seeds, budget)
+        first = failing[0]
+        want = expected[first]
+        assert _error_fields(err.value) == (want.requested, want.found, want.attempts, first)
+        return failing
+    got = sample_device_group(device, count, horizon, seeds, budget)
+    assert len(got) == len(seeds)
+    for flex, power in zip(got, expected):
+        assert flex.power.shape == power.shape
+        assert flex.power.tobytes() == power.tobytes()
+    return failing
+
+
+@st.composite
+def _tight_groups(draw):
+    """A device with a tight temperature band, so that a few dozen distinct
+    feasible patterns exist and finding them takes several rounds, with a
+    count and budget near what some seeds reach and others do not."""
+    T = draw(st.sampled_from([8, 10, 12]))
+    width = draw(st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 4.5]))
+    device = _device(demand=(1.5,) * T, temp_min=45.0 - width, temp_max=45.0 + width)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
+    count = draw(st.integers(1, 120))
+    budget = draw(st.integers(1, 3 * _BATCH) | st.integers(3 * _BATCH, 12 * _BATCH))
+    return device, count, PlanningHorizon(T, 0.25, (0,)), seeds, budget
+
+
+# 90 distinct feasible patterns exist; seeds 0-4 find 88 of them in
+# different numbers of rounds, and seeds 1 and 4 not within 6 rounds.
+_T10 = PlanningHorizon(10, 0.25, (0,))
+_BAND = _device(demand=(1.5,) * 10, temp_min=41.0, temp_max=49.0)
+
+
+@given(_tight_groups())
+@example((_BAND, 88, _T10, [0, 1, 2, 3, 4], 8 * _BATCH))
+@example((_BAND, 88, _T10, [0, 1, 2, 3, 4], 6 * _BATCH))
+def test_group_sampler_equals_one_device_reference(case):
+    _assert_group_equals_reference(*case)
+
+
+def test_group_sampler_refuses_the_lowest_short_device():
+    # Devices that finish and devices that run short in one group: the
+    # error is the first short one's, with its own found count.
+    assert _assert_group_equals_reference(_BAND, 88, _T10, [0, 1, 2, 3, 4], 6 * _BATCH) == [1, 4]
+    assert _assert_group_equals_reference(_BAND, 88, _T10, [0, 1, 2, 3, 4], 8 * _BATCH) == []
+
+
+@pytest.mark.parametrize("build, seeds", [
+    (build_epex_scenario, (0, 1, 2)),
+    (build_small_demo_scenario, (0, 3)),
+    (build_toy2_scenario, (0, 3)),
+])
+def test_materialize_samples_each_device_as_alone(build, seeds):
+    # Seeds run over the devices of all groups; EPEX has three groups.
+    scenario = build()
+    sampling = scenario.sampling
+    for run_seed in seeds:
+        mat = materialize(scenario, run_seed)
+        assert len(mat.flexibility) == scenario.device_count()
+        for index, (model, flex) in enumerate(zip(mat.devices, mat.flexibility)):
+            power = _reference_sample(
+                model, sampling.count, scenario.horizon,
+                mix_seed("sampling", scenario.seeds.sampling, run_seed, index),
+                sampling.attempt_factor * sampling.count)
+            assert flex.power.tobytes() == power.tobytes(), (run_seed, mat.device_ids[index])
