@@ -171,16 +171,22 @@ def test_run_writes_outputs(tmp_path, capsys):
 
 
 def test_a_sampling_failure_names_its_device(tmp_path, capsys):
-    # Eight proposals each: dev000-dev004 find 8 distinct feasible
-    # patterns, dev005 only 7, and the run is refused at dev005.
-    mapping = scenario_to_mapping(build_small_demo_scenario())
-    mapping["sampling"] = {"count": 8, "attempt_factor": 1}
-    path = tmp_path / "sc.yaml"
-    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err == ("error: SamplingError: dev005: found only 7 of 8 distinct feasible "
-                   "patterns within 8 attempts\n")
+    # small-demo with eight proposals each: dev000-dev004 find 8 distinct
+    # feasible patterns, dev005 only 7. toy-2 with b000's tank unable to
+    # take an on interval: a000 finds both patterns, b000, in the second
+    # group, only one.
+    small = scenario_to_mapping(build_small_demo_scenario())
+    small["sampling"] = {"count": 8, "attempt_factor": 1}
+    toy = scenario_to_mapping(build_toy2_scenario())
+    toy["devices"][1]["temp_max_c"] = 505.0
+    for mapping, message in [
+        (small, "dev005: found only 7 of 8 distinct feasible patterns within 8 attempts"),
+        (toy, "b000: found only 1 of 2 distinct feasible patterns within 100 attempts"),
+    ]:
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: SamplingError: {message}\n"
 
 
 def test_run_outputs_byte_identical_across_repeats(tmp_path):
