@@ -88,8 +88,9 @@ class KnowledgeMessage:
     sender's publish count (1 for its boot memory); ``changed`` holds the
     fleet positions whose record differs from the sender's previous memory,
     the empty configuration before the boot memory. ``seq`` 0 marks a
-    message without a delta, whose ``changed`` is not read: a decoded or
-    hand-built message, or one published from a hand-built memory.
+    message without a delta, whose ``changed`` is not read: a hand-built
+    message, or one decoded by the tests' reference decoder, or one
+    published from a hand-built memory.
     """
 
     sender: str

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .wire import EMPTY_CONFIG_LENGTH, record_length
+
 __all__ = [
     "StructuralError",
     "DegenerateTargetError",
@@ -136,8 +138,6 @@ class Fleet:
                  "record_lengths", "config_length", "key_parts")
 
     def __init__(self, power: Mapping[str, np.ndarray], horizon: PlanningHorizon):
-        from .wire import EMPTY_CONFIG_LENGTH, record_length  # the wire module imports this one
-
         self.ids = tuple(sorted(power))
         self.position = {aid: i for i, aid in enumerate(self.ids)}
         self.horizon = horizon

@@ -28,15 +28,10 @@ from cohdasim.core import (
     selection_items,
 )
 from cohdasim.simnet import snapshot_best
-from cohdasim.wire import (
-    EMPTY_CONFIG_LENGTH,
-    config_length,
-    decode_message,
-    encode_message,
-    encoded_length,
-)
+from cohdasim.wire import EMPTY_CONFIG_LENGTH, config_length, encoded_length
 
 from conftest import configuration, make_agent, make_agents, make_fleet, reference_key
+from wire_reference import decode_message, encode_message
 
 
 # --- handle_start -----------------------------------------------------------

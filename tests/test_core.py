@@ -23,9 +23,8 @@ from cohdasim.core import (
     selection_items,
     SystemConfiguration,
 )
-from cohdasim.wire import decode_message, encode_message
-
 from conftest import configuration, make_fleet, reference_key
+from wire_reference import decode_message, encode_message
 
 
 def test_horizon_validation():

@@ -26,9 +26,8 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     with_param,
 )
-from cohdasim.wire import decode_message, encode_message
-
 from conftest import make_fleet
+from wire_reference import decode_message, encode_message
 
 
 def _rows(*rows):

@@ -1,9 +1,15 @@
+import ast
+import os
 import struct
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cohdasim
 from cohdasim.agent import KnowledgeMessage
 from cohdasim.core import (
     Candidate,
@@ -14,15 +20,10 @@ from cohdasim.core import (
 )
 from cohdasim.scenario import build_small_demo_scenario, build_toy2_scenario, materialize
 from cohdasim.simnet import run
-from cohdasim.wire import (
-    _pack_config,
-    config_length,
-    decode_message,
-    encode_message,
-    encoded_length,
-)
+from cohdasim.wire import config_length, encoded_length
 
 from conftest import configuration, make_fleet, record
+from wire_reference import _pack_config, decode_message, encode_message
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -264,3 +265,28 @@ def test_decoder_accepts_only_canonical_bytes(drawn):
     except StructuralError:
         return
     assert encode_message(decoded) == data
+
+
+_PACKAGE = Path(cohdasim.__file__).parent
+
+
+def test_wire_stands_alone_and_package_imports_are_module_level():
+    """``wire`` loads no other package module, and every relative import of
+    the package is at module level but one: ``scenario.with_params`` imports
+    ``schema`` in its body, because ``schema`` builds ``scenario``'s
+    dataclasses and so imports ``scenario`` at module level."""
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cohdasim.wire; print(*sorted(m for m in sys.modules if 'cohdasim' in m))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["cohdasim", "cohdasim.wire"]
+
+    in_functions = set()
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_functions |= {(path.stem, func.name, node.module) for node in ast.walk(func)
+                                 if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert in_functions == {("scenario", "with_params", "schema")}
