@@ -79,9 +79,8 @@ class KnowledgeMessage:
     believed selections and best candidate found.
 
     An agent's memory is the message it last published, whose ``sender``
-    is the agent itself. Carries the target profile so that an agent
-    receiving knowledge before an explicit start can initialize itself
-    from the message.
+    is the agent itself. The target stays in the message because COHDA's
+    message carries it, and it counts in the message's byte length.
 
     ``seq`` and ``changed`` are the simulator's delta of the message: they
     stay out of equality, out of ``repr`` and off the wire. ``seq`` is the
@@ -175,29 +174,25 @@ def _select(state: AgentState, config: SystemConfiguration, idx: int) -> SystemC
     return SystemConfiguration._of(config.fleet, index, version, size)
 
 
-def _boot_memory(state: AgentState, target: TargetProfile) -> KnowledgeMessage:
-    """Initial memory: best own schedule against an otherwise empty
-    configuration, version counter starting at zero."""
+def handle_start(
+    state: AgentState, target: TargetProfile
+) -> tuple[AgentState, KnowledgeMessage]:
+    """Initialize the memory of an agent that has not started and announce
+    it: the returned message is the new memory, sent to every neighbor. The
+    memory holds the best own schedule against an otherwise empty
+    configuration, at version zero.
+
+    An agent starts once: a second start would reset its own version, so
+    that its peers' older records of it would read as newer."""
+    if state.memory is not None:
+        raise StructuralError(f"agent {state.agent_id!r} has already started")
     if len(target) != state.horizon.interval_count:
         raise StructuralError("target length does not match agent horizon")
     empty = SystemConfiguration.empty(state.fleet)
     idx, value = _choose_index(state, target, empty)
     config = _select(state, empty, idx)
     best = Candidate(config, value, state.agent_id)
-    return KnowledgeMessage(state.agent_id, target, config, best, 1, (state.position,))
-
-
-def handle_start(
-    state: AgentState, target: TargetProfile
-) -> tuple[AgentState, KnowledgeMessage]:
-    """Initialize the memory of an agent that has not started and announce
-    it: the returned message is the new memory, sent to every neighbor.
-
-    An agent starts once: a second start would reset its own version, so
-    that its peers' older records of it would read as newer."""
-    if state.memory is not None:
-        raise StructuralError(f"agent {state.agent_id!r} has already started")
-    memory = _boot_memory(state, target)
+    memory = KnowledgeMessage(state.agent_id, target, config, best, 1, (state.position,))
     calls = state.objective_calls + len(state.window_matrix)
     return replace(state, memory=memory, objective_calls=calls), memory
 
@@ -245,11 +240,13 @@ def handle_message(
     merged. Any other message, and one without ``seq``, is merged whole.
 
     Returns the new state and its memory, which goes to every neighbor, or
-    the unchanged state and ``None`` when the message taught nothing."""
+    the unchanged state and ``None`` when the message taught nothing.
+    Raises ``NotStartedError`` for an agent that has not started."""
     memory = state.memory
-    # A memory's target was checked when the agent booted.
-    if ((memory is None or msg.target is not memory.target)
-            and len(msg.target) != state.horizon.interval_count):
+    if memory is None:
+        raise NotStartedError(f"agent {state.agent_id!r} has not started")
+    # A memory's target was checked when the agent started.
+    if msg.target is not memory.target and len(msg.target) != state.horizon.interval_count:
         raise StructuralError("message target length does not match agent horizon")
     fleet = state.fleet
     if (getattr(msg.config, "fleet", None) is not fleet
@@ -259,14 +256,6 @@ def handle_message(
     if 0 < seq <= since:
         return state, None
 
-    calls = state.objective_calls
-    just_started = memory is None
-    if just_started:
-        # Implicit start: a message arriving first initializes the agent
-        # from the carried target, then is processed normally.
-        memory = _boot_memory(state, msg.target)
-        calls += len(state.window_matrix)
-
     positions = msg.changed if seq == since + 1 else None
     config, changed = _merge(memory.config, msg.config, positions)
     best = memory.best
@@ -274,13 +263,13 @@ def handle_message(
     if best_changed:
         best = msg.best
 
-    if config is memory.config and not (best_changed or just_started):
+    if config is memory.config and not best_changed:
         # Fixed point: the message taught us nothing, stay silent.
         return state, None
 
     # Decide: re-optimize own selection against the merged belief.
     idx, value = _choose_index(state, memory.target, config)
-    calls += len(state.window_matrix)
+    calls = state.objective_calls + len(state.window_matrix)
     i = state.position
     own = config.index[i]
     chosen = config if own == idx else _select(state, config, idx)

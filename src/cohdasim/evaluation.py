@@ -4,8 +4,9 @@
 counters and the final agent states into a flat result record. The
 brute-force and worst-case oracles enumerate the full schedule product (up
 to a hard cap) as frame of reference; the greedy baseline is a cheap
-one-pass reference point. Sweeps run full factorial designs with
-replications and common random numbers per replication index.
+one-pass reference point. Sweeps run full factorial designs
+(``schema.ExperimentDesign``) with replications and common random numbers
+per replication index.
 """
 
 from __future__ import annotations
@@ -15,20 +16,22 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .core import Fleet, StructuralError, SystemConfiguration, TargetProfile, aggregate, coverage
-from .scenario import Materialized, Scenario, UnknownPathError, materialize, with_params
+from .core import Fleet, SystemConfiguration, TargetProfile, aggregate, coverage
+from .scenario import Materialized, Scenario, materialize
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
+
+if TYPE_CHECKING:  # schema imports this module for factor_cell
+    from .schema import ExperimentDesign
 
 __all__ = [
     "CapExceededError",
     "RunResult",
     "ScenarioRun",
-    "ExperimentDesign",
     "SweepRow",
     "run_scenario",
     "run_scenario_full",
@@ -291,49 +294,6 @@ def factor_cell(value) -> str:
     if isinstance(value, Mapping):
         return json.dumps(value, sort_keys=True)
     return repr(value) if isinstance(value, float) else str(value)
-
-
-@dataclass(frozen=True)
-class ExperimentDesign:
-    """Full factorial design over dotted scenario file paths. ``cells`` holds
-    each cell's factor values and scenario in design order, built once with
-    all its values set (``scenario.with_params``), so the file's rules judge
-    the cell; a cell that builds an earlier cell's scenario is refused."""
-
-    base_scenario: Scenario
-    factors: tuple[tuple[str, tuple], ...] = ()
-    replications: int = 1
-    base_seed: int = 0
-    cells: tuple[tuple[dict, Scenario], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise StructuralError("replications must be at least 1")
-        paths = [path for path, _ in self.factors]
-        for i, (path, values) in enumerate(self.factors):
-            if not values:
-                raise StructuralError(f"factor {path!r} has no values")
-            if path in paths[:i]:
-                raise UnknownPathError(f"factor {path!r} repeats an earlier factor's path")
-        cells, seen = [], []  # seen: each cell's scenario and value indices
-        for index in itertools.product(*(range(len(values)) for _, values in self.factors)):
-            cell = {path: values[k] for (path, values), k in zip(self.factors, index)}
-            try:
-                scenario = with_params(self.base_scenario, cell)
-            except UnknownPathError:
-                raise
-            except StructuralError as exc:
-                named = ", ".join(f"factor {p!r} value {v!r}" for p, v in cell.items())
-                raise StructuralError(f"{named}: {exc}") from None
-            earlier = next((k for other, k in seen if other == scenario), None)
-            if earlier is not None:  # name the first factor whose value differs
-                f = next(f for f, k in enumerate(index) if k != earlier[f])
-                path, values = self.factors[f]
-                raise StructuralError(f"factor {path!r} repeats the value "
-                                      f"{factor_cell(values[index[f]])}")
-            seen.append((scenario, index))
-            cells.append((cell, scenario))
-        object.__setattr__(self, "cells", tuple(cells))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import topology
 from .agent import AgentState
@@ -42,11 +42,9 @@ __all__ = [
     "SeedBlock",
     "Scenario",
     "Materialized",
-    "UnknownPathError",
     "mix_seed",
     "materialize",
     "with_param",
-    "with_params",
     "build_epex_scenario",
     "build_toy2_scenario",
     "build_small_demo_scenario",
@@ -209,22 +207,12 @@ def materialize(scenario: Scenario, run_seed: int = 0) -> Materialized:
     )
 
 
-class UnknownPathError(StructuralError):
-    """A dotted factor path names no key of the scenario file, or an earlier
-    factor of the design sets it."""
-
-
-def with_params(scenario: Scenario, params: Mapping[str, object]) -> Scenario:
-    """A copy of the scenario with each dotted path of ``params``, a key of
-    its scenario file, set to its value: ``schema.with_keys``."""
+def with_param(scenario: Scenario, path: str, value) -> Scenario:
+    """A copy of the scenario with one dotted path of its scenario file, e.g.
+    ``devices.0.count``, set to ``value``: ``schema.with_keys`` of one key."""
     from .schema import with_keys  # the schema module imports this one
 
-    return with_keys(scenario, params)
-
-
-def with_param(scenario: Scenario, path: str, value) -> Scenario:
-    """``with_params`` of one path, e.g. ``devices.0.count``."""
-    return with_params(scenario, {path: value})
+    return with_keys(scenario, {path: value})
 
 
 def build_epex_scenario() -> Scenario:

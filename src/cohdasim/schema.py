@@ -7,21 +7,23 @@ dataclass attribute it fills and a typed reader. Parsing and dumping walk
 the same table, so the dump's key order is the table order. A key that is
 missing or null takes the dataclass default. A design factor's path is a
 key of the scenario file: ``with_keys`` sets it in the base scenario's dump,
-and the same reader reads the result.
+and the same reader reads the result. ``ExperimentDesign`` locates each
+refusal at the key of the design file that it belongs to.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .core import PlanningHorizon, StructuralError, TargetProfile
-from .evaluation import ExperimentDesign
+from .evaluation import factor_cell
 from .flexibility import DeviceModel
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -30,12 +32,14 @@ from .scenario import (
     Scenario,
     SeedBlock,
     TopologySpec,
-    UnknownPathError,
 )
 from .simnet import ConstantDelay, ExponentialDelay, NetworkModel, RunLimits, UniformDelay
 
 __all__ = [
     "ScenarioError",
+    "UnknownPathError",
+    "DesignError",
+    "ExperimentDesign",
     "load_scenario",
     "load_design",
     "parse_scenario_mapping",
@@ -50,6 +54,22 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, location: str | None = None):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+
+
+class UnknownPathError(StructuralError):
+    """A dotted path names no key of the scenario file."""
+
+
+class DesignError(StructuralError):
+    """A refused experiment design, located where a design file puts the
+    refusal: at ``key`` (``path``, ``values``, ``replications`` or
+    ``factors``) of the factor at index ``factor``, or of the design itself
+    when ``factor`` is None."""
+
+    def __init__(self, message: str, factor: int | None, key: str):
+        super().__init__(message)
+        self.factor = factor
+        self.key = key
 
 
 class _MarkedDict(dict):
@@ -481,33 +501,71 @@ def load_scenario(ref: str, relative_to: Path | None = None) -> Scenario:
     return parse_scenario_mapping(_load_yaml(path), str(path))
 
 
+@dataclass(frozen=True)
+class ExperimentDesign:
+    """Full factorial design over dotted scenario file paths. ``cells`` holds
+    each cell's factor values and scenario in design order, built once with
+    all its values set (``with_keys``), so the file's rules judge the cell;
+    a cell that builds an earlier cell's scenario is refused. Every refusal
+    is a ``DesignError``."""
+
+    base_scenario: Scenario
+    factors: tuple[tuple[str, tuple], ...] = ()
+    replications: int = 1
+    base_seed: int = 0
+    cells: tuple[tuple[dict, Scenario], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.replications < 1:
+            raise DesignError("replications must be at least 1", None, "replications")
+        paths = [path for path, _ in self.factors]
+        for i, (path, values) in enumerate(self.factors):
+            if not values:
+                raise DesignError(f"factor {path!r} has no values", i, "values")
+            if path in paths[:i]:
+                raise DesignError(f"factor {path!r} repeats an earlier factor's path", i, "path")
+        cells, seen = [], []  # seen: each cell's scenario and value indices
+        for index in itertools.product(*(range(len(values)) for _, values in self.factors)):
+            cell = {path: values[k] for (path, values), k in zip(self.factors, index)}
+            try:
+                scenario = with_keys(self.base_scenario, cell)
+            except StructuralError as exc:
+                raise self._locate(cell, exc) from None
+            earlier = next((k for other, k in seen if other == scenario), None)
+            if earlier is not None:  # name the first factor whose value differs
+                f = next(f for f, k in enumerate(index) if k != earlier[f])
+                path, values = self.factors[f]
+                raise DesignError(f"factor {path!r} repeats the value "
+                                  f"{factor_cell(values[index[f]])}", f, "values")
+            seen.append((scenario, index))
+            cells.append((cell, scenario))
+        object.__setattr__(self, "cells", tuple(cells))
+
+    def _locate(self, cell: dict, refusal: StructuralError) -> DesignError:
+        """The refusal of ``cell`` at the first of its values, in factor
+        order, that the base refuses alone; at ``factors``, with every value
+        named, when the base takes each alone."""
+        for i, (path, value) in enumerate(cell.items()):
+            try:
+                with_keys(self.base_scenario, {path: value})
+            except UnknownPathError as exc:
+                return DesignError(str(exc), i, "path")
+            except StructuralError as exc:
+                return DesignError(f"factor {path!r} value {value!r}: {exc}", i, "values")
+        named = ", ".join(f"factor {p!r} value {v!r}" for p, v in cell.items())
+        return DesignError(f"{named}: {refusal}", None, "factors")
+
+
 def load_design(path_str: str) -> ExperimentDesign:
     path = Path(path_str)
     data = _load_yaml(path)
     try:
         values = _read(data, _DESIGN, "design")
-        base = load_scenario(values["base_scenario"], relative_to=path.parent)
-        values["base_scenario"] = base
+        values["base_scenario"] = load_scenario(values["base_scenario"], relative_to=path.parent)
         try:
             return ExperimentDesign(**values)
-        except ValueError as exc:
-            reason = str(exc)
-        # Locate the refusal as _build_section does: at the first key refused
-        # alone, or at the first factor that repeats a path (the design checks
-        # paths before it builds cells, so the reason says so).
-        factors = values.get("factors", ())
-        try:
-            ExperimentDesign(base, replications=values["replications"])
-        except ValueError as exc:
-            raise _Invalid(str(exc), data, "replications") from None
-        for i, block in enumerate(data.get("factors") or ()):
-            try:
-                ExperimentDesign(base, factors[i:i + 1])
-            except ValueError as exc:
-                key = "path" if isinstance(exc, UnknownPathError) else "values"
-                raise _Invalid(str(exc), block, key) from None
-            if factors[i][0] in [p for p, _ in factors[:i]]:
-                raise _Invalid(reason, block, "path")
-        raise _Invalid(reason, data, "factors")  # a refused cell, which the reason names
+        except DesignError as exc:
+            block = data if exc.factor is None else data["factors"][exc.factor]
+            raise _Invalid(str(exc), block, exc.key) from None
     except _Invalid as exc:
         raise exc.at(str(path)) from None

@@ -19,7 +19,6 @@ from cohdasim.agent import AgentState
 from cohdasim.cli import load_design, result_record, trace_records
 from cohdasim.core import Fleet, PlanningHorizon, TargetProfile, coverage, objective
 from cohdasim.evaluation import (
-    ExperimentDesign,
     EnumerationOracle,
     run_scenario_full,
     run_sweep,
@@ -37,6 +36,7 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     with_param,
 )
+from cohdasim.schema import ExperimentDesign
 from cohdasim.simnet import (
     ConstantDelay,
     ExponentialDelay,

@@ -82,10 +82,6 @@ def test_start_refuses_an_agent_that_has_started(horizon1):
     state, _ = handle_start(agents["A"], target)
     with pytest.raises(StructuralError, match="'A' has already started"):
         handle_start(state, target)
-    _, hello = handle_start(agents["B"], target)
-    booted, _ = handle_message(agents["A"], hello)  # started by a message
-    with pytest.raises(StructuralError, match="'A' has already started"):
-        handle_start(booted, target)
 
 
 def test_message_delta_stays_off_equality_repr_and_wire(horizon1, monkeypatch):
@@ -226,18 +222,19 @@ def test_choose_zero_target_minimal_magnitude():
 
 
 def test_choose_requires_memory(horizon1):
-    # The decide step runs against a memory only: a delivery to an agent
-    # that has not started boots it from the carried target first, and then
-    # decides and announces itself even when the message teaches nothing.
-    target = TargetProfile((0.0,))
-    agent = make_agent("A", [[1.0], [0.0]], horizon1)
-    assert agent.memory is None
-    empty = SystemConfiguration.empty(agent.fleet)
-    state, msg = handle_message(agent, KnowledgeMessage("B", target, empty,
-                                                        Candidate(empty, 0.0, "B")))
-    assert msg is state.memory and msg.sender == "A" and msg.target == target
-    assert selection_items(msg.config) == (("A", 1),)
-    assert state.objective_calls == 4  # the boot's choose, then the decide's
+    # The decide step runs against a memory only, and an agent gets one only
+    # from its start: a delivery to an agent that has not started is
+    # refused, whatever the message carries, and the agent stays unstarted.
+    target = TargetProfile((-3.0,))
+    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-3.0]]}, {"A": ("B",)})
+    sender = _started(agents["B"], target)
+    empty = SystemConfiguration.empty(agents["A"].fleet)
+    for msg in (sender.memory, KnowledgeMessage("B", target, empty, Candidate(empty, 0.0, "B"))):
+        with pytest.raises(NotStartedError, match="'A' has not started"):
+            handle_message(agents["A"], msg)
+    assert agents["A"].memory is None and agents["A"].objective_calls == 0
+    state, out = handle_message(_started(agents["A"], target), sender.memory)
+    assert out is state.memory and "B" in state.memory.config
 
 
 # --- handle_message ---------------------------------------------------------
@@ -326,20 +323,6 @@ def test_message_over_another_fleet_is_refused(horizon1):
                          (state.memory.config, dict_best)]:
         with pytest.raises(StructuralError):
             handle_message(state, KnowledgeMessage("B", target, config, best))
-
-
-def test_implicit_start_on_first_message(horizon1):
-    target = TargetProfile((-3.0,))
-    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-3.0]]}, {"A": ("B",)})
-    sender = _started(agents["B"], target)
-    msg = KnowledgeMessage("B", target, sender.memory.config, sender.memory.best)
-    state, out = handle_message(agents["A"], msg)
-    assert state.memory is not None
-    assert state.memory.target == target
-    assert "A" in state.memory.config and "B" in state.memory.config
-    assert out is state.memory  # started agents announce themselves
-    # Boot choose plus decide choose.
-    assert state.objective_calls == 4
 
 
 def test_adopt_realigns_with_best(horizon1):

@@ -741,3 +741,36 @@ def test_bad_design_factor_reported_at_its_key(tmp_path, capsys, factor, values,
     assert line == (f"- path: {factor}" if key == "path" else f"  values: {json.dumps(values)}")
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:{6 if key == 'path' else 7}:")
+
+
+# Designs with two faults, each refused at one line: (factors, message, the
+# reported line's number and text).
+TWO_FAULTS = [
+    # The second factor repeats the first one's path and also has a value
+    # that is refused alone. The design checks its paths before it builds a
+    # cell, so the repeated path is reported.
+    ("- path: network.duplicate_probability\n  values: [0.0, 0.1]\n"
+     "- path: network.duplicate_probability\n  values: [7.0]\n",
+     "factor 'network.duplicate_probability' repeats an earlier factor's path",
+     6, "- path: network.duplicate_probability"),
+    # 1.5 and 7.0 are both refused alone. The first refused cell is (2, 7.0),
+    # and of its values only 7.0 is refused alone; 1.5 is in no cell built
+    # before it.
+    ("- path: sampling.count\n  values: [2, 1.5]\n"
+     "- path: network.drop_probability\n  values: [7.0]\n",
+     "factor 'network.drop_probability' value 7.0: "
+     "network.drop_probability must be in [0, 1]",
+     7, "  values: [7.0]"),
+]
+
+
+@pytest.mark.parametrize("factors, message, lineno, line_text", TWO_FAULTS,
+                         ids=["repeated-path-and-bad-value", "first-refused-cell"])
+def test_a_design_with_two_faults_is_refused_at_its_first_refusal(tmp_path, capsys, factors,
+                                                                 message, lineno, line_text):
+    path = tmp_path / "design.yaml"
+    path.write_text(f"base_scenario: toy-2\nreplications: 2\nfactors:\n{factors}")
+    reported, line = _located_error(path, load_design)
+    assert (reported, line) == (message, line_text)
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}:")

@@ -9,7 +9,6 @@ from cohdasim.cli import main
 from cohdasim.core import PlanningHorizon, StructuralError, TargetProfile
 from cohdasim.evaluation import (
     CapExceededError,
-    ExperimentDesign,
     brute_force_optimum,
     design_points,
     EnumerationOracle,
@@ -26,6 +25,7 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     with_param,
 )
+from cohdasim.schema import DesignError, ExperimentDesign
 from conftest import make_fleet
 from wire_reference import decode_message, encode_message
 
@@ -160,6 +160,25 @@ def test_a_design_that_repeats_a_factor_path_is_refused():
     with pytest.raises(StructuralError) as err:
         ExperimentDesign(build_toy2_scenario(), ((path, (0.0, 0.1)), (path, (0.2,))))
     assert str(err.value) == f"factor '{path}' repeats an earlier factor's path"
+
+
+def test_a_design_refusal_carries_its_location():
+    # Where a design file puts each refusal: the factor's index (None for
+    # the design's own keys) and its key.
+    base = build_toy2_scenario()
+    first = ("network.duplicate_probability", (0.0, 0.1))
+    for factors, replications, message, factor, key in [
+        ((first, ("sampling.count", (2, 1.5))), 1,
+         "factor 'sampling.count' value 1.5: sampling.count must be an integer", 1, "values"),
+        ((first, ("network.bogus", (1,))), 1, "no key 'network.bogus' in the scenario file",
+         1, "path"),
+        ((first, (first[0], (0.2,))), 1,
+         "factor 'network.duplicate_probability' repeats an earlier factor's path", 1, "path"),
+        ((first,), 0, "replications must be at least 1", None, "replications"),
+    ]:
+        with pytest.raises(DesignError) as err:
+            ExperimentDesign(base, factors, replications)
+        assert (str(err.value), err.value.factor, err.value.key) == (message, factor, key)
 
 
 def test_worst_case_analytic_dominates_exhaustive():

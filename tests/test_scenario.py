@@ -12,11 +12,9 @@ from cohdasim.scenario import (
     build_toy2_scenario,
     materialize,
     mix_seed,
-    UnknownPathError,
     with_param,
-    with_params,
 )
-from cohdasim.schema import parse_scenario_mapping, scenario_to_mapping
+from cohdasim.schema import UnknownPathError, parse_scenario_mapping, scenario_to_mapping, with_keys
 from cohdasim.simnet import ConstantDelay, ExponentialDelay, UniformDelay
 from cohdasim.topology import is_connected, small_world
 
@@ -211,7 +209,7 @@ def test_a_factor_equals_a_file_edit(path, value, edit):
 def test_a_path_into_an_earlier_paths_value_leaves_it_as_it_is():
     base = build_small_demo_scenario()
     group = scenario_to_mapping(base)["devices"][0]
-    scenario = with_params(base, {"devices.0": group, "devices.0.count": 6})
+    scenario = with_keys(base, {"devices.0": group, "devices.0.count": 6})
     assert scenario.devices[0].count == 6
     assert group == scenario_to_mapping(base)["devices"][0]
 

@@ -272,9 +272,12 @@ _PACKAGE = Path(cohdasim.__file__).parent
 
 def test_wire_stands_alone_and_package_imports_are_module_level():
     """``wire`` loads no other package module, and every relative import of
-    the package is at module level but one: ``scenario.with_params`` imports
+    the package is at module level but one: ``scenario.with_param`` imports
     ``schema`` in its body, because ``schema`` builds ``scenario``'s
-    dataclasses and so imports ``scenario`` at module level."""
+    dataclasses and so imports ``scenario`` at module level. No package
+    module calls ``with_param``: the package sets scenario keys through
+    ``schema.with_keys`` only, and ``with_param`` is left for outside
+    callers."""
     env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
     probe = subprocess.run(
         [sys.executable, "-c",
@@ -283,10 +286,14 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["cohdasim", "cohdasim.wire"]
 
-    in_functions = set()
+    in_functions, calls = set(), set()
     for path in sorted(_PACKAGE.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 in_functions |= {(path.stem, func.name, node.module) for node in ast.walk(func)
                                  if isinstance(node, ast.ImportFrom) and node.level > 0}
-    assert in_functions == {("scenario", "with_params", "schema")}
+        calls |= {(path.stem, getattr(node.func, "id", getattr(node.func, "attr", None)))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert in_functions == {("scenario", "with_param", "schema")}
+    assert not {call for call in calls if call[1] in ("with_param", "with_params")}
