@@ -160,6 +160,7 @@ def test_a_design_that_repeats_a_factor_path_is_refused():
     with pytest.raises(StructuralError) as err:
         ExperimentDesign(build_toy2_scenario(), ((path, (0.0, 0.1)), (path, (0.2,))))
     assert str(err.value) == f"factor '{path}' repeats an earlier factor's path"
+    assert (err.value.factor, err.value.key) == (1, "path")
 
 
 def test_a_design_refusal_carries_its_location():
@@ -172,8 +173,6 @@ def test_a_design_refusal_carries_its_location():
          "factor 'sampling.count' value 1.5: sampling.count must be an integer", 1, "values"),
         ((first, ("network.bogus", (1,))), 1, "no key 'network.bogus' in the scenario file",
          1, "path"),
-        ((first, (first[0], (0.2,))), 1,
-         "factor 'network.duplicate_probability' repeats an earlier factor's path", 1, "path"),
         ((first,), 0, "replications must be at least 1", None, "replications"),
     ]:
         with pytest.raises(DesignError) as err:

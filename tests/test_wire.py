@@ -286,14 +286,15 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["cohdasim", "cohdasim.wire"]
 
-    in_functions, calls = set(), set()
+    in_functions, callers = set(), set()
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 in_functions |= {(path.stem, func.name, node.module) for node in ast.walk(func)
                                  if isinstance(node, ast.ImportFrom) and node.level > 0}
-        calls |= {(path.stem, getattr(node.func, "id", getattr(node.func, "attr", None)))
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        callers |= {path.stem for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("with_param", "with_params")}
     assert in_functions == {("scenario", "with_param", "schema")}
-    assert not {call for call in calls if call[1] in ("with_param", "with_params")}
+    assert not callers
