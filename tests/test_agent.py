@@ -223,18 +223,15 @@ def test_choose_zero_target_minimal_magnitude():
 
 def test_choose_requires_memory(horizon1):
     # The decide step runs against a memory only, and an agent gets one only
-    # from its start: a delivery to an agent that has not started is
-    # refused, whatever the message carries, and the agent stays unstarted.
-    target = TargetProfile((-3.0,))
-    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-3.0]]}, {"A": ("B",)})
-    sender = _started(agents["B"], target)
-    empty = SystemConfiguration.empty(agents["A"].fleet)
-    for msg in (sender.memory, KnowledgeMessage("B", target, empty, Candidate(empty, 0.0, "B"))):
-        with pytest.raises(NotStartedError, match="'A' has not started"):
-            handle_message(agents["A"], msg)
-    assert agents["A"].memory is None and agents["A"].objective_calls == 0
-    state, out = handle_message(_started(agents["A"], target), sender.memory)
-    assert out is state.memory and "B" in state.memory.config
+    # from its start: a message that would teach a started agent nothing is
+    # refused, not decided on, by an agent that has not started.
+    target = TargetProfile((0.0,))
+    agent = make_agent("A", [[1.0], [0.0]], horizon1)
+    empty = SystemConfiguration.empty(agent.fleet)
+    msg = KnowledgeMessage("B", target, empty, Candidate(empty, 0.0, "B"))
+    with pytest.raises(NotStartedError, match="'A' has not started"):
+        handle_message(agent, msg)
+    assert agent.memory is None and agent.objective_calls == 0
 
 
 # --- handle_message ---------------------------------------------------------
@@ -323,6 +320,21 @@ def test_message_over_another_fleet_is_refused(horizon1):
                          (state.memory.config, dict_best)]:
         with pytest.raises(StructuralError):
             handle_message(state, KnowledgeMessage("B", target, config, best))
+
+
+def test_implicit_start_on_first_message(horizon1):
+    # No implicit start: a started peer's memory delivered to an agent that
+    # has not started is refused, and the agent stays unstarted. Once the
+    # agent starts, the same message is merged.
+    target = TargetProfile((-3.0,))
+    agents = make_agents(horizon1, {"A": [[-1.0], [0.0]], "B": [[-3.0]]}, {"A": ("B",)})
+    sender = _started(agents["B"], target)
+    with pytest.raises(NotStartedError, match="'A' has not started"):
+        handle_message(agents["A"], sender.memory)
+    assert agents["A"].memory is None and agents["A"].objective_calls == 0
+    state, out = handle_message(_started(agents["A"], target), sender.memory)
+    assert out is state.memory
+    assert "A" in state.memory.config and "B" in state.memory.config
 
 
 def test_adopt_realigns_with_best(horizon1):
