@@ -44,7 +44,7 @@ Baquero, "Delta State Replicated Data Types", JPDC 2018).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import gt
 
@@ -174,13 +174,43 @@ def _select(state: AgentState, config: SystemConfiguration, idx: int) -> SystemC
     return SystemConfiguration._of(config.fleet, index, version, size)
 
 
+def _decide(state: AgentState, target: TargetProfile, config: SystemConfiguration,
+            best: Candidate | None, changed: tuple[int, ...], seq: int
+            ) -> tuple[AgentState, KnowledgeMessage]:
+    """Steps 2 and 3 against the merged belief ``config``, as publish ``seq``.
+    No ``best`` means the own candidate wins; ``changed`` (the positions the
+    update took) gains the own position when its version moves."""
+    # Decide: re-optimize own selection against the merged belief.
+    idx, value = _choose_index(state, target, config)
+    i = state.position
+    own, version = config.index[i], config.version[i]
+    chosen = config if own == idx else _select(state, config, idx)
+
+    candidate = Candidate(chosen, value, state.agent_id)
+    if best is None or compare(candidate, best) > 0:
+        best = candidate
+        config = chosen
+    else:
+        # Conform to the best known solution: adopt the selection it
+        # records for this agent, if any.
+        recorded = best.configuration.index[i]
+        if recorded >= 0 and recorded != own:
+            config = _select(state, config, recorded)
+
+    if config.version[i] != version and i not in changed:
+        changed += (i,)
+    memory = KnowledgeMessage(state.agent_id, target, config, best, seq, changed)
+    calls = state.objective_calls + len(state.window_matrix)
+    return AgentState(state.agent_id, state.fleet, state.neighbors, memory, calls), memory
+
+
 def handle_start(
     state: AgentState, target: TargetProfile
 ) -> tuple[AgentState, KnowledgeMessage]:
     """Initialize the memory of an agent that has not started and announce
     it: the returned message is the new memory, sent to every neighbor. The
-    memory holds the best own schedule against an otherwise empty
-    configuration, at version zero.
+    memory is the decide step against the empty configuration with no best,
+    as publish 1: the best own schedule at version zero.
 
     An agent starts once: a second start would reset its own version, so
     that its peers' older records of it would read as newer."""
@@ -188,13 +218,7 @@ def handle_start(
         raise StructuralError(f"agent {state.agent_id!r} has already started")
     if len(target) != state.horizon.interval_count:
         raise StructuralError("target length does not match agent horizon")
-    empty = SystemConfiguration.empty(state.fleet)
-    idx, value = _choose_index(state, target, empty)
-    config = _select(state, empty, idx)
-    best = Candidate(config, value, state.agent_id)
-    memory = KnowledgeMessage(state.agent_id, target, config, best, 1, (state.position,))
-    calls = state.objective_calls + len(state.window_matrix)
-    return replace(state, memory=memory, objective_calls=calls), memory
+    return _decide(state, target, SystemConfiguration.empty(state.fleet), None, (), 1)
 
 
 def _merge(
@@ -211,13 +235,11 @@ def _merge(
     """
     lv, rv = local.version, remote.version
     if positions is None:
-        if not any(map(gt, rv, lv)):
-            return local, ()
         newer = tuple(compress(count(), map(gt, rv, lv)))
     else:
         newer = tuple(i for i in positions if rv[i] > lv[i])
-        if not newer:
-            return local, ()
+    if not newer:
+        return local, ()
     index, version = local.index[:], local.version[:]
     size = local.size
     for i in newer:
@@ -258,36 +280,11 @@ def handle_message(
 
     positions = msg.changed if seq == since + 1 else None
     config, changed = _merge(memory.config, msg.config, positions)
-    best = memory.best
-    best_changed = compare(msg.best, best) > 0
-    if best_changed:
-        best = msg.best
-
+    best_changed = compare(msg.best, memory.best) > 0
     if config is memory.config and not best_changed:
         # Fixed point: the message taught us nothing, stay silent.
         return state, None
 
-    # Decide: re-optimize own selection against the merged belief.
-    idx, value = _choose_index(state, memory.target, config)
-    calls = state.objective_calls + len(state.window_matrix)
-    i = state.position
-    own = config.index[i]
-    chosen = config if own == idx else _select(state, config, idx)
-
-    candidate = Candidate(chosen, value, state.agent_id)
-    if compare(candidate, best) > 0:
-        best = candidate
-        config = chosen
-    else:
-        # Conform to the best known solution: adopt the selection it
-        # records for this agent, if any.
-        recorded = best.configuration.index[i]
-        if recorded >= 0 and recorded != own:
-            config = _select(state, config, recorded)
-
-    if config.version[i] != memory.config.version[i] and i not in changed:
-        changed += (i,)
+    best = msg.best if best_changed else memory.best
     # A memory without a delta (seq 0, built by hand) has none to extend.
-    new_memory = KnowledgeMessage(state.agent_id, memory.target, config, best,
-                                  memory.seq + 1 if memory.seq else 0, changed)
-    return AgentState(state.agent_id, state.fleet, state.neighbors, new_memory, calls), new_memory
+    return _decide(state, memory.target, config, best, changed, memory.seq + 1 if memory.seq else 0)

@@ -31,7 +31,6 @@ from .evaluation import (
     RunResult,
     SweepRow,
     design_points,
-    factor_cell,
     greedy_assignment,
     run_scenario_full,
     run_sweep,
@@ -40,7 +39,7 @@ from .evaluation import (
 )
 from .flexibility import simulate_tank
 from .scenario import Scenario, materialize
-from .schema import ScenarioError, load_design, load_scenario, scenario_to_mapping
+from .schema import ScenarioError, factor_cell, load_design, load_scenario, scenario_to_mapping
 from .simnet import snapshot_best
 
 __all__ = ["main"]
@@ -357,6 +356,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.jobs < 1:
+        p_sweep.error(f"argument --jobs: must be at least 1, not {args.jobs}")
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -12,21 +12,18 @@ per replication index.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import Fleet, SystemConfiguration, TargetProfile, aggregate, coverage
 from .scenario import Materialized, Scenario, materialize
+from .schema import ExperimentDesign, factor_cell
 from .simnet import EventTrace, SimClockStats, check_consistency, run, snapshot_best
-
-if TYPE_CHECKING:  # schema imports this module for factor_cell
-    from .schema import ExperimentDesign
 
 __all__ = [
     "CapExceededError",
@@ -42,7 +39,6 @@ __all__ = [
     "greedy_baseline",
     "greedy_assignment",
     "design_points",
-    "factor_cell",
     "run_sweep",
     "summarize_rows",
     "SUMMARY_METRICS",
@@ -61,7 +57,6 @@ class CapExceededError(RuntimeError):
             f"combinations exceeds the enumeration cap {cap}"
         )
         self.combinations = combinations
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,6 @@ def greedy_assignment(mat: Materialized) -> tuple[float, dict[str, int]]:
     target_w = mat.scenario.target.arr[w]
     acc = np.zeros(len(w), dtype=np.float64)
     assignment: dict[str, int] = {}
-    value = float(np.abs(acc - target_w).sum())
     for agent in mat.agents:
         m = agent.window_matrix
         values = np.abs((acc + m) - target_w).sum(axis=1)
@@ -287,13 +281,6 @@ def greedy_assignment(mat: Materialized) -> tuple[float, dict[str, int]]:
 
 
 # --- experiment sweeps ------------------------------------------------------
-
-
-def factor_cell(value) -> str:
-    """A factor value as a results.csv cell, which identifies its design cell."""
-    if isinstance(value, Mapping):
-        return json.dumps(value, sort_keys=True)
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -336,7 +323,7 @@ def run_sweep(
         if only is None or index in only
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_run_point, tasks))
     return [_run_point(task) for task in tasks]
 

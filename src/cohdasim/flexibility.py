@@ -49,7 +49,6 @@ class SamplingError(RuntimeError):
         self.found = found
         self.attempts = attempts
         self.position = position
-        self.device = device
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from pathlib import Path
 import yaml
 
 from .core import PlanningHorizon, StructuralError, TargetProfile
-from .evaluation import factor_cell
 from .flexibility import DeviceModel
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -40,6 +40,7 @@ __all__ = [
     "UnknownPathError",
     "DesignError",
     "ExperimentDesign",
+    "factor_cell",
     "load_scenario",
     "load_design",
     "parse_scenario_mapping",
@@ -53,7 +54,6 @@ class ScenarioError(ValueError):
 
     def __init__(self, message: str, location: str | None = None):
         super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
 
 
 class UnknownPathError(StructuralError):
@@ -499,6 +499,13 @@ def load_scenario(ref: str, relative_to: Path | None = None) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"no such scenario file or builtin name: {ref!r}")
     return parse_scenario_mapping(_load_yaml(path), str(path))
+
+
+def factor_cell(value) -> str:
+    """A factor value as a results.csv cell, which identifies its design cell."""
+    if isinstance(value, Mapping):
+        return json.dumps(value, sort_keys=True)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from cohdasim.core import (
 from cohdasim.simnet import snapshot_best
 from cohdasim.wire import EMPTY_CONFIG_LENGTH, config_length, encoded_length
 
-from conftest import configuration, make_agent, make_agents, make_fleet, reference_key
+from conftest import configuration, make_agent, make_agents, make_fleet, record, reference_key
 from wire_reference import decode_message, encode_message
 
 
@@ -615,6 +615,153 @@ def test_stored_size_follows_merges_and_selects(data):
         assert Candidate(config, 0.0, "a0").size == len(config) == config.size
         assert config_length(config) == EMPTY_CONFIG_LENGTH + sum(
             length for length, k in zip(fleet.record_lengths, known) if k)
+
+
+# --- the whole step against a reference over plain dicts ------------------------
+
+
+def _own_record(state, idx, records):
+    """The agent's record of schedule ``idx``, one version above its record
+    in ``records``, or version 0 for the first."""
+    version = records[state.agent_id].version + 1 if state.agent_id in records else 0
+    return record(state.agent_id, idx, state.fleet.power[state.position][idx], version)
+
+
+def _candidate(fleet, records, fitness, creator):
+    picks = {aid: (rec.schedule_index, rec.version) for aid, rec in records.items()}
+    return Candidate(configuration(fleet, picks), fitness, creator)
+
+
+def _reference_decide(state, target, records, best):
+    """Steps 2 and 3 of the module docstring over a dict of records: decide
+    with ``_reference_choose``, adopt the result if it beats ``best`` (no
+    best: it wins), conform to ``best`` otherwise. Returns the new records
+    and best."""
+    own = state.agent_id
+    idx, value = _reference_choose(state, target, records)
+    chosen = dict(records)
+    if own not in records or records[own].schedule_index != idx:
+        chosen[own] = _own_record(state, idx, records)
+    candidate = _candidate(state.fleet, chosen, value, own)
+    if best is None or compare(candidate, best) > 0:
+        return chosen, candidate
+    if own in best.configuration:
+        recorded = best.configuration[own].schedule_index
+        if own not in records or records[own].schedule_index != recorded:
+            return {**records, own: _own_record(state, recorded, records)}, best
+    return records, best
+
+
+def _reference_step(state, target, memory, msg):
+    """One delivery by the three steps, with no delta and no ``seq`` test:
+    the message is merged whole (newer versions win, ties keep the local
+    record), the ``compare``-preferred best is kept, and an update that
+    teaches nothing publishes nothing (``None``). ``memory`` is (records,
+    best, seq); so is the result, plus the positions whose record changed."""
+    records, best, seq = memory
+    merged = _dict_merge(records, dict(msg.config))
+    kept = msg.best if compare(msg.best, best) > 0 else best
+    if merged == records and kept is best:
+        return None
+    new_records, new_best = _reference_decide(state, target, merged, kept)
+    return new_records, new_best, seq + 1 if seq else 0, _changed(state.fleet, records, new_records)
+
+
+def _changed(fleet, before, after):
+    return sorted(fleet.position[aid] for aid in after if before.get(aid) != after[aid])
+
+
+@st.composite
+def _publish_runs(draw):
+    """A fleet, and the publishes of two or three peers of agent "a0": each
+    publish raises some versions of the peer's belief (at times the one of
+    "a0" as well, as a hand-built message may) and keeps the ``compare``-
+    preferred of its previous best and a drawn candidate. Then a delivery
+    order over those publishes, with duplicates, out-of-order and stale
+    ones, some sent as hand-built copies without a delta (``seq`` 0), and
+    the step at which the agent's memory is rebuilt by hand (``seq`` 0)."""
+    T = draw(st.sampled_from([1, 3]))
+    horizon = PlanningHorizon(T, 1.0, tuple(draw(st.sets(st.integers(0, T - 1), min_size=1))))
+    fleet = make_fleet(horizon, {
+        aid: [[draw(_power) for _ in range(T)] for _ in range(draw(st.integers(1, 3)))]
+        for aid in _POOL
+    })
+    target = TargetProfile(tuple(draw(_power) for _ in range(T)))
+    senders = draw(st.lists(st.sampled_from(_POOL[1:]), unique=True, min_size=2, max_size=3))
+    history = {}
+    for sender in senders:
+        records, best, publishes = {}, None, []
+        for seq in range(1, draw(st.integers(1, 4)) + 1):
+            before = dict(records)
+            moved = draw(st.lists(st.sampled_from(_POOL), unique=True, min_size=1))
+            for aid in ([sender] if seq == 1 else []) + moved:
+                version = records[aid].version + draw(st.integers(1, 2)) if aid in records else 0
+                idx = _index(draw, fleet, aid)
+                records[aid] = record(aid, idx, fleet.power[fleet.position[aid]][idx], version)
+            picked = draw(st.lists(st.sampled_from(sorted(records)), unique=True, min_size=1))
+            drawn = _candidate(fleet, {aid: records[aid] for aid in picked},
+                               draw(st.floats(0.0, 50.0)), sender)
+            best = drawn if best is None or compare(drawn, best) > 0 else best
+            config = configuration(fleet, {aid: (r.schedule_index, r.version)
+                                           for aid, r in records.items()})
+            publishes.append(KnowledgeMessage(sender, target, config, best, seq,
+                                              tuple(_changed(fleet, before, records))))
+        history[sender] = publishes
+    deliveries = []
+    for _ in range(draw(st.integers(1, 10))):
+        sender = draw(st.sampled_from(senders))
+        msg = draw(st.sampled_from(history[sender]))
+        if draw(st.integers(0, 5)) == 0:
+            msg = KnowledgeMessage(msg.sender, msg.target, msg.config, msg.best)
+        deliveries.append(msg)
+    return fleet, target, deliveries, draw(st.integers(0, len(deliveries)))
+
+
+def _assert_memory(state, reference, calls):
+    records, best, seq, changed = reference
+    memory = state.memory
+    assert dict(memory.config) == records
+    assert dict(memory.best.configuration) == dict(best.configuration)
+    assert memory.best.size == best.size
+    assert _bits(memory.best.fitness) == _bits(best.fitness)
+    assert memory.best.key == reference_key(best.configuration)
+    assert memory.best.creator == best.creator
+    assert memory.seq == seq
+    if seq:  # a memory without a delta has no ``changed`` to read
+        assert sorted(memory.changed) == changed
+    assert state.objective_calls == calls
+
+
+@given(_publish_runs())
+def test_handlers_match_the_whole_step_reference(run):
+    # ``handle_start`` is the decide step against the empty belief with no
+    # best, as publish 1; ``handle_message``, told the highest ``seq`` it
+    # has handled from the sender as the kernel tells it, equals the
+    # reference step, which merges every message whole.
+    fleet, target, deliveries, rebuild_at = run
+    state, out = handle_start(AgentState("a0", fleet, ("a1",)), target)
+    records, best = _reference_decide(state, target, {}, None)
+    per_decide = len(state.window_matrix)
+    _assert_memory(state, (records, best, 1, [state.position]), per_decide)
+    assert out is state.memory
+    heard, calls, seq = {}, per_decide, 1
+    for step, msg in enumerate(deliveries):
+        if step == rebuild_at:
+            memory = state.memory
+            state = dataclasses.replace(state, memory=KnowledgeMessage(
+                "a0", memory.target, memory.config, memory.best))
+            seq = 0
+        reference = _reference_step(state, target, (records, best, seq), msg)
+        since = heard.get(msg.sender, 0)
+        new_state, out = handle_message(state, msg, since)
+        heard[msg.sender] = max(since, msg.seq)
+        if reference is None:
+            assert out is None and new_state is state
+            continue
+        calls += per_decide
+        _assert_memory(new_state, reference, calls)
+        assert out is new_state.memory
+        state, (records, best, seq, _) = new_state, reference
 
 
 # --- the committed selections ----------------------------------------------------

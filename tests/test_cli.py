@@ -468,6 +468,17 @@ def test_sweep_jobs_parallel_matches_serial(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # Refused with the arguments, before the design is read or a run starts.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", str(tmp_path / "missing.yaml"), "--out", str(out), "--jobs", jobs])
+    assert exit_.value.code == 2
+    assert f"argument --jobs: must be at least 1, not {jobs}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_refuses_huge_product(tmp_path, capsys):
     # 200^200 combinations: far beyond a float, refused from the exact count.
     mapping = scenario_to_mapping(build_small_demo_scenario())

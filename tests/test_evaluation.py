@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cohdasim import agent, core
+from cohdasim import agent, core, evaluation
 from cohdasim.cli import main
 from cohdasim.core import PlanningHorizon, StructuralError, TargetProfile
 from cohdasim.evaluation import (
@@ -433,6 +433,38 @@ def test_sweep_rows_and_determinism():
         assert a.result.final_fitness == b.result.final_fitness
         assert a.result.messages_sent == b.result.messages_sent
         assert a.result.best_improvement_curve == b.result.best_improvement_curve
+
+
+def test_sweep_asks_the_pool_for_no_more_workers_than_runs(monkeypatch):
+    # A pool that forks eagerly starts every worker it is asked for, so the
+    # request is capped at the number of runs. The stand-in pool starts no
+    # process: it records the worker count and maps in this process.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    design = ExperimentDesign(build_toy2_scenario(), (), replications=2, base_seed=4)
+
+    def timeless(rows):
+        return [(r.factors, r.replication, r.seed, dataclasses.replace(r.result, wall_time=0.0))
+                for r in rows]
+
+    assert timeless(run_sweep(design, jobs=10**6)) == timeless(run_sweep(design))
+    assert sizes == [2]
+    run_sweep(design, jobs=10**6, only={1})  # one run: no pool at all
+    assert sizes == [2]
 
 
 def test_sweep_records_row_errors_and_continues():

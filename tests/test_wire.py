@@ -277,7 +277,9 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
     dataclasses and so imports ``scenario`` at module level. No package
     module calls ``with_param``: the package sets scenario keys through
     ``schema.with_keys`` only, and ``with_param`` is left for outside
-    callers."""
+    callers. ``schema`` imports nothing from ``evaluation`` (it owns
+    ``factor_cell``), and no module hides an import behind
+    ``TYPE_CHECKING``."""
     env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
     probe = subprocess.run(
         [sys.executable, "-c",
@@ -286,9 +288,19 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["cohdasim", "cohdasim.wire"]
 
-    in_functions, callers = set(), set()
+    in_functions, callers, type_checking, schema_imports = set(), set(), set(), set()
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        type_checking |= {path.stem for node in ast.walk(tree)
+                          if "TYPE_CHECKING" in (getattr(node, "id", None),
+                                                 getattr(node, "attr", None),
+                                                 getattr(node, "name", None))}
+        if path.stem == "schema":
+            schema_imports = {node.module.rpartition(".")[2] for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) and node.module}
+            schema_imports |= {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                               if isinstance(node, (ast.Import, ast.ImportFrom))
+                               for alias in node.names}
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 in_functions |= {(path.stem, func.name, node.module) for node in ast.walk(func)
@@ -298,3 +310,5 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
                     in ("with_param", "with_params")}
     assert in_functions == {("scenario", "with_param", "schema")}
     assert not callers
+    assert "evaluation" not in schema_imports
+    assert not type_checking
