@@ -358,6 +358,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.jobs < 1:
         p_sweep.error(f"argument --jobs: must be at least 1, not {args.jobs}")
+    if args.command == "oracle" and args.cap < 1:
+        p_oracle.error(f"argument --cap: must be at least 1, not {args.cap}")
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -147,6 +147,31 @@ def uncontrolled_configuration(mat: Materialized) -> SystemConfiguration:
 # --- enumeration oracles ---------------------------------------------------
 
 
+def _distinct_sums(mats: Sequence[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the block of window sums over the product of
+    ``mats`` (row-major, the last matrix fastest), in the order of their
+    first occurrence, and the block index of that occurrence. Built one
+    matrix at a time, so the full block is never held; each row adds the
+    same values in the same order as the full block's row."""
+    rows = np.zeros((1, width), dtype=np.float64)
+    first = np.zeros(1, dtype=np.int64)
+    for m in mats:
+        folded = np.empty((len(rows), len(m), width), dtype=np.float64)
+        np.add(rows[:, None, :], m[None, :, :], out=folded)
+        rows = folded.reshape(-1, width)
+        # Rows are compared by their bytes, in C order.
+        _, keep = np.unique(rows.view(np.dtype((np.void, 8 * width))).ravel(), return_index=True)
+        keep.sort()
+        rows = rows[keep]
+        first = (first[:, None] * len(m) + np.arange(len(m))).ravel()[keep]
+    if len(rows) == 1 and math.prod(len(m) for m in mats) > 1:
+        # numpy sums a one-row block pairwise, a longer one column by column.
+        rows, first = np.repeat(rows, 2, axis=0), np.repeat(first, 2)
+    # Column-major, as the full block was: each row's sum adds its window
+    # columns one after another.
+    return np.asfortranarray(rows), first
+
+
 class EnumerationOracle:
     """Exhaustive enumeration of the schedule product of a fleet, in its id
     order.
@@ -155,6 +180,14 @@ class EnumerationOracle:
     argument tuples, plus ``value_of`` which evaluates an assignment through
     the exact same float path the enumeration used, so sandwich comparisons
     are free of rounding asymmetries.
+
+    The agents after ``_split`` form a suffix block of at most ``_BLOCK``
+    combinations, whose window sums are built one agent at a time and kept
+    once each: a two-list enumeration with merged duplicate sums (Horowitz
+    and Sahni, JACM 21(2), 1974). Each distinct row carries the lowest block
+    index that has it, and the rows keep that order, so the first minimum
+    or maximum of a scan is the lexicographically lowest assignment. The
+    cap still counts the full product.
     """
 
     def __init__(self, fleet: Fleet, target: TargetProfile, cap: int = DEFAULT_CAP):
@@ -174,19 +207,21 @@ class EnumerationOracle:
             block *= sizes[split - 1]
             split -= 1
         self._split = split
-        suffix = np.zeros((1, len(w)), dtype=np.float64)
-        for m in self._mats[split:]:
-            suffix = (suffix[:, None, :] + m[None, :, :]).reshape(-1, suffix.shape[1])
-        self._suffix = suffix
+        self._rows, self._first = _distinct_sums(self._mats[split:], len(w))
+        self._buf = np.empty_like(self._rows)
         self._scan()
 
     def _values(self, prefix_idx: tuple[int, ...]) -> np.ndarray:
-        """The objective of ``prefix_idx`` completed by each row of the suffix
-        block: the one float path of the scan and of ``value_of``."""
-        acc = np.zeros(self._suffix.shape[1], dtype=np.float64)
+        """The objective of ``prefix_idx`` completed by each distinct suffix
+        row: the one float path of the scan and of ``value_of``."""
+        acc = np.zeros(self._rows.shape[1], dtype=np.float64)
         for i, j in enumerate(prefix_idx):
             acc = acc + self._mats[i][j]
-        return np.abs((acc + self._suffix) - self._target_w).sum(axis=1)
+        buf = self._buf
+        np.add(acc, self._rows, out=buf)
+        np.subtract(buf, self._target_w, out=buf)
+        np.abs(buf, out=buf)
+        return buf.sum(axis=1)
 
     def _scan(self) -> None:
         best_val = math.inf
@@ -194,6 +229,7 @@ class EnumerationOracle:
         best_idx: tuple[int, ...] = ()
         worst_idx: tuple[int, ...] = ()
         suffix_sizes = self.sizes[self._split :]
+        first = self._first
         for prefix_idx in itertools.product(*(range(s) for s in self.sizes[: self._split])):
             values = self._values(prefix_idx)
             j_min = int(np.argmin(values))
@@ -202,20 +238,27 @@ class EnumerationOracle:
             v_max = float(values[j_max])
             if v_min < best_val:
                 best_val = v_min
-                best_idx = prefix_idx + tuple(map(int, np.unravel_index(j_min, suffix_sizes)))
+                best_idx = prefix_idx + tuple(map(int, np.unravel_index(first[j_min], suffix_sizes)))
             if v_max > worst_val:
                 worst_val = v_max
-                worst_idx = prefix_idx + tuple(map(int, np.unravel_index(j_max, suffix_sizes)))
+                worst_idx = prefix_idx + tuple(map(int, np.unravel_index(first[j_max], suffix_sizes)))
         self.optimum = best_val
         self.optimum_assignment = dict(zip(self.agent_ids, best_idx))
         self.worst = worst_val
         self.worst_assignment = dict(zip(self.agent_ids, worst_idx))
 
     def value_of(self, assignment: Mapping[str, int]) -> float:
-        """Objective of one assignment: its entry of the block the scan read."""
+        """Objective of one assignment: its entry of the values the scan read.
+        An index outside an agent's schedules raises ``ValueError``."""
         idx = tuple(assignment[aid] for aid in self.agent_ids)
-        values = self._values(idx[: self._split])
-        return float(values[np.ravel_multi_index(idx[self._split :], self.sizes[self._split :])])
+        for aid, j, size in zip(self.agent_ids, idx, self.sizes):
+            if not 0 <= j < size:
+                raise ValueError(f"agent {aid!r} has no schedule {j}: it has {size}")
+        row = np.zeros(self._rows.shape[1], dtype=np.float64)
+        for m, j in zip(self._mats[self._split :], idx[self._split :]):
+            row = row + m[j]
+        match = (self._rows.view(np.uint64) == row.view(np.uint64)).all(axis=1)
+        return float(self._values(idx[: self._split])[int(np.argmax(match))])
 
 
 def brute_force_optimum(

@@ -492,6 +492,17 @@ def test_oracle_refuses_huge_product(tmp_path, capsys):
     assert "10^460.2" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_oracle_refuses_cap_below_one(tmp_path, capsys, cap):
+    # Refused with the arguments, before the scenario is read.
+    with pytest.raises(SystemExit) as exit_:
+        main(["oracle", str(tmp_path / "missing.yaml"), "--cap", cap])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --cap: must be at least 1, not {cap}\n" in captured.err
+    assert captured.out == ""
+
+
 # (section, key, bad value, message, text on the reported line)
 BAD_VALUES = [
     ("horizon", "intervals", 12.9, "horizon.intervals must be an integer", "intervals:"),

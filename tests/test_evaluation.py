@@ -141,6 +141,89 @@ def test_value_of_returns_the_scan_values(n, m, width):
         assert oracle.value_of(oracle.worst_assignment) == oracle.worst
 
 
+@pytest.mark.parametrize("block", [1, evaluation._BLOCK])
+@pytest.mark.parametrize("agent", ["A", "B"])
+@pytest.mark.parametrize("index", [-1, 2])
+def test_value_of_refuses_an_index_outside_the_schedules(
+        toy_instance, monkeypatch, block, agent, index):
+    # _BLOCK 1 puts both agents in the prefix, the default both in the block.
+    monkeypatch.setattr(evaluation, "_BLOCK", block)
+    ids, sets, target, horizon = toy_instance
+    oracle = _oracle(ids, sets, target, horizon)
+    with pytest.raises(ValueError, match=f"agent '{agent}' has no schedule {index}"):
+        oracle.value_of({"A": 0, "B": 0, agent: index})
+
+
+@pytest.mark.parametrize("block", [1, 7, evaluation._BLOCK])
+def test_oracle_ties_among_repeated_rows_match_an_integer_reference(monkeypatch, block):
+    # 0/1 tables with repeated schedules, so that many window sums repeat and
+    # many assignments tie. _BLOCK 1 enumerates every agent in the prefix, 7
+    # leaves the last two in the block, the default all five.
+    monkeypatch.setattr(evaluation, "_BLOCK", block)
+    rng = random.Random(block)
+    sizes, width = (3, 2, 4, 2, 3), 4
+    horizon = PlanningHorizon(width, 1.0, tuple(range(width)))
+    for _ in range(3):
+        sets = []
+        for size in sizes:
+            rows = [[rng.randint(0, 1) for _ in range(width)] for _ in range(size)]
+            rows[-1] = rows[0]
+            sets.append(rows)
+        target = [rng.randint(0, 4) for _ in range(width)]
+        ids = [f"a{i}" for i in range(len(sizes))]
+        oracle = _oracle(ids, sets, TargetProfile(tuple(target)), horizon)
+
+        def value(combo):
+            return sum(abs(sum(sets[i][j][t] for i, j in enumerate(combo)) - target[t])
+                       for t in range(width))
+
+        combos = list(itertools.product(*map(range, sizes)))
+        best = min(combos, key=lambda c: (value(c), c))
+        worst = min(combos, key=lambda c: (-value(c), c))
+        assert (oracle.optimum, oracle.worst) == (value(best), value(worst))
+        assert oracle.optimum_assignment == dict(zip(ids, best))
+        assert oracle.worst_assignment == dict(zip(ids, worst))
+        for combo in combos:
+            assert oracle.value_of(dict(zip(ids, combo))) == value(combo)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_value_of_adds_the_window_columns_in_order(monkeypatch, repeated):
+    # Uniform floats over 12 intervals, whose sums round differently in
+    # another order. _BLOCK 36 puts a0 in the prefix and a1, a2 in the block.
+    # The reference adds the prefix rows left to right, the block rows left
+    # to right, then the absolute errors column by column. With ``repeated``
+    # every block row is the same, so the block has one distinct sum.
+    monkeypatch.setattr(evaluation, "_BLOCK", 36)
+    rng = random.Random(9)
+    width, size = 12, 6
+    horizon = PlanningHorizon(width, 1.0, tuple(range(width)))
+
+    def table():
+        if repeated:
+            return [[rng.uniform(-3, 3) for _ in range(width)]] * size
+        return [[rng.uniform(-3, 3) for _ in range(width)] for _ in range(size)]
+
+    for _ in range(3):
+        sets = [[[rng.uniform(-3, 3) for _ in range(width)] for _ in range(size)],
+                table(), table()]
+        target = [rng.uniform(-3, 3) for _ in range(width)]
+        oracle = _oracle(["a0", "a1", "a2"], sets, TargetProfile(tuple(target)), horizon)
+
+        def value(combo):
+            prefix = [0.0 + x for x in sets[0][combo[0]]]
+            block = [0.0] * width
+            for i in (1, 2):
+                block = [b + x for b, x in zip(block, sets[i][combo[i]])]
+            total = 0.0
+            for p, b, t in zip(prefix, block, target):
+                total += abs((p + b) - t)
+            return total
+
+        for combo in itertools.product(range(size), repeat=3):
+            assert oracle.value_of(dict(zip(["a0", "a1", "a2"], combo))) == value(combo)
+
+
 def test_a_factor_value_repeated_as_a_cell_is_refused():
     # Two values repeat when they build the same scenario: two delays that
     # differ in key order, or 0 and 0.0 for a probability.
