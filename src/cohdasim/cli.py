@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,6 @@ from .evaluation import (
     greedy_assignment,
     run_scenario_full,
     run_sweep,
-    summarize_rows,
     uncontrolled_configuration,
 )
 from .flexibility import simulate_tank
@@ -185,27 +185,47 @@ _METRICS = (
     ("objective_calls_total", "objective_calls_total", int),
 )
 _RESULT_COLUMNS = ["status", *(header for header, _, _ in _METRICS), "error"]
+# The metrics of summary.csv, by RunResult attribute, in its row order.
+_SUMMARY_METRICS = ("final_fitness", "coverage_l1", "messages_sent", "message_bytes_total",
+                    "termination_sim_time", "objective_calls_total")
+
+
+def _ok_cells(values) -> list:
+    """The results.csv cells, from the status on, of an ``ok`` row whose
+    ``_METRICS`` values are ``values``."""
+    return ["ok", *(int(v) if isinstance(v, bool) else repr(v) for v in values), ""]
 
 
 def _sweep_row_values(row: SweepRow) -> list:
     if row.result is None:
         return ["error"] + [""] * len(_METRICS) + [row.error or ""]
-    values = (getattr(row.result, attr) for _, attr, _ in _METRICS)
-    return ["ok", *(int(v) if isinstance(v, bool) else repr(v) for v in values), ""]
+    return _ok_cells(getattr(row.result, attr) for _, attr, _ in _METRICS)
 
 
-def _row_from_values(point: tuple, values: list[str]) -> SweepRow:
-    """The ``ok`` row of results.csv whose cells after ``point``'s are
-    ``values``: its metrics only, no wall time, curve or per-agent calls."""
-    metrics = {}
-    for (header, attr, read), cell in zip(_METRICS, values[1:]):
-        try:
-            metrics[attr] = read(cell)
-        except ValueError as exc:
-            raise ValueError(f"{header}: {exc}") from None
-    calls = {"total": metrics.pop("objective_calls_total")}
-    return SweepRow(*point, RunResult(**metrics, wall_time=0.0, objective_calls=calls,
-                                      best_improvement_curve=()))
+def _summary_rows(header: list[str], table: list[list], width: int) -> list[list]:
+    """The summary.csv rows of the results.csv ``table``: per design cell
+    (the first ``width`` cells of a row), each summary metric's statistics
+    over the cell's ``ok`` rows; 95% normal-theory confidence bounds once a
+    cell has at least 10."""
+    status = header.index("status")
+    column = {attr: header.index(name) for name, attr, _ in _METRICS}
+    cells: dict[tuple, list[list]] = {}
+    for line in table:
+        if line[status] == "ok":
+            cells.setdefault(tuple(line[:width]), []).append(line)
+    summary = []
+    for factors, lines in cells.items():
+        for metric in _SUMMARY_METRICS:
+            values = [float(line[column[metric]]) for line in lines]
+            mean = statistics.fmean(values)
+            sd = statistics.stdev(values) if len(values) > 1 else 0.0
+            bounds = ["", ""]
+            if len(values) >= 10:
+                half = 1.96 * sd / math.sqrt(len(values))
+                bounds = [repr(mean - half), repr(mean + half)]
+            summary.append([*factors, metric, len(values),
+                            *map(repr, (mean, sd, min(values), max(values))), *bounds])
+    return summary
 
 
 def cmd_sweep(args) -> int:
@@ -214,14 +234,15 @@ def cmd_sweep(args) -> int:
     results_path = out / "results.csv"
     factor_paths = [p for p, _ in design.factors]
     header = factor_paths + ["replication", "seed"] + _RESULT_COLUMNS
-    points = design_points(design)
+    width = len(factor_paths) + 2
     # Leading results.csv cells of each design point; they identify its row.
-    leads = [[factor_cell(v) for v in f.values()] + [rep, seed] for f, rep, seed in points]
-    rows: list[SweepRow | None] = [None] * len(points)
+    leads = [[factor_cell(v) for v in f.values()] + [rep, seed]
+             for f, rep, seed in design_points(design)]
+    # The cells of each design point's row after its lead, once known.
+    cells: list[list | None] = [None] * len(leads)
 
     if args.resume and results_path.exists():
         index = {tuple(map(str, lead)): i for i, lead in enumerate(leads)}
-        width = len(factor_paths) + 2
         with results_path.open() as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
@@ -232,47 +253,48 @@ def cmd_sweep(args) -> int:
                     raise ScenarioError(f"row has {len(line)} cells, header {len(header)}", where)
                 i = index.get(tuple(line[:width]))
                 if i is not None and line[width] == "ok":
-                    try:
-                        rows[i] = _row_from_values(points[i], line[width:])
-                    except ValueError as exc:
-                        raise ScenarioError(f"ok row, bad metric cell: {exc}", where) from None
+                    values = []
+                    for (name, _, read), cell in zip(_METRICS, line[width + 1:]):
+                        try:
+                            values.append(read(cell))
+                        except ValueError as exc:
+                            raise ScenarioError(f"ok row, bad metric cell: {name}: {exc}",
+                                                where) from None
+                    cells[i] = _ok_cells(values)
 
-    missing = [i for i, row in enumerate(rows) if row is None]
+    missing = [i for i, c in enumerate(cells) if c is None]
     for i, row in zip(missing, run_sweep(design, jobs=args.jobs, only=set(missing))):
-        rows[i] = row
-    _write_csv(results_path, header, [lead + _sweep_row_values(r) for lead, r in zip(leads, rows)])
-
-    stats = ("mean", "sd", "min", "max", "ci_low", "ci_high")
-    summary_rows = [
-        [factor_cell(entry["factors"].get(p, "")) for p in factor_paths]
-        + [entry["metric"], entry["n"]]
-        + ["" if entry[k] is None else repr(entry[k]) for k in stats]
-        for entry in summarize_rows(rows)
-    ]
-    _write_csv(
-        out / "summary.csv",
-        factor_paths + ["metric", "n", *stats],
-        summary_rows,
-    )
-    print(f"sweep complete: {len(missing)} rows executed, {len(rows)} rows total")
+        cells[i] = _sweep_row_values(row)
+    table = [lead + c for lead, c in zip(leads, cells)]
+    _write_csv(results_path, header, table)
+    _write_csv(out / "summary.csv",
+               factor_paths + ["metric", "n", "mean", "sd", "min", "max", "ci_low", "ci_high"],
+               _summary_rows(header, table, len(factor_paths)))
+    print(f"sweep complete: {len(missing)} rows executed, {len(table)} rows total")
     return 0
 
 
-def _run_fitness(path: str) -> float:
-    """The finite ``final_fitness`` of the run result file at ``path``."""
+def _run_fitness(path: str, scenario: str, seed: int) -> float:
+    """The finite ``final_fitness`` of the run result file at ``path``, which
+    must be a run of the scenario named ``scenario`` at ``seed``."""
     try:
         with open(path) as fh:
-            fitness = float(json.load(fh)["final_fitness"])
+            record = json.load(fh)
+        fitness = float(record["final_fitness"])
         if not math.isfinite(fitness):
             raise ValueError(f"final_fitness {fitness!r} is not finite")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"not a run result with a final_fitness: {exc!r}", path) from None
+    run = (record.get("scenario"), record.get("seed"))
+    if run != (scenario, seed):
+        raise ScenarioError(f"a run of scenario {run[0]!r} at seed {run[1]!r}, "
+                            f"not of {scenario!r} at seed {seed!r}", path)
     return fitness
 
 
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    achieved = None if args.result is None else _run_fitness(args.result)
+    achieved = None if args.result is None else _run_fitness(args.result, scenario.name, args.seed)
     mat = materialize(scenario, args.seed)
     try:
         oracle = EnumerationOracle(mat.fleet, scenario.target, args.cap)

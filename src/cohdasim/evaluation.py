@@ -2,18 +2,18 @@
 
 ``run_scenario`` executes one scenario instance and condenses the kernel's
 counters and the final agent states into a flat result record. The
-brute-force and worst-case oracles enumerate the full schedule product (up
-to a hard cap) as frame of reference; the greedy baseline is a cheap
+brute-force and worst-case oracles scan the full schedule product as frame
+of reference, evaluating each distinct window sum of its suffix block once;
+their hard cap counts the full product. The greedy baseline is a cheap
 one-pass reference point. Sweeps run full factorial designs
 (``schema.ExperimentDesign``) with replications and common random numbers
-per replication index.
+per replication index; the sweep tables and their summary are ``cli``'s.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -40,8 +40,6 @@ __all__ = [
     "greedy_assignment",
     "design_points",
     "run_sweep",
-    "summarize_rows",
-    "SUMMARY_METRICS",
 ]
 
 DEFAULT_CAP = 10_000_000
@@ -370,52 +368,3 @@ def run_sweep(
             return list(pool.map(_run_point, tasks))
     return [_run_point(task) for task in tasks]
 
-
-SUMMARY_METRICS = (
-    "final_fitness",
-    "coverage_l1",
-    "messages_sent",
-    "message_bytes_total",
-    "termination_sim_time",
-    "objective_calls_total",
-)
-
-
-def _metric(row: SweepRow, name: str) -> float | None:
-    if row.result is None:
-        return None
-    return float(getattr(row.result, name))
-
-
-def summarize_rows(rows: Sequence[SweepRow]) -> list[dict]:
-    """Per-cell mean/SD/min/max for each summary metric; 95% normal-theory
-    confidence bounds once a cell has at least 10 successful replications."""
-    cells: dict[tuple, list[SweepRow]] = {}
-    for row in rows:
-        cells.setdefault(row.key()[0], []).append(row)
-    summaries = []
-    for cell_rows in cells.values():
-        factors = cell_rows[0].factors
-        for metric in SUMMARY_METRICS:
-            values = [v for v in (_metric(r, metric) for r in cell_rows) if v is not None]
-            if not values:
-                continue
-            mean = statistics.fmean(values)
-            sd = statistics.stdev(values) if len(values) > 1 else 0.0
-            entry = {
-                "factors": factors,
-                "metric": metric,
-                "n": len(values),
-                "mean": mean,
-                "sd": sd,
-                "min": min(values),
-                "max": max(values),
-                "ci_low": None,
-                "ci_high": None,
-            }
-            if len(values) >= 10:
-                half = 1.96 * sd / math.sqrt(len(values))
-                entry["ci_low"] = mean - half
-                entry["ci_high"] = mean + half
-            summaries.append(entry)
-    return summaries

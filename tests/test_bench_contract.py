@@ -106,3 +106,21 @@ def test_worker_traced_repetition(worker, monkeypatch, tmp_path):
     assert metrics["simnet.duplicates"] == stats.duplicates
     assert metrics["simnet.drops"] == stats.drops
     assert metrics["wire.bytes_per_msg"] == stats.message_bytes / stats.messages
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_worker_sweep_repetition(worker, monkeypatch, traced):
+    # The sweep repetition reads ``evaluation.run_sweep`` and its rows'
+    # ``key()``, ``error``, ``replication`` and ``seed``, the three oracle
+    # wrappers, ``run_scenario``, ``cli.result_record`` and
+    # ``scenario.with_param``. The list-index design keeps it to 8 short rows.
+    monkeypatch.setattr(worker, "SWEEP_DESIGN", Path("tests/golden/list_index_design.yaml"))
+    m = worker.import_package(ROOT)
+    tracer = worker.Tracer() if traced else None
+    rep = worker.run_sweep(m, ROOT, 0, 1, tracer)
+    assert rep["rows"] == 8
+    assert rep["failed"] == 0, rep["failures"]
+    if traced:
+        metrics = worker.layer_metrics(tracer, rep["helpers"], rep)
+        assert metrics["evaluation.oracle_s"] > 0
+        assert metrics["evaluation.oracle_combos_per_s"] > 0

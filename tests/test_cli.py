@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +285,21 @@ def test_oracle_refuses_an_unreadable_result_before_enumerating(tmp_path, capsys
     assert captured.err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("run, found, wanted", [
+    (["small-demo", "--seed", "0"], "'small-demo' at seed 0", "'toy-2' at seed 0"),
+    (["toy-2", "--seed", "3"], "'toy-2' at seed 3", "'toy-2' at seed 0"),
+], ids=["scenario", "seed"])
+def test_oracle_refuses_the_result_of_another_instance(tmp_path, capsys, run, found, wanted):
+    out = tmp_path / "out"
+    assert main(["run", *run, "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "result.json"
+    assert main(["oracle", "toy-2", "--result", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: a run of scenario {found}, not of {wanted}\n"
+
+
 def test_oracle_refuses_epex(capsys):
     assert main(["oracle", "epex-peakload"]) == 1
     err = capsys.readouterr().err
@@ -348,6 +365,97 @@ def test_sweep_and_resume(tmp_path):
     assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 0
     assert (out / "results.csv").read_bytes() == results
     assert (out / "summary.csv").read_bytes() == summary
+
+
+# summary.csv's metrics in row order: the metric name and its results.csv column.
+_SUMMARY_COLUMNS = (
+    ("final_fitness", "final_fitness"),
+    ("coverage_l1", "coverage_l1"),
+    ("messages_sent", "messages_sent"),
+    ("message_bytes_total", "message_bytes_total"),
+    ("termination_sim_time", "termination_sim_time_s"),
+    ("objective_calls_total", "objective_calls_total"),
+)
+
+
+def _reference_summary(results_path, factor_paths) -> bytes:
+    """summary.csv, worked out from the ok rows of the results.csv at
+    ``results_path``."""
+    with results_path.open() as fh:
+        ok = [row for row in csv.DictReader(fh) if row["status"] == "ok"]
+    cells = {}
+    for row in ok:
+        cells.setdefault(tuple(row[p] for p in factor_paths), []).append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*factor_paths, "metric", "n", "mean", "sd", "min", "max", "ci_low", "ci_high"])
+    for factors, rows in cells.items():
+        for metric, column in _SUMMARY_COLUMNS:
+            values = [float(row[column]) for row in rows]
+            mean = statistics.fmean(values)
+            sd = statistics.stdev(values) if len(values) > 1 else 0.0
+            bounds = ["", ""]
+            if len(values) >= 10:
+                half = 1.96 * sd / len(values) ** 0.5
+                bounds = [repr(mean - half), repr(mean + half)]
+            writer.writerow([*factors, metric, len(values), repr(mean), repr(sd),
+                             repr(min(values)), repr(max(values)), *bounds])
+    return buf.getvalue().encode()
+
+
+def test_summary_is_computed_from_the_ok_rows_of_results(tmp_path):
+    # The 50 patterns cannot exist for T=1: that cell is all error rows and
+    # has no summary rows. The exponential delay spreads the sim time.
+    design_path = tmp_path / "design.yaml"
+    design_path.write_text(
+        "base_scenario: toy-2\n"
+        "replications: 10\n"
+        "factors:\n"
+        "- path: sampling.count\n"
+        "  values: [2, 50]\n"
+        "- path: network.delay\n"
+        "  values: [{kind: exponential, mean_s: 0.1}]\n"
+    )
+    factor_paths = ["sampling.count", "network.delay"]
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(design_path), "--out", str(out)]) == 0
+    results_path = out / "results.csv"
+    results = results_path.read_bytes()
+    summary = (out / "summary.csv").read_bytes()
+    with results_path.open() as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses == ["ok"] * 10 + ["error"] * 10
+    assert summary == _reference_summary(results_path, factor_paths)
+    with (out / "summary.csv").open() as fh:
+        [sim_time] = [row for row in csv.DictReader(fh) if row["metric"] == "termination_sim_time"]
+    assert sim_time["n"] == "10" and float(sim_time["sd"]) > 0 and sim_time["ci_low"]
+
+    # Resumed from a table cut inside the ok cell: the resumed rows count.
+    lines = results.decode().splitlines(keepends=True)
+    results_path.write_text("".join(lines[:-12]))
+    assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 0
+    assert results_path.read_bytes() == results
+    assert (out / "summary.csv").read_bytes() == summary
+
+
+def test_sweep_resume_writes_an_edited_ok_row_back_canonically(tmp_path):
+    design_path = tmp_path / "design.yaml"
+    design_path.write_text("base_scenario: toy-2\nreplications: 2\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(design_path), "--out", str(out)]) == 0
+    results_path = out / "results.csv"
+    with results_path.open() as fh:
+        lines = list(csv.reader(fh))
+    header = lines[0]
+    edited = dict(zip(header, lines[1]), final_fitness="0.50", termination_sim_time_s="3")
+    lines[1] = [edited[column] for column in header]
+    with results_path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
+    assert main(["sweep", str(design_path), "--out", str(out), "--resume"]) == 0
+    with results_path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0] == dict(edited, final_fitness="0.5", termination_sim_time_s="3.0")
+    assert (out / "summary.csv").read_bytes() == _reference_summary(results_path, [])
 
 
 def _corrupt_short(cells):

@@ -16,7 +16,6 @@ from cohdasim.evaluation import (
     run_scenario,
     run_scenario_full,
     run_sweep,
-    summarize_rows,
     uncontrolled_configuration,
     worst_case_bound,
 )
@@ -565,15 +564,3 @@ def test_sweep_records_row_errors_and_continues():
     assert len(ok) == 2 and len(failed) == 2
     assert all("SamplingError" in r.error for r in failed)
 
-
-def test_summarize_rows_statistics():
-    sc = build_toy2_scenario()
-    design = ExperimentDesign(sc, (), replications=10, base_seed=3)
-    rows = run_sweep(design)
-    summaries = summarize_rows(rows)
-    fitness = [s for s in summaries if s["metric"] == "final_fitness"]
-    assert len(fitness) == 1
-    entry = fitness[0]
-    assert entry["n"] == 10
-    assert entry["min"] <= entry["mean"] <= entry["max"]
-    assert entry["ci_low"] is not None and entry["ci_low"] <= entry["mean"] <= entry["ci_high"]

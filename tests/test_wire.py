@@ -270,6 +270,22 @@ def test_decoder_accepts_only_canonical_bytes(drawn):
 _PACKAGE = Path(cohdasim.__file__).parent
 
 
+def test_package_modules_use_every_name_they_import():
+    """No package module imports a name that it never reads, but one:
+    ``scenario`` imports ``sample_feasible_schedules`` so that perfbench's
+    traced repetition can wrap it under that module's name."""
+    unused = set()
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    assert unused == {("scenario", "sample_feasible_schedules")}
+
+
 def test_wire_stands_alone_and_package_imports_are_module_level():
     """``wire`` loads no other package module, and every relative import of
     the package is at module level but one: ``scenario.with_param`` imports
