@@ -185,8 +185,8 @@ _METRICS = (
     ("objective_calls_total", "objective_calls_total", int),
 )
 _RESULT_COLUMNS = ["status", *(header for header, _, _ in _METRICS), "error"]
-# The metrics of summary.csv, by RunResult attribute, in its row order.
-_SUMMARY_METRICS = ("final_fitness", "coverage_l1", "messages_sent", "message_bytes_total",
+# The metrics that summary.csv summarizes, by RunResult attribute, in its row order.
+_SUMMARIZED = ("final_fitness", "coverage_l1", "messages_sent", "message_bytes_total",
                     "termination_sim_time", "objective_calls_total")
 
 
@@ -202,20 +202,20 @@ def _sweep_row_values(row: SweepRow) -> list:
     return _ok_cells(getattr(row.result, attr) for _, attr, _ in _METRICS)
 
 
-def _summary_rows(header: list[str], table: list[list], width: int) -> list[list]:
+def _summary_rows(header: list[str], table: list[list], factor_count: int) -> list[list]:
     """The summary.csv rows of the results.csv ``table``: per design cell
-    (the first ``width`` cells of a row), each summary metric's statistics
-    over the cell's ``ok`` rows; 95% normal-theory confidence bounds once a
-    cell has at least 10."""
+    (the first ``factor_count`` cells of a row), each summary metric's
+    statistics over the cell's ``ok`` rows; 95% normal-theory confidence
+    bounds once a cell has at least 10."""
     status = header.index("status")
     column = {attr: header.index(name) for name, attr, _ in _METRICS}
     cells: dict[tuple, list[list]] = {}
     for line in table:
         if line[status] == "ok":
-            cells.setdefault(tuple(line[:width]), []).append(line)
+            cells.setdefault(tuple(line[:factor_count]), []).append(line)
     summary = []
     for factors, lines in cells.items():
-        for metric in _SUMMARY_METRICS:
+        for metric in _SUMMARIZED:
             values = [float(line[column[metric]]) for line in lines]
             mean = statistics.fmean(values)
             sd = statistics.stdev(values) if len(values) > 1 else 0.0

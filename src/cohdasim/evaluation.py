@@ -367,4 +367,3 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_run_point, tasks))
     return [_run_point(task) for task in tasks]
-

@@ -563,4 +563,3 @@ def test_sweep_records_row_errors_and_continues():
     failed = [r for r in rows if r.error is not None]
     assert len(ok) == 2 and len(failed) == 2
     assert all("SamplingError" in r.error for r in failed)
-
