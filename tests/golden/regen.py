@@ -16,12 +16,16 @@ import shutil
 import sys
 from pathlib import Path
 
+import yaml
+
 from cohdasim.cli import main
+from cohdasim.scenario import BUILTIN_SCENARIOS
+from cohdasim.schema import load_scenario, scenario_to_mapping
 
 GOLDEN = Path(__file__).resolve().parent
 DATA = GOLDEN.parents[1] / "src" / "cohdasim" / "data"
 
-SUBDIRS = ("run", "uncontrolled", "oracle", "sweep")
+SUBDIRS = ("scenario", "run", "uncontrolled", "oracle", "sweep")
 
 # (directory name, scenario reference, seed, extra arguments) of every
 # golden ``run``. The lossy scenario's trace covers drop and duplicate events.
@@ -46,6 +50,12 @@ def _main(argv: list[str]) -> str:
 
 def generate(out: Path) -> None:
     """Write every golden output under ``out``."""
+    # Each builtin's canonical dump: the one byte check of the scenarios that
+    # no golden run covers (epex-peakload).
+    (out / "scenario").mkdir(parents=True, exist_ok=True)
+    for name in BUILTIN_SCENARIOS:
+        mapping = scenario_to_mapping(load_scenario(name))
+        (out / "scenario" / f"{name}.yaml").write_text(yaml.safe_dump(mapping, sort_keys=False))
     for name, ref, seed, extra in RUNS:
         run_dir = out / "run" / name
         _main(["run", ref, "--seed", str(seed), "--out", str(run_dir), *extra])
