@@ -6,11 +6,16 @@ and run limits. Everything derived from it (flexibility sets, overlay,
 agents) is materialized deterministically from the scenario seeds mixed
 with a per-run seed, so that runs, oracles and the uncontrolled baseline
 all see the same instance for the same (scenario, seed) pair.
+
+The builtin scenarios (``epex-peakload``, ``small-demo``, ``toy-2``) are
+scenario files in the package's ``data/`` directory; ``schema`` reads them
+as it reads any other scenario file, and ``BUILTIN_SCENARIOS`` maps each
+name to a loader of its file.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,12 +32,7 @@ from .flexibility import (  # noqa: F401
     sample_device_group,
     sample_feasible_schedules,
 )
-from .simnet import (
-    ConstantDelay,
-    NetworkModel,
-    RunLimits,
-    UniformDelay,
-)
+from .simnet import NetworkModel, RunLimits
 from .wire import MAX_RECORDS, MAX_SCHEDULES
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "mix_seed",
     "materialize",
     "with_param",
-    "build_epex_scenario",
-    "build_toy2_scenario",
-    "build_small_demo_scenario",
     "BUILTIN_SCENARIOS",
 ]
 
@@ -215,134 +212,12 @@ def with_param(scenario: Scenario, path: str, value) -> Scenario:
     return with_keys(scenario, {path: value})
 
 
-def build_epex_scenario() -> Scenario:
-    """EPEX-style Peakload block scenario.
+def _load_by_name(name: str) -> Scenario:
+    from .schema import load_scenario  # the schema module imports this one
 
-    123 devices at a typical medium-voltage node: 111 geothermal heat pumps
-    at -2 kW plus 4 small and 8 large CHP units (+1 kW / +5 kW). The target
-    is a constant -100 kW block between 09:00 and 21:00 on a 24 h horizon
-    at 15 minute resolution; 200 sampled schedules per device.
-
-    Thermal parameters are simplified stand-ins sized so that the fleet can
-    actually sustain the block: heat pump tanks draw 4 kW so roughly half
-    the pumps can run at any time during the window, and CHP tanks draw
-    little enough that the units can stay mostly silent while the block is
-    delivered.
-    """
-    T = 96
-    dt = 0.25
-    window = tuple(range(int(9 / dt), int(21 / dt)))
-    horizon = PlanningHorizon(T, dt, window)
-    target_values = [0.0] * T
-    for t in window:
-        target_values[t] = -100.0
-    heat_pump = DeviceModel(
-        kind="heat_pump",
-        p_el_on=-2.0,
-        thermal_on=8.0,
-        tank_capacity=0.581,
-        loss_rate=0.01,
-        ambient=20.0,
-        demand=(3.5,) * T,
-        temp_min=40.0,
-        temp_max=50.0,
-        temp_initial=45.0,
-    )
-    chp_small = DeviceModel(
-        kind="chp",
-        p_el_on=1.0,
-        thermal_on=2.5,
-        tank_capacity=0.581,
-        loss_rate=0.01,
-        ambient=20.0,
-        demand=(0.5,) * T,
-        temp_min=50.0,
-        temp_max=70.0,
-        temp_initial=60.0,
-    )
-    chp_large = dataclasses.replace(chp_small, p_el_on=5.0, thermal_on=12.5)
-    return Scenario(
-        name="epex-peakload",
-        horizon=horizon,
-        target=TargetProfile(tuple(target_values)),
-        devices=(
-            DeviceGroup("hp", 111, heat_pump),
-            DeviceGroup("chps", 4, chp_small),
-            DeviceGroup("chpl", 8, chp_large),
-        ),
-        topology=TopologySpec("small_world", k=4, p=0.1),
-        network=NetworkModel(delay=UniformDelay(0.01, 0.2)),
-        sampling=SamplingSpec(count=200),
-        seeds=SeedBlock(0, 0, 0),
-        limits=RunLimits(max_sim_time=86_400.0, max_messages=2_000_000),
-    )
+    return load_scenario(name)
 
 
-def build_toy2_scenario() -> Scenario:
-    """Two single-device groups over one interval; small enough that the
-    optimum (-2 plus -3 matching a -5 kW target) is obvious by hand."""
-    horizon = PlanningHorizon(1, 1.0, (0,))
-    base = dict(
-        kind="heat_pump",
-        thermal_on=8.0,
-        tank_capacity=1.0,
-        loss_rate=0.0,
-        ambient=20.0,
-        demand=(0.0,),
-        temp_min=0.0,
-        temp_max=1000.0,
-        temp_initial=500.0,
-    )
-    return Scenario(
-        name="toy-2",
-        horizon=horizon,
-        target=TargetProfile((-5.0,)),
-        devices=(
-            DeviceGroup("a", 1, DeviceModel(p_el_on=-2.0, **base)),
-            DeviceGroup("b", 1, DeviceModel(p_el_on=-3.0, **base)),
-        ),
-        topology=TopologySpec("ring"),
-        network=NetworkModel(delay=ConstantDelay(1.0)),
-        sampling=SamplingSpec(count=2),
-        seeds=SeedBlock(0, 0, 0),
-        limits=RunLimits(max_sim_time=1000.0, max_messages=100_000),
-    )
-
-
-def build_small_demo_scenario() -> Scenario:
-    """Twelve-device demonstration scenario on an hourly 12 interval day."""
-    T = 12
-    horizon = PlanningHorizon(T, 1.0, tuple(range(3, 9)))
-    target_values = [0.0] * T
-    for t in horizon.product_window:
-        target_values[t] = -8.0
-    device = DeviceModel(
-        kind="heat_pump",
-        p_el_on=-2.0,
-        thermal_on=6.0,
-        tank_capacity=2.0,
-        loss_rate=0.01,
-        ambient=20.0,
-        demand=(2.5,) * T,
-        temp_min=40.0,
-        temp_max=50.0,
-        temp_initial=45.0,
-    )
-    return Scenario(
-        name="small-demo",
-        horizon=horizon,
-        target=TargetProfile(tuple(target_values)),
-        devices=(DeviceGroup("dev", 12, device),),
-        topology=TopologySpec("small_world", k=4, p=0.1),
-        network=NetworkModel(delay=ConstantDelay(0.05)),
-        sampling=SamplingSpec(count=16),
-        seeds=SeedBlock(0, 0, 0),
-        limits=RunLimits(max_sim_time=10_000.0, max_messages=500_000),
-    )
-
-
-BUILTIN_SCENARIOS = {
-    "epex-peakload": build_epex_scenario,
-    "toy-2": build_toy2_scenario,
-    "small-demo": build_small_demo_scenario,
-}
+# Each builtin is the scenario file ``data/<name>.yaml``, read by ``schema``.
+BUILTIN_SCENARIOS = {name: functools.partial(_load_by_name, name)
+                     for name in ("epex-peakload", "toy-2", "small-demo")}

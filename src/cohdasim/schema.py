@@ -14,6 +14,7 @@ refusal at the key of the design file that it belongs to.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -487,18 +488,31 @@ def with_keys(scenario: Scenario, keys: Mapping[str, object]) -> Scenario:
         raise StructuralError(str(exc)) from None
 
 
+# The builtin scenarios' files, ``<name>.yaml``.
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+def _load_file(path: Path) -> Scenario:
+    return parse_scenario_mapping(_load_yaml(path), str(path))
+
+
+@functools.cache
+def _load_builtin(name: str) -> Scenario:
+    """A builtin's one parse, which every caller shares: a scenario is frozen
+    and holds no mutable value."""
+    return _load_file(_DATA / f"{name}.yaml")
+
+
 def load_scenario(ref: str, relative_to: Path | None = None) -> Scenario:
-    """Load a scenario from a builtin name or a YAML file path."""
+    """Load a scenario from a builtin name or a YAML file path. A relative
+    path is resolved against ``relative_to`` when it is given, and against
+    the working directory when it is not."""
     if ref in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[ref]()
-    path = Path(ref)
-    if relative_to is not None and not path.is_absolute() and not path.exists():
-        candidate = relative_to / path
-        if candidate.exists():
-            path = candidate
+        return _load_builtin(ref)
+    path = Path(ref) if relative_to is None else relative_to / ref
     if not path.exists():
         raise ScenarioError(f"no such scenario file or builtin name: {ref!r}")
-    return parse_scenario_mapping(_load_yaml(path), str(path))
+    return _load_file(path)
 
 
 def factor_cell(value) -> str:

@@ -34,7 +34,6 @@ RUNS = (
     ("toy-2_seed3", "toy-2", 3, ["--trace"]),
     ("small-demo_seed0", "small-demo", 0, []),
     ("small-demo_seed7", "small-demo", 7, []),
-    ("toy2_scenario_seed0", str(DATA / "toy2_scenario.yaml"), 0, []),
     ("lossy_scenario_seed0", str(GOLDEN / "lossy_scenario.yaml"), 0, ["--trace"]),
 )
 

@@ -31,12 +31,9 @@ from cohdasim.scenario import (
     SamplingSpec,
     SeedBlock,
     TopologySpec,
-    build_epex_scenario,
-    build_small_demo_scenario,
-    build_toy2_scenario,
     with_param,
 )
-from cohdasim.schema import ExperimentDesign
+from cohdasim.schema import ExperimentDesign, load_scenario
 from cohdasim.simnet import (
     ConstantDelay,
     ExponentialDelay,
@@ -68,7 +65,7 @@ def _pool() -> ProcessPoolExecutor:
 def _epex_run(seed: int):
     """One run of the builtin EPEX Peakload scenario and the coverage of
     its uncontrolled baseline."""
-    scenario = build_epex_scenario()
+    scenario = load_scenario("epex-peakload")
     full = run_scenario_full(scenario, seed)
     uncontrolled = uncontrolled_configuration(full.materialized)
     error = objective(uncontrolled, scenario.target, scenario.horizon)
@@ -91,7 +88,7 @@ def epex_runs():
         others = pool.map(_epex_outcome, rest)
         first_full, first_unc = _epex_run(first)
         outcomes = {first: (first_full.result, first_unc), **dict(zip(rest, others))}
-    return build_epex_scenario(), outcomes, first_full
+    return load_scenario("epex-peakload"), outcomes, first_full
 
 
 _BATTERY_PINNED = [
@@ -343,17 +340,17 @@ def test_criterion_5_feasibility_soundness(epex_runs):
 
 
 def _determinism_pairs():
-    shrunk = build_epex_scenario()
+    shrunk = load_scenario("epex-peakload")
     shrunk = with_param(shrunk, "devices.0.count", 11)
     shrunk = with_param(shrunk, "devices.1.count", 2)
     shrunk = with_param(shrunk, "devices.2.count", 2)
     shrunk = with_param(shrunk, "sampling.count", 30)
     shrunk = dataclasses.replace(shrunk, name="epex-shrunk")
     return [
-        (build_toy2_scenario(), 0),
-        (build_toy2_scenario(), 3),
-        (build_small_demo_scenario(), 1),
-        (build_small_demo_scenario(), 2),
+        (load_scenario("toy-2"), 0),
+        (load_scenario("toy-2"), 3),
+        (load_scenario("small-demo"), 1),
+        (load_scenario("small-demo"), 2),
         (shrunk, 0),
     ]
 
@@ -373,7 +370,7 @@ def test_criterion_6_determinism():
             mismatches.append((scenario.name, seed))
 
     design = ExperimentDesign(
-        build_toy2_scenario(),
+        load_scenario("toy-2"),
         (("network.duplicate_probability", (0.0, 0.1)),),
         replications=2,
         base_seed=4,

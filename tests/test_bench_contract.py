@@ -79,7 +79,7 @@ def test_cli_run_under_the_worker_capture(worker, monkeypatch, tmp_path, traced)
 def test_worker_correctness_checks_pass(worker, monkeypatch, tmp_path):
     # The worker's checks read the run's flexibility sets (``schedules`` and
     # ``on_patterns``) and the committed records; toy-2 keeps the run short.
-    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy2_scenario.yaml"))
+    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy-2.yaml"))
     m = worker.import_package(ROOT)
     rep = worker.run_cli(m, ROOT, "fleet", 0, tmp_path, None)
     assert rep["failed"] == 0, rep["failures"]
@@ -90,7 +90,7 @@ def test_worker_traced_repetition(worker, monkeypatch, tmp_path):
     # The traced repetition: spans on, then the per-layer metrics, which
     # unpack ``run``'s return value and count the trace's events by kind.
     # The run collects its trace here, so that the kinds are read.
-    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy2_scenario.yaml"))
+    monkeypatch.setattr(worker, "FLEET_SCENARIO", Path("src/cohdasim/data/toy-2.yaml"))
     m = worker.import_package(ROOT)
     original = m.cli.run_scenario_full
     monkeypatch.setattr(m.cli, "run_scenario_full",

@@ -22,7 +22,7 @@ from cohdasim.schema import (
     scenario_to_mapping,
 )
 from cohdasim.core import StructuralError
-from cohdasim.scenario import BUILTIN_SCENARIOS, build_small_demo_scenario, build_toy2_scenario
+from cohdasim.scenario import BUILTIN_SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "cohdasim" / "data"
@@ -31,7 +31,7 @@ SHIPPED_YAML = sorted(DATA.glob("*.yaml")) + [ROOT / "perfbench" / "fleet.yaml"]
 
 
 def _write_scenario(tmp_path, name="sc.yaml", **edits):
-    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping = scenario_to_mapping(load_scenario("toy-2"))
     mapping.update(edits)
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
@@ -64,8 +64,8 @@ def _assert_round_trip(scenario):
 
 def test_scenario_round_trip():
     assert set(BUILTIN_SCENARIOS) >= {"epex-peakload", "toy-2", "small-demo"}
-    for builder in BUILTIN_SCENARIOS.values():
-        _assert_round_trip(builder())
+    for load in BUILTIN_SCENARIOS.values():
+        _assert_round_trip(load())
 
 
 def test_unknown_key_reports_location(tmp_path):
@@ -80,7 +80,7 @@ def test_unknown_key_reports_location(tmp_path):
 
 
 def test_nested_unknown_key_location(tmp_path):
-    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping = scenario_to_mapping(load_scenario("toy-2"))
     mapping["network"]["oops"] = True
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
@@ -177,9 +177,9 @@ def test_a_sampling_failure_names_its_device(tmp_path, capsys):
     # feasible patterns, dev005 only 7. toy-2 with b000's tank unable to
     # take an on interval: a000 finds both patterns, b000, in the second
     # group, only one.
-    small = scenario_to_mapping(build_small_demo_scenario())
+    small = scenario_to_mapping(load_scenario("small-demo"))
     small["sampling"] = {"count": 8, "attempt_factor": 1}
-    toy = scenario_to_mapping(build_toy2_scenario())
+    toy = scenario_to_mapping(load_scenario("toy-2"))
     toy["devices"][1]["temp_max_c"] = 505.0
     for mapping, message in [
         (small, "dev005: found only 7 of 8 distinct feasible patterns within 8 attempts"),
@@ -209,7 +209,7 @@ def test_run_scenario_file_round_trips_through_cli(tmp_path):
 
 def test_result_json_is_strict_json_when_the_window_energy_cancels(tmp_path):
     # Window target energies -5 and +5 sum to zero: the energy ratio is undefined.
-    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping = scenario_to_mapping(load_scenario("toy-2"))
     mapping["horizon"] = {"intervals": 2, "interval_hours": 1.0, "window_intervals": [0, 1]}
     mapping["target"] = {"power_kw": [-5.0, 5.0]}
     for device in mapping["devices"]:
@@ -316,7 +316,7 @@ def test_uncontrolled_command(tmp_path, capsys):
 
 
 def test_uncontrolled_equals_controlled_for_singleton_sets(tmp_path):
-    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping = scenario_to_mapping(load_scenario("toy-2"))
     mapping["sampling"]["count"] = 1
     path = tmp_path / "fixed.yaml"
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
@@ -544,8 +544,8 @@ def test_shipped_design_files_parse():
         else:
             scenario = load_scenario(str(path))
         _assert_round_trip(scenario)
-    assert designs == 2 and len(SHIPPED_YAML) == 4
-    toy = load_scenario(str(DATA / "toy2_scenario.yaml"))
+    assert designs == 2 and len(SHIPPED_YAML) == 6
+    toy = load_scenario(str(DATA / "toy-2.yaml"))
     assert toy.device_count() == 2
 
 
@@ -559,6 +559,20 @@ def test_design_base_scenario_relative_to_design_file(tmp_path):
         )
     )
     design = load_design(str(design_path))
+    assert design.base_scenario.device_count() == 2
+
+
+def test_design_base_scenario_is_not_read_from_the_working_directory(tmp_path, monkeypatch):
+    # A same-named decoy in the working directory must not shadow the file
+    # beside the design.
+    (tmp_path / "designs").mkdir()
+    _write_scenario(tmp_path / "designs", name="base.yaml")
+    decoy = scenario_to_mapping(load_scenario("small-demo"))
+    (tmp_path / "base.yaml").write_text(yaml.safe_dump(decoy, sort_keys=False))
+    (tmp_path / "designs" / "d.yaml").write_text(
+        yaml.safe_dump({"base_scenario": "base.yaml", "replications": 1}, sort_keys=False))
+    monkeypatch.chdir(tmp_path)
+    design = load_design("designs/d.yaml")
     assert design.base_scenario.device_count() == 2
 
 
@@ -589,7 +603,7 @@ def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
 
 def test_oracle_refuses_huge_product(tmp_path, capsys):
     # 200^200 combinations: far beyond a float, refused from the exact count.
-    mapping = scenario_to_mapping(build_small_demo_scenario())
+    mapping = scenario_to_mapping(load_scenario("small-demo"))
     mapping["devices"][0]["count"] = 200
     mapping["sampling"]["count"] = 200
     path = tmp_path / "huge.yaml"
@@ -689,7 +703,7 @@ def test_section_refusal_reported_at_its_key(tmp_path, section, key, value, mess
 ], ids=["target", "horizon"])
 def test_a_section_that_gives_both_alternatives_is_refused(tmp_path, capsys, section, key,
                                                            value, message, ignored):
-    mapping = yaml.safe_load((DATA / "toy2_scenario.yaml").read_text())
+    mapping = yaml.safe_load((DATA / "toy-2.yaml").read_text())
     mapping[section][key] = value
     path = tmp_path / "sc.yaml"
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))
@@ -736,7 +750,7 @@ def test_small_world_k_factor_refused_at_its_values(tmp_path, capsys):
 @pytest.mark.parametrize("k", [12, 14])
 def test_small_world_k_against_the_device_count_is_refused_in_a_file(tmp_path, capsys, k):
     # A scenario file knows its device count, so it is refused at its k line.
-    mapping = scenario_to_mapping(build_small_demo_scenario())
+    mapping = scenario_to_mapping(load_scenario("small-demo"))
     mapping["topology"]["k"] = k
     path = tmp_path / "sc.yaml"
     path.write_text(yaml.safe_dump(mapping, sort_keys=False))

@@ -19,12 +19,8 @@ from cohdasim.evaluation import (
     uncontrolled_configuration,
     worst_case_bound,
 )
-from cohdasim.scenario import (
-    build_small_demo_scenario,
-    build_toy2_scenario,
-    with_param,
-)
-from cohdasim.schema import DesignError, ExperimentDesign
+from cohdasim.scenario import with_param
+from cohdasim.schema import DesignError, ExperimentDesign, load_scenario
 from conftest import make_fleet
 from wire_reference import decode_message, encode_message
 
@@ -233,14 +229,14 @@ def test_a_factor_value_repeated_as_a_cell_is_refused():
         ("network.duplicate_probability", (0, 0.0), "0.0"),
     ]:
         with pytest.raises(StructuralError) as err:
-            ExperimentDesign(build_toy2_scenario(), ((path, values),))
+            ExperimentDesign(load_scenario("toy-2"), ((path, values),))
         assert str(err.value) == f"factor '{path}' repeats the value {cell}"
 
 
 def test_a_design_that_repeats_a_factor_path_is_refused():
     path = "network.duplicate_probability"
     with pytest.raises(StructuralError) as err:
-        ExperimentDesign(build_toy2_scenario(), ((path, (0.0, 0.1)), (path, (0.2,))))
+        ExperimentDesign(load_scenario("toy-2"), ((path, (0.0, 0.1)), (path, (0.2,))))
     assert str(err.value) == f"factor '{path}' repeats an earlier factor's path"
     assert (err.value.factor, err.value.key) == (1, "path")
 
@@ -248,7 +244,7 @@ def test_a_design_that_repeats_a_factor_path_is_refused():
 def test_a_design_refusal_carries_its_location():
     # Where a design file puts each refusal: the factor's index (None for
     # the design's own keys) and its key.
-    base = build_toy2_scenario()
+    base = load_scenario("toy-2")
     first = ("network.duplicate_probability", (0.0, 0.1))
     for factors, replications, message, factor, key in [
         ((first, ("sampling.count", (2, 1.5))), 1,
@@ -263,11 +259,11 @@ def test_a_design_refusal_carries_its_location():
 
 
 def test_worst_case_analytic_dominates_exhaustive():
-    toy = build_toy2_scenario()
+    toy = load_scenario("toy-2")
     exact = worst_case_bound(toy, 0, method="exhaustive")
     analytic = worst_case_bound(toy, 0, method="analytic")
     assert analytic >= exact
-    small = with_param(build_small_demo_scenario(), "sampling.count", 3)
+    small = with_param(load_scenario("small-demo"), "sampling.count", 3)
     small = with_param(small, "topology.k", 2)  # before the count: k=4 needs 5 devices
     small = with_param(small, "devices.0.count", 4)
     assert worst_case_bound(small, 1, method="analytic") >= worst_case_bound(
@@ -277,7 +273,7 @@ def test_worst_case_analytic_dominates_exhaustive():
 
 def _huge_small_demo():
     # 200 devices x 200 schedules: 200^200 combinations, beyond any float.
-    sc = with_param(build_small_demo_scenario(), "devices.0.count", 200)
+    sc = with_param(load_scenario("small-demo"), "devices.0.count", 200)
     return with_param(sc, "sampling.count", 200)
 
 
@@ -294,7 +290,7 @@ def test_brute_force_refuses_huge_products():
 
 
 def test_worst_case_singleton_sets_equal_everything():
-    sc = with_param(build_toy2_scenario(), "sampling.count", 1)
+    sc = with_param(load_scenario("toy-2"), "sampling.count", 1)
     opt, _ = brute_force_optimum(sc, 0)
     worst = worst_case_bound(sc, 0, method="exhaustive")
     greedy, _ = greedy_baseline(sc, 0)
@@ -302,7 +298,7 @@ def test_worst_case_singleton_sets_equal_everything():
 
 
 def test_scenario_oracles_on_toy2():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     opt, assignment = brute_force_optimum(sc, 0)
     assert opt == 0.0
     # The optimum turns both devices on (-2 and -3 against -5).
@@ -331,7 +327,7 @@ def test_greedy_baseline_hand_example(toy_instance):
 
 def test_greedy_on_scenarios_not_below_optimum():
     for builder_seed in (0, 1):
-        sc = with_param(build_small_demo_scenario(), "sampling.count", 4)
+        sc = with_param(load_scenario("small-demo"), "sampling.count", 4)
         sc = with_param(sc, "devices.0.count", 5)
         opt, _ = brute_force_optimum(sc, builder_seed)
         greedy, _ = greedy_baseline(sc, builder_seed)
@@ -342,7 +338,7 @@ def test_greedy_follows_the_device_order():
     # Groups "b" then "a": the devices choose in that order, not by sorted
     # id. b000 first takes -4.5 against -5, leaving a000 off (0.5); in id
     # order a000 would take -3 first and b000 stay off (2.0).
-    toy = build_toy2_scenario()
+    toy = load_scenario("toy-2")
     b, a = (dataclasses.replace(g.model, p_el_on=p) for g, p in zip(toy.devices, (-4.5, -3.0)))
     sc = dataclasses.replace(toy, target=TargetProfile((-5.0,)),
                              devices=(dataclasses.replace(toy.devices[0], prefix="b", model=b),
@@ -354,7 +350,7 @@ def test_greedy_follows_the_device_order():
 
 
 def test_greedy_single_agent_equals_brute_force():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     import dataclasses
 
     one = dataclasses.replace(
@@ -369,7 +365,7 @@ def test_run_scenario_single_agent():
     # One-agent run: no neighbors, no messages.
     import dataclasses
 
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     one = dataclasses.replace(
         sc,
         devices=(sc.devices[0],),
@@ -383,7 +379,7 @@ def test_run_scenario_single_agent():
 
 
 def test_run_scenario_toy_matches_brute_force():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     result = run_scenario(sc, 0)
     opt, _ = brute_force_optimum(sc, 0)
     assert result.final_fitness == opt == 0.0
@@ -393,7 +389,7 @@ def test_run_scenario_toy_matches_brute_force():
 
 
 def test_run_result_metric_consistency():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     trace = []
     full = run_scenario_full(sc, 2, trace=trace)
     r = full.result
@@ -423,8 +419,8 @@ def test_run_result_metric_consistency():
 def test_no_schedule_is_built_on_the_delivery_path(refuse_records, tmp_path, traced):
     # Records are the read view of the tests: no run, CLI output or wire
     # message builds one.
-    expected = run_scenario(build_small_demo_scenario(), 0)
-    full = run_scenario_full(build_small_demo_scenario(), 0, trace=[] if traced else None)
+    expected = run_scenario(load_scenario("small-demo"), 0)
+    full = run_scenario_full(load_scenario("small-demo"), 0, trace=[] if traced else None)
     assert full.result.terminated and full.result.consistent
     assert dataclasses.replace(full.result, wall_time=0.0) == dataclasses.replace(
         expected, wall_time=0.0)
@@ -436,7 +432,7 @@ def test_no_schedule_is_built_on_the_delivery_path(refuse_records, tmp_path, tra
 def test_uncontrolled_first_sample_per_device():
     from cohdasim.scenario import materialize
 
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     mat = materialize(sc, 1)
     unc = uncontrolled_configuration(mat)
     assert len(unc) == 12 and unc.fleet is mat.fleet
@@ -445,7 +441,7 @@ def test_uncontrolled_first_sample_per_device():
 
 
 def test_design_points_arithmetic():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     d1 = ExperimentDesign(sc, (), replications=3, base_seed=5)
     points = design_points(d1)
     assert len(points) == 3
@@ -476,7 +472,7 @@ def test_design_points_arithmetic():
 )
 def test_design_rejects_every_bad_factor_value(path, values, problem):
     with pytest.raises(StructuralError, match=f"factor '{path}' value .*{problem}"):
-        ExperimentDesign(build_small_demo_scenario(), ((path, values),))
+        ExperimentDesign(load_scenario("small-demo"), ((path, values),))
 
 
 def test_delivery_work_counts_on_small_demo(monkeypatch):
@@ -493,13 +489,13 @@ def test_delivery_work_counts_on_small_demo(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    run = run_scenario_full(build_small_demo_scenario(), 0)
+    run = run_scenario_full(load_scenario("small-demo"), 0)
     assert run.result.messages_sent == 5965
     assert calls == {"configuration_key": 229, "_choose_index": 1489}
 
 
 def test_sweep_rows_and_determinism():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     design = ExperimentDesign(
         sc,
         (("network.duplicate_probability", (0.0, 0.2)),),
@@ -537,7 +533,7 @@ def test_sweep_asks_the_pool_for_no_more_workers_than_runs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
-    design = ExperimentDesign(build_toy2_scenario(), (), replications=2, base_seed=4)
+    design = ExperimentDesign(load_scenario("toy-2"), (), replications=2, base_seed=4)
 
     def timeless(rows):
         return [(r.factors, r.replication, r.seed, dataclasses.replace(r.result, wall_time=0.0))
@@ -550,7 +546,7 @@ def test_sweep_asks_the_pool_for_no_more_workers_than_runs(monkeypatch):
 
 
 def test_sweep_records_row_errors_and_continues():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     design = ExperimentDesign(
         sc,
         (("sampling.count", (2, 50)),),  # 50 distinct patterns cannot exist for T=1

@@ -14,13 +14,8 @@ from cohdasim.flexibility import (
     sample_feasible_schedules,
     simulate_tank,
 )
-from cohdasim.scenario import (
-    build_epex_scenario,
-    build_small_demo_scenario,
-    build_toy2_scenario,
-    materialize,
-    mix_seed,
-)
+from cohdasim.scenario import materialize, mix_seed
+from cohdasim.schema import load_scenario
 
 
 def _device(**overrides):
@@ -256,14 +251,14 @@ def test_group_sampler_refuses_the_lowest_short_device():
     assert _assert_group_equals_reference(device, 88, horizon, seeds, 8 * _BATCH) == []
 
 
-@pytest.mark.parametrize("build, seeds", [
-    (build_epex_scenario, (0, 1, 2)),
-    (build_small_demo_scenario, (0, 3)),
-    (build_toy2_scenario, (0, 3)),
+@pytest.mark.parametrize("name, seeds", [
+    ("epex-peakload", (0, 1, 2)),
+    ("small-demo", (0, 3)),
+    ("toy-2", (0, 3)),
 ])
-def test_materialize_samples_each_device_as_alone(build, seeds):
+def test_materialize_samples_each_device_as_alone(name, seeds):
     # Seeds run over the devices of all groups; EPEX has three groups.
-    scenario = build()
+    scenario = load_scenario(name)
     sampling = scenario.sampling
     for run_seed in seeds:
         mat = materialize(scenario, run_seed)

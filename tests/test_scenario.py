@@ -1,26 +1,32 @@
 import dataclasses
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohdasim
 from cohdasim.core import DegenerateTargetError, StructuralError
 from cohdasim.scenario import (
     BUILTIN_SCENARIOS,
     DeviceGroup,
-    build_epex_scenario,
-    build_small_demo_scenario,
-    build_toy2_scenario,
     materialize,
     mix_seed,
     with_param,
 )
-from cohdasim.schema import UnknownPathError, parse_scenario_mapping, scenario_to_mapping, with_keys
+from cohdasim.schema import (
+    UnknownPathError,
+    load_scenario,
+    parse_scenario_mapping,
+    scenario_to_mapping,
+    with_keys,
+)
 from cohdasim.simnet import ConstantDelay, ExponentialDelay, UniformDelay
 from cohdasim.topology import is_connected, small_world
 
 
 def test_epex_scenario_shape():
-    sc = build_epex_scenario()
+    sc = load_scenario("epex-peakload")
     assert sc.device_count() == 123  # 111 heat pumps + 4 + 8 CHP
     assert sc.horizon.interval_count == 96
     assert sc.horizon.interval_duration == 0.25
@@ -46,18 +52,29 @@ def test_epex_scenario_shape():
 
 def test_builtin_registry():
     assert set(BUILTIN_SCENARIOS) == {"epex-peakload", "toy-2", "small-demo"}
-    for name, builder in BUILTIN_SCENARIOS.items():
-        assert builder().name == name
+    for name, load in BUILTIN_SCENARIOS.items():
+        assert load().name == name
+
+
+def test_builtin_scenario_files_are_package_data():
+    # An installed package reads each builtin from its file under data/.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["cohdasim"]
+    data = Path(cohdasim.__file__).parent / "data"
+    for name in BUILTIN_SCENARIOS:
+        assert (data / f"{name}.yaml").is_file(), name
+        assert any(fnmatch(f"data/{name}.yaml", glob) for glob in globs), name
 
 
 def test_scenario_rejects_zero_window_target():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     with pytest.raises(DegenerateTargetError):
         dataclasses.replace(sc, target=dataclasses.replace(sc.target, power=(0.0,)))
 
 
 def test_materialize_deterministic_and_connected():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     a = materialize(sc, 3)
     b = materialize(sc, 3)
     assert a.device_ids == b.device_ids
@@ -70,7 +87,7 @@ def test_materialize_deterministic_and_connected():
 
 
 def test_materialize_ids_and_neighbors():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     mat = materialize(sc, 0)
     assert mat.device_ids[0] == "dev000"
     assert len(mat.device_ids) == 12
@@ -81,12 +98,11 @@ def test_materialize_ids_and_neighbors():
         assert len(agent.window_matrix) == sc.sampling.count
 
 
-@pytest.mark.parametrize("builder, seed", [(build_small_demo_scenario, 0),
-                                           (build_small_demo_scenario, 7),
-                                           (build_epex_scenario, 0)],
+@pytest.mark.parametrize("name, seed", [("small-demo", 0), ("small-demo", 7),
+                                        ("epex-peakload", 0)],
                          ids=["small-demo-0", "small-demo-7", "epex-0"])
-def test_materialize_tables(refuse_records, builder, seed):
-    scenario = builder()
+def test_materialize_tables(refuse_records, name, seed):
+    scenario = load_scenario(name)
     mat = materialize(scenario, seed)
 
     fleet = mat.fleet
@@ -110,7 +126,7 @@ def test_mix_seed_stable_and_distinct():
 
 
 def test_with_param_scalar_paths():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     sc2 = with_param(sc, "network.duplicate_probability", 0.25)
     assert sc2.network.duplicate_probability == 0.25
     assert sc.network.duplicate_probability == 0.0
@@ -124,7 +140,7 @@ def test_with_param_scalar_paths():
 
 
 def test_with_param_delay_mapping():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     sc2 = with_param(sc, "network.delay", {"kind": "exponential", "mean_s": 0.4})
     assert sc2.network.delay == ExponentialDelay(0.4)
     sc3 = with_param(sc, "network.delay", {"kind": "uniform", "low_s": 0.0, "high_s": 1.0})
@@ -133,7 +149,7 @@ def test_with_param_delay_mapping():
 
 
 def test_with_param_unknown_path():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     with pytest.raises(StructuralError):
         with_param(sc, "network.bogus", 1)
     with pytest.raises(StructuralError):
@@ -147,11 +163,11 @@ def test_with_param_refuses_paths_that_end_at_no_parameter(path, value):
     # A key the section lacks, a key below a string, an index past a list, a
     # digit that is no index.
     with pytest.raises(UnknownPathError, match=f"no key '{path}' in the scenario file"):
-        with_param(build_toy2_scenario(), path, value)
+        with_param(load_scenario("toy-2"), path, value)
 
 
 def test_with_param_leaf_kinds():
-    sc = build_small_demo_scenario()
+    sc = load_scenario("small-demo")
     assert with_param(sc, "network.max_delay_s", 2).network.max_delay_bound == 2.0
     assert with_param(sc, "network.reorder", False).network.reorder is False
     assert with_param(sc, "topology.family", "ring").topology.family == "ring"
@@ -192,7 +208,7 @@ FILE_EDITS = [
 
 @pytest.mark.parametrize("path, value, edit", FILE_EDITS, ids=[p for p, _, _ in FILE_EDITS])
 def test_a_factor_equals_a_file_edit(path, value, edit):
-    base = build_small_demo_scenario()
+    base = load_scenario("small-demo")
     mapping = scenario_to_mapping(base)
     edit(mapping)
     edited = parse_scenario_mapping(mapping)
@@ -207,7 +223,7 @@ def test_a_factor_equals_a_file_edit(path, value, edit):
 
 
 def test_a_path_into_an_earlier_paths_value_leaves_it_as_it_is():
-    base = build_small_demo_scenario()
+    base = load_scenario("small-demo")
     group = scenario_to_mapping(base)["devices"][0]
     scenario = with_keys(base, {"devices.0": group, "devices.0.count": 6})
     assert scenario.devices[0].count == 6
@@ -215,7 +231,7 @@ def test_a_path_into_an_earlier_paths_value_leaves_it_as_it_is():
 
 
 def test_device_group_validation():
-    sc = build_toy2_scenario()
+    sc = load_scenario("toy-2")
     with pytest.raises(StructuralError):
         DeviceGroup("x", 0, sc.devices[0].model)
     with pytest.raises(StructuralError):

@@ -20,8 +20,8 @@ from cohdasim.simnet import (
     run,
     snapshot_best,
 )
-from cohdasim.scenario import build_toy2_scenario, with_param
-from cohdasim.schema import ScenarioError, parse_scenario_mapping, scenario_to_mapping
+from cohdasim.scenario import with_param
+from cohdasim.schema import ScenarioError, load_scenario, parse_scenario_mapping, scenario_to_mapping
 from cohdasim.topology import complete, ring, small_world
 
 from conftest import make_agent, make_agents
@@ -239,7 +239,7 @@ def test_check_consistency_detects_missing_agent(horizon1):
 
 def test_delay_mapping_round_trip():
     # The scenario schema reads and writes the delay models.
-    base = build_toy2_scenario()
+    base = load_scenario("toy-2")
     for mapping in (
         {"kind": "constant", "seconds": 0.5},
         {"kind": "uniform", "low_s": 0.1, "high_s": 0.9},
@@ -269,7 +269,7 @@ def test_run_limits_refuse_values_the_file_reader_refuses(limits):
     with pytest.raises(StructuralError):
         RunLimits(**limits)
     key = {"max_sim_time": "max_sim_time_s", "max_messages": "max_messages"}
-    mapping = scenario_to_mapping(build_toy2_scenario())
+    mapping = scenario_to_mapping(load_scenario("toy-2"))
     for name, value in limits.items():
         mapping["limits"][key[name]] = value
     with pytest.raises(ScenarioError):

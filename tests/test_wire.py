@@ -18,7 +18,8 @@ from cohdasim.core import (
     SystemConfiguration,
     TargetProfile,
 )
-from cohdasim.scenario import build_small_demo_scenario, build_toy2_scenario, materialize
+from cohdasim.scenario import materialize
+from cohdasim.schema import load_scenario
 from cohdasim.simnet import run
 from cohdasim.wire import config_length, encoded_length
 
@@ -123,7 +124,7 @@ def test_encoding_deterministic(drawn):
 
 def test_trace_byte_totals_match_reencoding():
     # message_bytes_total accounted in the trace equals re-encoded sizes.
-    scenario = build_toy2_scenario()
+    scenario = load_scenario("toy-2")
     mat = materialize(scenario, 0)
     states, trace, stats = run(
         mat.agents, scenario.target, scenario.network,
@@ -230,8 +231,8 @@ def _run_messages():
     """Encodings of every agent's final memory in toy-2 and small-demo runs,
     with the fleet of each run."""
     out = []
-    for build in (build_toy2_scenario, build_small_demo_scenario):
-        scenario = build()
+    for name in ("toy-2", "small-demo"):
+        scenario = load_scenario(name)
         mat = materialize(scenario, 0)
         states, _, _ = run(mat.agents, scenario.target, scenario.network,
                            mat.network_seed, scenario.limits)
@@ -288,8 +289,9 @@ def test_package_modules_use_every_name_they_import():
 
 def test_wire_stands_alone_and_package_imports_are_module_level():
     """``wire`` loads no other package module, and every relative import of
-    the package is at module level but one: ``scenario.with_param`` imports
-    ``schema`` in its body, because ``schema`` builds ``scenario``'s
+    the package is at module level but two: ``scenario.with_param`` and
+    ``scenario._load_by_name`` (behind ``BUILTIN_SCENARIOS``) import
+    ``schema`` in their bodies, because ``schema`` builds ``scenario``'s
     dataclasses and so imports ``scenario`` at module level. No package
     module calls ``with_param``: the package sets scenario keys through
     ``schema.with_keys`` only, and ``with_param`` is left for outside
@@ -324,7 +326,8 @@ def test_wire_stands_alone_and_package_imports_are_module_level():
         callers |= {path.stem for node in ast.walk(tree) if isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None))
                     in ("with_param", "with_params")}
-    assert in_functions == {("scenario", "with_param", "schema")}
+    assert in_functions == {("scenario", "with_param", "schema"),
+                            ("scenario", "_load_by_name", "schema")}
     assert not callers
     assert "evaluation" not in schema_imports
     assert not type_checking
