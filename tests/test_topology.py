@@ -117,7 +117,7 @@ def test_generated_overlays_always_connected(n, k, p, seed):
 
 
 def _epex_ids(n):
-    # The group order the EPEX builder expands (hp, chps, chpl), which is
+    # The group order the EPEX scenario file expands (hp, chps, chpl), which is
     # not the sorted order.
     a, b = n // 2, n // 4
     return ([f"hp{i:03d}" for i in range(a)] + [f"chps{i:03d}" for i in range(b)]
